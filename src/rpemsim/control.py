@@ -39,27 +39,33 @@ class References:
     speed_ref: float = 0.0
 
 
-def mtpa_reference(tau_ref: float, theta_hat: MachineParams) -> tuple[float, float]:
+def mtpa_currents(
+    tau_ref: float, psi_m: float, x_d: float, x_q: float
+) -> tuple[float, float]:
     """Maximum-torque-per-ampere current references for a torque command.
 
     Closed-form i_d from the cube-root expression; i_q inverts the torque
     relation tau = i_q * (psi_m - (x_q - x_d) * i_d). For vanishing saliency
     the d-axis reference collapses to zero.
     """
-    psi = theta_hat.psi_m
-    if psi <= 0.0:
+    if psi_m <= 0.0:
         raise ControlError("MTPA needs a positive magnet flux estimate")
-    dx = theta_hat.x_q - theta_hat.x_d
+    dx = x_q - x_d
     if tau_ref == 0.0:
         return 0.0, 0.0
     if abs(dx) < 1e-6:
-        return 0.0, tau_ref / psi
-    radicand = (psi / 3.0) ** 3 + dx * dx * tau_ref * tau_ref / (3.0 * psi)
-    id_ref = (psi / 3.0 - radicand ** (1.0 / 3.0)) / dx
-    denom = psi - dx * id_ref
+        return 0.0, tau_ref / psi_m
+    radicand = (psi_m / 3.0) ** 3 + dx * dx * tau_ref * tau_ref / (3.0 * psi_m)
+    id_ref = (psi_m / 3.0 - radicand ** (1.0 / 3.0)) / dx
+    denom = psi_m - dx * id_ref
     if abs(denom) < 1e-9:
         raise ControlError("torque reference infeasible: i_q denominator ~ 0")
     return id_ref, tau_ref / denom
+
+
+def mtpa_reference(tau_ref: float, theta_hat: MachineParams) -> tuple[float, float]:
+    """:func:`mtpa_currents` for a parameter set."""
+    return mtpa_currents(tau_ref, theta_hat.psi_m, theta_hat.x_d, theta_hat.x_q)
 
 
 def limit_current(id_ref: float, iq_ref: float, i_max: float) -> tuple[float, float]:
@@ -71,24 +77,38 @@ def limit_current(id_ref: float, iq_ref: float, i_max: float) -> tuple[float, fl
     return id_ref * k, iq_ref * k
 
 
-def pi_step(ref: float, meas: float, state: PiState, dt: float) -> tuple[float, PiState]:
-    """One PI update with conditional-integration anti-windup.
+def pi_update(
+    ref: float, meas: float, kp: float, ti: float, integrator: float,
+    limit: float, dt: float,
+) -> tuple[float, float]:
+    """One PI update with conditional-integration anti-windup; returns the
+    output and the new integrator.
 
     While the output is clamped and the error keeps pushing outward the
     integrator is frozen, so it never winds beyond the limit.
     """
+    e = ref - meas
+    raw = kp * e + integrator
+    # min(max(raw, -limit), limit), spelled out: same result, no calls
+    out = -limit if -limit > raw else raw
+    if limit < out:
+        out = limit
+    if raw != out and e * out > 0.0:
+        return out, integrator
+    integ = integrator + kp * e * dt / ti
+    integ = -limit if -limit > integ else integ
+    if limit < integ:
+        integ = limit
+    return out, integ
+
+
+def pi_step(ref: float, meas: float, state: PiState, dt: float) -> tuple[float, PiState]:
+    """:func:`pi_update` on a :class:`PiState`."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    e = ref - meas
-    raw = state.kp * e + state.integrator
-    lim = state.output_limit
-    out = min(max(raw, -lim), lim)
-    clamped = raw != out
-    if clamped and e * out > 0.0:
-        integ = state.integrator
-    else:
-        integ = state.integrator + state.kp * e * dt / state.ti
-        integ = min(max(integ, -lim), lim)
+    out, integ = pi_update(
+        ref, meas, state.kp, state.ti, state.integrator, state.output_limit, dt
+    )
     return out, PiState(state.kp, state.ti, integ, state.output_limit)
 
 
@@ -96,11 +116,58 @@ def voltage_limit(u: DqVector, u_max: float) -> DqVector:
     """Scale the voltage command onto the limit circle, preserving angle."""
     if u_max <= 0.0:
         raise ValueError("u_max must be positive")
-    mag = math.hypot(u.d, u.q)
-    if mag <= u_max:
-        return u
-    k = u_max / mag
-    return DqVector(u.d * k, u.q * k)
+    return DqVector(*limit_current(u.d, u.q, u_max))
+
+
+class CurrentLoops:
+    """Per-axis PI plus cross-coupling / back-EMF feedforward and the
+    voltage limit, with both integrators held as floats.
+
+    Feedforward uses the estimated parameters only:
+      u_d += -n * x_q_hat * i_q
+      u_q += +n * (x_d_hat * i_d + psi_m_hat)
+    """
+
+    __slots__ = (
+        "kp_d", "ti_d", "integ_d", "lim_d", "kp_q", "ti_q", "integ_q", "lim_q",
+        "x_d", "x_q", "dt", "u_max",
+    )
+
+    def __init__(
+        self, state_d: PiState, state_q: PiState, x_d: float, x_q: float,
+        dt: float, u_max: float,
+    ) -> None:
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        if u_max <= 0.0:
+            raise ValueError("u_max must be positive")
+        self.kp_d, self.ti_d = state_d.kp, state_d.ti
+        self.integ_d, self.lim_d = state_d.integrator, state_d.output_limit
+        self.kp_q, self.ti_q = state_q.kp, state_q.ti
+        self.integ_q, self.lim_q = state_q.integrator, state_q.output_limit
+        self.x_d, self.x_q, self.dt, self.u_max = x_d, x_q, dt, u_max
+
+    def step(
+        self, id_ref: float, iq_ref: float, i_d: float, i_q: float, n: float,
+        psi_m: float,
+    ) -> tuple[float, float]:
+        """Voltage command for one sample; advances both integrators."""
+        v_d, self.integ_d = pi_update(
+            id_ref, i_d, self.kp_d, self.ti_d, self.integ_d, self.lim_d, self.dt
+        )
+        v_q, self.integ_q = pi_update(
+            iq_ref, i_q, self.kp_q, self.ti_q, self.integ_q, self.lim_q, self.dt
+        )
+        u_d = v_d - n * self.x_q * i_q
+        u_q = v_q + n * (self.x_d * i_d + psi_m)
+        # the current limit's radial scaling, on the voltage circle
+        return limit_current(u_d, u_q, self.u_max)
+
+    def states(self) -> tuple[PiState, PiState]:
+        return (
+            PiState(self.kp_d, self.ti_d, self.integ_d, self.lim_d),
+            PiState(self.kp_q, self.ti_q, self.integ_q, self.lim_q),
+        )
 
 
 def current_controller(
@@ -113,17 +180,10 @@ def current_controller(
     dt: float,
     u_max: float,
 ) -> tuple[DqVector, PiState, PiState]:
-    """Per-axis PI plus cross-coupling / back-EMF feedforward.
-
-    Feedforward uses the estimated parameters only:
-      u_d += -n * x_q_hat * i_q
-      u_q += +n * (x_d_hat * i_d + psi_m_hat)
-    """
-    v_d, state_d = pi_step(refs.id_ref, i_meas.d, state_d, dt)
-    v_q, state_q = pi_step(refs.iq_ref, i_meas.q, state_q, dt)
-    u_d = v_d - n * theta_hat.x_q * i_meas.q
-    u_q = v_q + n * (theta_hat.x_d * i_meas.d + theta_hat.psi_m)
-    return voltage_limit(DqVector(u_d, u_q), u_max), state_d, state_q
+    """One :class:`CurrentLoops` step from object-level states."""
+    loops = CurrentLoops(state_d, state_q, theta_hat.x_d, theta_hat.x_q, dt, u_max)
+    u = loops.step(refs.id_ref, refs.iq_ref, i_meas.d, i_meas.q, n, theta_hat.psi_m)
+    return (DqVector(*u), *loops.states())
 
 
 def speed_controller(

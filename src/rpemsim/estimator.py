@@ -24,10 +24,12 @@ away from standstill, decoupling the two estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal, NamedTuple, Optional
 
-from .plant import step_matrices, steady_state_current
+# step_matrices is not called here; it stays a module attribute because
+# the benchmark's tracer (perfbench/tracing.py) wraps it by this name
+from .plant import Trapezoid, steady_state_current, step_matrices  # noqa: F401
 from .pu import ConfigError, DqVector, MachineParams
 
 
@@ -51,22 +53,55 @@ class ParameterBox:
     def __post_init__(self) -> None:
         if not (self.psi_m_min < self.psi_m_max and self.r_s_min < self.r_s_max):
             raise ConfigError("parameter box must be nonempty (min < max per axis)")
+        if self.psi_m_min < 0.0 or self.r_s_min < 0.0:
+            raise ConfigError(
+                "parameter box lower bounds must be >= 0, got "
+                f"psi_m_min={self.psi_m_min}, r_s_min={self.r_s_min}"
+            )
 
     @classmethod
     def around(cls, nominal: ParameterVector, fraction: float = 0.3) -> "ParameterBox":
-        return cls(
-            psi_m_min=nominal.psi_m * (1.0 - fraction),
-            psi_m_max=nominal.psi_m * (1.0 + fraction),
-            r_s_min=nominal.r_s * (1.0 - fraction),
-            r_s_max=nominal.r_s * (1.0 + fraction),
-        )
+        return cls(*box_bounds_around(nominal, fraction))
+
+
+def box_bounds_around(
+    nominal: ParameterVector, fraction: float
+) -> tuple[float, float, float, float]:
+    """(psi_m_min, psi_m_max, r_s_min, r_s_max) of +-fraction around nominal."""
+    return (
+        nominal.psi_m * (1.0 - fraction),
+        nominal.psi_m * (1.0 + fraction),
+        nominal.r_s * (1.0 - fraction),
+        nominal.r_s * (1.0 + fraction),
+    )
+
+
+def clamp_to_box(psi_m: float, r_s: float, box: ParameterBox) -> tuple[float, float]:
+    """Componentwise clamp into the admissible box."""
+    # min(max(x, lo), hi) spelled out: the same result without the calls
+    lo, hi = box.psi_m_min, box.psi_m_max
+    psi_m = lo if lo > psi_m else psi_m
+    if hi < psi_m:
+        psi_m = hi
+    lo, hi = box.r_s_min, box.r_s_max
+    r_s = lo if lo > r_s else r_s
+    if hi < r_s:
+        r_s = hi
+    return psi_m, r_s
 
 
 def project_parameters(theta: ParameterVector, box: ParameterBox) -> ParameterVector:
     """Componentwise clamp into the admissible box."""
-    return ParameterVector(
-        psi_m=min(max(theta.psi_m, box.psi_m_min), box.psi_m_max),
-        r_s=min(max(theta.r_s, box.r_s_min), box.r_s_max),
+    return ParameterVector(*clamp_to_box(theta.psi_m, theta.r_s, box))
+
+
+def update_parameters(
+    psi_m: float, r_s: float, l11: float, l12: float, l21: float, l22: float,
+    eps_d: float, eps_q: float, box: ParameterBox,
+) -> tuple[float, float]:
+    """theta + L * eps, projected into the box."""
+    return clamp_to_box(
+        psi_m + l11 * eps_d + l12 * eps_q, r_s + l21 * eps_d + l22 * eps_q, box
     )
 
 
@@ -185,6 +220,16 @@ def _model_params(theta: ParameterVector, x_d: float, x_q: float) -> MachinePara
     return MachineParams(x_d=x_d, x_q=x_q, r_s=theta.r_s, psi_m=theta.psi_m)
 
 
+def _kernel(
+    theta_hat: ParameterVector, known_x: tuple[float, float], n: float,
+    omega_n: float, dt: float,
+) -> Trapezoid:
+    _model_params(theta_hat, *known_x)  # rejects an invalid parameter set
+    kernel = Trapezoid(omega_n, dt)
+    kernel.set(theta_hat.r_s, known_x[0], known_x[1], n)
+    return kernel
+
+
 def predictor_step(
     state: PredictorState,
     u: DqVector,
@@ -199,21 +244,32 @@ def predictor_step(
     Inputs are the measured voltage and speed; gradient states are copied
     untouched, see :func:`gradient_dynamic_step`.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    x_d, x_q = known_x
-    model = _model_params(theta_hat, x_d, x_q)
-    mi11, mi12, mi21, mi22, n11, n12, n21, n22 = step_matrices(model, n, omega_n, dt)
-    b_d = omega_n / x_d * u.d
-    b_q = omega_n / x_q * (u.q - n * theta_hat.psi_m)
+    kernel = _kernel(theta_hat, known_x, n, omega_n, dt)
     i_d, i_q = state.i_hat
-    rhs_d = n11 * i_d + n12 * i_q + dt * b_d
-    rhs_q = n21 * i_d + n22 * i_q + dt * b_q
+    i_hat = kernel.drive(i_d, i_q, u.d, u.q, theta_hat.psi_m)
     return PredictorState(
-        i_hat=DqVector(mi11 * rhs_d + mi12 * rhs_q, mi21 * rhs_d + mi22 * rhs_q),
-        grad_psi=state.grad_psi,
-        grad_rs=state.grad_rs,
+        i_hat=DqVector(*i_hat), grad_psi=state.grad_psi, grad_rs=state.grad_rs
     )
+
+
+def advance_gradients(
+    kernel: Trapezoid,
+    gp_d: float, gp_q: float, gr_d: float, gr_q: float,
+    i_old_d: float, i_old_q: float, i_new_d: float, i_new_q: float,
+) -> tuple[float, float, float, float]:
+    """Dynamic prediction gradients (flux gp, resistance gr) one step on.
+
+    The gradient dynamics share the predictor's state matrix, which
+    ``kernel`` holds; the flux gradient is forced by -n in the q row, the
+    resistance gradient by the negative predicted current averaged over
+    the interval ends i_old and i_new.
+    """
+    w = kernel.omega_n
+    gp_d, gp_q = kernel.step(gp_d, gp_q, -0.0, -w * kernel.n / kernel.x_q)
+    f_d = -0.5 * w * (i_old_d + i_new_d) / kernel.x_d
+    f_q = -0.5 * w * (i_old_q + i_new_q) / kernel.x_q
+    gr_d, gr_q = kernel.step(gr_d, gr_q, f_d, f_q)
+    return gp_d, gp_q, gr_d, gr_q
 
 
 def gradient_dynamic_step(
@@ -227,79 +283,36 @@ def gradient_dynamic_step(
 ) -> PredictorState:
     """Advance the dynamic prediction-gradient states one trapezoidal step.
 
-    The gradient dynamics share the predictor's state matrix; the flux
-    gradient is forced by -n in the q row, the resistance gradient by the
-    negative predicted current. When ``i_hat_prev`` is given the resistance
-    forcing is averaged over both interval ends, which makes the recursion
-    the exact parameter-derivative of the discrete predictor step.
+    See :func:`advance_gradients`. When ``i_hat_prev`` is given the
+    resistance forcing is averaged over both interval ends, which makes the
+    recursion the exact parameter-derivative of the discrete predictor
+    step; without it both ends are the current ``state.i_hat``.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    x_d, x_q = known_x
-    model = _model_params(theta_hat, x_d, x_q)
-    mi11, mi12, mi21, mi22, n11, n12, n21, n22 = step_matrices(model, n, omega_n, dt)
-
-    g = state.grad_psi
-    b_q = -omega_n * n / x_q
-    rhs_d = n11 * g.d + n12 * g.q
-    rhs_q = n21 * g.d + n22 * g.q + dt * b_q
-    grad_psi = DqVector(mi11 * rhs_d + mi12 * rhs_q, mi21 * rhs_d + mi22 * rhs_q)
-
+    kernel = _kernel(theta_hat, known_x, n, omega_n, dt)
     i_new = state.i_hat
     i_old = i_hat_prev if i_hat_prev is not None else i_new
-    f_d = -0.5 * omega_n * (i_old.d + i_new.d) / x_d
-    f_q = -0.5 * omega_n * (i_old.q + i_new.q) / x_q
-    g = state.grad_rs
-    rhs_d = n11 * g.d + n12 * g.q + dt * f_d
-    rhs_q = n21 * g.d + n22 * g.q + dt * f_q
-    grad_rs = DqVector(mi11 * rhs_d + mi12 * rhs_q, mi21 * rhs_d + mi22 * rhs_q)
-
-    return PredictorState(i_hat=state.i_hat, grad_psi=grad_psi, grad_rs=grad_rs)
-
-
-def _advance_all(
-    state: PredictorState,
-    u: DqVector,
-    n: float,
-    theta_hat: ParameterVector,
-    known_x: tuple[float, float],
-    omega_n: float,
-    dt: float,
-) -> PredictorState:
-    """Predictor and both gradient pairs in one pass, sharing the factored
-    step matrices; numerically identical to predictor_step followed by
-    gradient_dynamic_step with endpoint forcing."""
-    x_d, x_q = known_x
-    model = _model_params(theta_hat, x_d, x_q)
-    mi11, mi12, mi21, mi22, n11, n12, n21, n22 = step_matrices(model, n, omega_n, dt)
-
-    i_d, i_q = state.i_hat
-    b_d = omega_n / x_d * u.d
-    b_q = omega_n / x_q * (u.q - n * theta_hat.psi_m)
-    rhs_d = n11 * i_d + n12 * i_q + dt * b_d
-    rhs_q = n21 * i_d + n22 * i_q + dt * b_q
-    ih_d = mi11 * rhs_d + mi12 * rhs_q
-    ih_q = mi21 * rhs_d + mi22 * rhs_q
-
-    g_d, g_q = state.grad_psi
-    bq = -omega_n * n / x_q
-    rhs_d = n11 * g_d + n12 * g_q
-    rhs_q = n21 * g_d + n22 * g_q + dt * bq
-    gp_d = mi11 * rhs_d + mi12 * rhs_q
-    gp_q = mi21 * rhs_d + mi22 * rhs_q
-
-    g_d, g_q = state.grad_rs
-    f_d = -0.5 * omega_n * (i_d + ih_d) / x_d
-    f_q = -0.5 * omega_n * (i_q + ih_q) / x_q
-    rhs_d = n11 * g_d + n12 * g_q + dt * f_d
-    rhs_q = n21 * g_d + n22 * g_q + dt * f_q
-    gr_d = mi11 * rhs_d + mi12 * rhs_q
-    gr_q = mi21 * rhs_d + mi22 * rhs_q
-
+    gp_d, gp_q, gr_d, gr_q = advance_gradients(
+        kernel, *state.grad_psi, *state.grad_rs, *i_old, *i_new
+    )
     return PredictorState(
-        i_hat=DqVector(ih_d, ih_q),
-        grad_psi=DqVector(gp_d, gp_q),
-        grad_rs=DqVector(gr_d, gr_q),
+        i_hat=state.i_hat, grad_psi=DqVector(gp_d, gp_q), grad_rs=DqVector(gr_d, gr_q)
+    )
+
+
+def steady_state_gradients(
+    r_s: float, x_d: float, x_q: float, n: float, i_d: float, i_q: float,
+    denom_floor: float,
+) -> tuple[float, float, float, float]:
+    """(psi_d, psi_q, rs_d, rs_q) of :func:`gradient_steady_state`."""
+    r = r_s
+    D = r * r + n * n * x_d * x_q
+    if D < denom_floor:
+        return 0.0, 0.0, 0.0, 0.0
+    return (
+        -n * n * x_q / D,
+        -n * r / D,
+        (-r * i_d - n * x_q * i_q) / D,
+        (-r * i_q + n * x_d * i_d) / D,
     )
 
 
@@ -316,17 +329,9 @@ def gradient_steady_state(
     form, consistent with the settled dynamic gradients). Below the floor
     the gradients are suppressed to zero so downstream gains vanish.
     """
-    x_d, x_q = known_x
-    r = theta_hat.r_s
-    D = r * r + n * n * x_d * x_q
-    if D < denom_floor:
-        return GradientSet(0.0, 0.0, 0.0, 0.0)
-    return GradientSet(
-        psi_d=-n * n * x_q / D,
-        psi_q=-n * r / D,
-        rs_d=(-r * i_hat.d - n * x_q * i_hat.q) / D,
-        rs_q=(-r * i_hat.q + n * x_d * i_hat.d) / D,
-    )
+    return GradientSet(*steady_state_gradients(
+        theta_hat.r_s, known_x[0], known_x[1], n, i_hat.d, i_hat.q, denom_floor
+    ))
 
 
 def predictor_steady_state(
@@ -340,37 +345,74 @@ def predictor_steady_state(
     return steady_state_current(model, u, n)
 
 
+def scheduler_rows(n: float, cfg: GainConfig) -> tuple[bool, bool]:
+    """Whether the flux row (|n| above |n_lim1|) and the resistance row
+    (|n| below |n_lim2|) adapt at speed n."""
+    return abs(n) > abs(cfg.n_lim1), abs(n) < abs(cfg.n_lim2)
+
+
 def gain_schedule(L: GainMatrix, n: float, cfg: GainConfig) -> GainMatrix:
     """Zero the flux row below |n_lim1| and the resistance row above
     |n_lim2| so each parameter adapts only where it is observable."""
-    l11, l12 = (L.l11, L.l12) if abs(n) > abs(cfg.n_lim1) else (0.0, 0.0)
-    l21, l22 = (L.l21, L.l22) if abs(n) < abs(cfg.n_lim2) else (0.0, 0.0)
+    row1_on, row2_on = scheduler_rows(n, cfg)
+    l11, l12 = (L.l11, L.l12) if row1_on else (0.0, 0.0)
+    l21, l22 = (L.l21, L.l22) if row2_on else (0.0, 0.0)
     return GainMatrix(l11, l12, l21, l22)
 
 
-def _cap_gain(L: GainMatrix, cap: float) -> GainMatrix:
-    """Bound each gain row's magnitude; large gains amplify noise."""
-    l11, l12, l21, l22 = L
-    n1 = math.hypot(l11, l12)
-    if n1 > cap:
-        k = cap / n1
-        l11, l12 = l11 * k, l12 * k
-    n2 = math.hypot(l21, l22)
-    if n2 > cap:
-        k = cap / n2
-        l21, l22 = l21 * k, l22 * k
-    return GainMatrix(l11, l12, l21, l22)
+def _scheduled_update(
+    theta: ParameterVector, L: GainMatrix, eps: DqVector, cfg: GainConfig,
+    box: ParameterBox, schedule_n: Optional[float],
+) -> tuple[ParameterVector, GainMatrix]:
+    if schedule_n is not None:
+        L = gain_schedule(L, schedule_n, cfg)
+    theta = ParameterVector(
+        *update_parameters(theta.psi_m, theta.r_s, *L, eps.d, eps.q, box)
+    )
+    return theta, L
 
 
-def _apply_update(
-    theta: ParameterVector, L: GainMatrix, eps: DqVector, box: ParameterBox
-) -> ParameterVector:
-    return project_parameters(
-        ParameterVector(
-            psi_m=theta.psi_m + L.l11 * eps.d + L.l12 * eps.q,
-            r_s=theta.r_s + L.l21 * eps.d + L.l22 * eps.q,
-        ),
-        box,
+# The gain kernels below take the prediction gradients and the Hessian
+# state as floats and return the updated state followed by the gains
+# (l11, l12, l21, l22). Floors are applied as max(x, floor) spelled out.
+
+
+def sga_trace_gains(
+    r: float, psi_d: float, psi_q: float, rs_d: float, rs_q: float,
+    cfg: GainConfig,
+) -> tuple[float, float, float, float, float]:
+    """SGA trace mode: one scalar r filters the full gradient trace."""
+    tr = psi_d**2 + psi_q**2 + rs_d**2 + rs_q**2
+    r = r + cfg.gamma_r * (tr - r)
+    fl = cfg.r_floor
+    rdiv = fl if fl > r else r
+    return (
+        r,
+        cfg.gamma_L_psi * psi_d / rdiv,
+        cfg.gamma_L_psi * psi_q / rdiv,
+        cfg.gamma_L_rs * rs_d / rdiv,
+        cfg.gamma_L_rs * rs_q / rdiv,
+    )
+
+
+def sga_per_gradient_gains(
+    rpd: float, rpq: float, rrd: float, rrq: float,
+    psi_d: float, psi_q: float, rs_d: float, rs_q: float, cfg: GainConfig,
+) -> tuple[float, float, float, float, float, float, float, float]:
+    """SGA per-gradient mode: each gain element is normalized by a filter
+    of its own squared gradient entry."""
+    g = cfg.gamma_r
+    rpd = rpd + g * (psi_d**2 - rpd)
+    rpq = rpq + g * (psi_q**2 - rpq)
+    rrd = rrd + g * (rs_d**2 - rrd)
+    rrq = rrq + g * (rs_q**2 - rrq)
+    fl = cfg.r_floor
+    return (
+        rpd, rpq, rrd, rrq,
+        cfg.gamma_L_psi * psi_d / (fl if fl > rpd else rpd),
+        cfg.gamma_L_psi * psi_q / (fl if fl > rpq else rpq),
+        cfg.gamma_L_rs * rs_d / (fl if fl > rrd else rrd),
+        cfg.gamma_L_rs * rs_q / (fl if fl > rrq else rrq),
     )
 
 
@@ -390,52 +432,19 @@ def sga_update(
     element by a filter of its own squared gradient entry, which makes the
     settled gains coincide with the PhyInt relations.
     """
-    g = cfg.gamma_r
     if cfg.sga_r_mode == "trace":
-        tr = grads.psi_d**2 + grads.psi_q**2 + grads.rs_d**2 + grads.rs_q**2
-        r = hess.scalar_r + g * (tr - hess.scalar_r)
-        hess_new = HessianState(
-            scalar_r=r,
-            rg_psi_d=hess.rg_psi_d,
-            rg_psi_q=hess.rg_psi_q,
-            rg_rs_d=hess.rg_rs_d,
-            rg_rs_q=hess.rg_rs_q,
-            r11=hess.r11,
-            r12=hess.r12,
-            r22=hess.r22,
-        )
-        rdiv = max(r, cfg.r_floor)
-        L = GainMatrix(
-            l11=cfg.gamma_L_psi * grads.psi_d / rdiv,
-            l12=cfg.gamma_L_psi * grads.psi_q / rdiv,
-            l21=cfg.gamma_L_rs * grads.rs_d / rdiv,
-            l22=cfg.gamma_L_rs * grads.rs_q / rdiv,
-        )
+        r, *L = sga_trace_gains(hess.scalar_r, *grads, cfg)
+        hess_new = replace(hess, scalar_r=r, mpp_last=False)
     else:
-        rpd = hess.rg_psi_d + g * (grads.psi_d**2 - hess.rg_psi_d)
-        rpq = hess.rg_psi_q + g * (grads.psi_q**2 - hess.rg_psi_q)
-        rrd = hess.rg_rs_d + g * (grads.rs_d**2 - hess.rg_rs_d)
-        rrq = hess.rg_rs_q + g * (grads.rs_q**2 - hess.rg_rs_q)
-        hess_new = HessianState(
-            scalar_r=hess.scalar_r,
-            rg_psi_d=rpd,
-            rg_psi_q=rpq,
-            rg_rs_d=rrd,
-            rg_rs_q=rrq,
-            r11=hess.r11,
-            r12=hess.r12,
-            r22=hess.r22,
+        rpd, rpq, rrd, rrq, *L = sga_per_gradient_gains(
+            hess.rg_psi_d, hess.rg_psi_q, hess.rg_rs_d, hess.rg_rs_q, *grads, cfg
         )
-        fl = cfg.r_floor
-        L = GainMatrix(
-            l11=cfg.gamma_L_psi * grads.psi_d / max(rpd, fl),
-            l12=cfg.gamma_L_psi * grads.psi_q / max(rpq, fl),
-            l21=cfg.gamma_L_rs * grads.rs_d / max(rrd, fl),
-            l22=cfg.gamma_L_rs * grads.rs_q / max(rrq, fl),
+        hess_new = replace(
+            hess, rg_psi_d=rpd, rg_psi_q=rpq, rg_rs_d=rrd, rg_rs_q=rrq,
+            mpp_last=False,
         )
-    if schedule_n is not None:
-        L = gain_schedule(L, schedule_n, cfg)
-    return _apply_update(theta, L, eps, box), hess_new, L
+    theta, L = _scheduled_update(theta, GainMatrix(*L), eps, cfg, box, schedule_n)
+    return theta, hess_new, L
 
 
 def pseudoinverse_2x2(
@@ -479,6 +488,41 @@ def pseudoinverse_2x2(
     return ((p11, p12), (p12, p22))
 
 
+def gna_gains(
+    r11: float, r12: float, r22: float,
+    psi_d: float, psi_q: float, rs_d: float, rs_q: float, cfg: GainConfig,
+) -> tuple[float, float, float, float, bool, float, float, float, float]:
+    """GNA: filtered 2x2 Hessian (r11, r12, r22), its determinant and
+    whether the pseudoinverse was used, then the capped gains."""
+    g = cfg.gamma_r
+    r11 = r11 + g * (psi_d**2 + psi_q**2 - r11)
+    r12 = r12 + g * (psi_d * rs_d + psi_q * rs_q - r12)
+    r22 = r22 + g * (rs_d**2 + rs_q**2 - r22)
+    det = r11 * r22 - r12 * r12
+    if det >= cfg.detR_floor:
+        inv = 1.0 / det
+        q11, q12, q22 = r22 * inv, -r12 * inv, r11 * inv
+        mpp = False
+    else:
+        (q11, q12), (_, q22) = pseudoinverse_2x2(((r11, r12), (r12, r22)), cfg.mpp_tol)
+        mpp = True
+    l11 = cfg.gamma_L_psi * (q11 * psi_d + q12 * rs_d)
+    l12 = cfg.gamma_L_psi * (q11 * psi_q + q12 * rs_q)
+    l21 = cfg.gamma_L_rs * (q12 * psi_d + q22 * rs_d)
+    l22 = cfg.gamma_L_rs * (q12 * psi_q + q22 * rs_q)
+    # bound each gain row's magnitude; large gains amplify noise
+    cap = cfg.gain_cap
+    n1 = math.hypot(l11, l12)
+    if n1 > cap:
+        k = cap / n1
+        l11, l12 = l11 * k, l12 * k
+    n2 = math.hypot(l21, l22)
+    if n2 > cap:
+        k = cap / n2
+        l21, l22 = l21 * k, l22 * k
+    return r11, r12, r22, det, mpp, l11, l12, l21, l22
+
+
 def gna_update(
     theta: ParameterVector,
     eps: DqVector,
@@ -494,43 +538,26 @@ def gna_update(
     the pseudoinverse takes over, which is what keeps the resistance row
     alive at standstill where the matrix is structurally singular.
     """
-    g = cfg.gamma_r
-    r11 = hess.r11 + g * (grads.psi_d**2 + grads.psi_q**2 - hess.r11)
-    r12 = hess.r12 + g * (
-        grads.psi_d * grads.rs_d + grads.psi_q * grads.rs_q - hess.r12
-    )
-    r22 = hess.r22 + g * (grads.rs_d**2 + grads.rs_q**2 - hess.r22)
-    det = r11 * r22 - r12 * r12
-    if det >= cfg.detR_floor:
-        inv = 1.0 / det
-        q11, q12, q22 = r22 * inv, -r12 * inv, r11 * inv
-        mpp = False
-    else:
-        (q11, q12), (_, q22) = pseudoinverse_2x2(((r11, r12), (r12, r22)), cfg.mpp_tol)
-        mpp = True
-    L = _cap_gain(
-        GainMatrix(
-            l11=cfg.gamma_L_psi * (q11 * grads.psi_d + q12 * grads.rs_d),
-            l12=cfg.gamma_L_psi * (q11 * grads.psi_q + q12 * grads.rs_q),
-            l21=cfg.gamma_L_rs * (q12 * grads.psi_d + q22 * grads.rs_d),
-            l22=cfg.gamma_L_rs * (q12 * grads.psi_q + q22 * grads.rs_q),
-        ),
-        cfg.gain_cap,
-    )
-    if schedule_n is not None:
-        L = gain_schedule(L, schedule_n, cfg)
-    hess_new = HessianState(
-        scalar_r=hess.scalar_r,
-        rg_psi_d=hess.rg_psi_d,
-        rg_psi_q=hess.rg_psi_q,
-        rg_rs_d=hess.rg_rs_d,
-        rg_rs_q=hess.rg_rs_q,
-        r11=r11,
-        r12=r12,
-        r22=r22,
-        mpp_last=mpp,
-    )
-    return _apply_update(theta, L, eps, box), hess_new, L
+    r11, r12, r22, _, mpp, *L = gna_gains(hess.r11, hess.r12, hess.r22, *grads, cfg)
+    theta, L = _scheduled_update(theta, GainMatrix(*L), eps, cfg, box, schedule_n)
+    return theta, replace(hess, r11=r11, r12=r12, r22=r22, mpp_last=mpp), L
+
+
+def phyint_gains(
+    r_s: float, n: float, i_d: float, i_q: float, x_d: float, x_q: float,
+    cfg: GainConfig,
+) -> tuple[float, float, float, float]:
+    """PhyInt gains at the estimate r_s and predicted current i."""
+    r = r_s
+    D = r * r + n * n * x_d * x_q
+    l11 = -cfg.gamma_L_psi * x_d
+    den_d = -r * i_d - n * x_q * i_q
+    den_q = -r * i_q + n * x_d * i_d
+    th_d = cfg.i_floor * (r + abs(n) * x_q)
+    th_q = cfg.i_floor * (r + abs(n) * x_d)
+    l21 = cfg.gamma_L_rs * D / den_d if abs(den_d) >= th_d and th_d > 0.0 else 0.0
+    l22 = cfg.gamma_L_rs * D / den_q if abs(den_q) >= th_q and th_q > 0.0 else 0.0
+    return l11, 0.0, l21, l22
 
 
 def phyint_update(
@@ -551,20 +578,8 @@ def phyint_update(
     current-scaled threshold zeroes that gain for the step instead of
     letting it blow up.
     """
-    x_d, x_q = known_x
-    r = theta.r_s
-    D = r * r + n * n * x_d * x_q
-    l11 = -cfg.gamma_L_psi * x_d
-    den_d = -r * i_hat.d - n * x_q * i_hat.q
-    den_q = -r * i_hat.q + n * x_d * i_hat.d
-    th_d = cfg.i_floor * (r + abs(n) * x_q)
-    th_q = cfg.i_floor * (r + abs(n) * x_d)
-    l21 = cfg.gamma_L_rs * D / den_d if abs(den_d) >= th_d and th_d > 0.0 else 0.0
-    l22 = cfg.gamma_L_rs * D / den_q if abs(den_q) >= th_q and th_q > 0.0 else 0.0
-    L = GainMatrix(l11=l11, l12=0.0, l21=l21, l22=l22)
-    if schedule_n is not None:
-        L = gain_schedule(L, schedule_n, cfg)
-    return _apply_update(theta, L, eps, box), L
+    L = GainMatrix(*phyint_gains(theta.r_s, n, i_hat.d, i_hat.q, *known_x, cfg))
+    return _scheduled_update(theta, L, eps, cfg, box, schedule_n)
 
 
 class StepTelemetry(NamedTuple):
@@ -585,6 +600,11 @@ class StepTelemetry(NamedTuple):
     mpp_used: bool
 
 
+# builds a StepTelemetry from a ready tuple without the keyword-parsing
+# __new__ of NamedTuple
+_new_telemetry = tuple.__new__
+
+
 class RpemEstimator:
     """Stateful per-sample estimator combining predictor, gradients,
     Hessian, gain algorithm, scheduler and projection.
@@ -593,7 +613,19 @@ class RpemEstimator:
     prediction error -> gradient step/selection -> Hessian update -> gain
     -> schedule -> parameter update -> projection. The error is therefore
     always evaluated against the previous parameter estimate.
+
+    The state is held as floats; ``theta``, ``pred`` and ``hess`` are
+    read-only views built on access.
     """
+
+    __slots__ = (
+        "cfg", "box", "known_x", "omega_n", "t_samp", "_kernel", "_x_d", "_x_q",
+        "_dyn_psi", "_dyn_rs", "_psi", "_rs", "_ih_d", "_ih_q",
+        "_gp_d", "_gp_q", "_gr_d", "_gr_q", "_hess_ready", "_scalar_r",
+        "_rg_psi_d", "_rg_psi_q", "_rg_rs_d", "_rg_rs_q", "_r11", "_r12", "_r22",
+        "_mpp", "_primed", "_row1_was_on", "_row2_was_on", "_row1_off_time",
+        "_row2_off_time",
+    )
 
     def __init__(
         self,
@@ -614,143 +646,180 @@ class RpemEstimator:
         self.known_x = known_x
         self.omega_n = omega_n
         self.t_samp = t_samp
-        self.theta = project_parameters(theta0, box)
+        self._kernel = Trapezoid(omega_n, t_samp)
+        self._x_d, self._x_q = known_x
+        self._dyn_psi = cfg.gradient_mode_psi == "dynamic"
+        self._dyn_rs = cfg.gradient_mode_rs == "dynamic"
+        self._psi, self._rs = clamp_to_box(theta0.psi_m, theta0.r_s, box)
+        self._ih_d, self._ih_q = i_hat0
         if gradient_init == "steady_state":
-            g0 = gradient_steady_state(self.theta, known_x, n0, i_hat0,
-                                       cfg.ss_denom_floor)
-            self.pred = PredictorState(
-                i_hat=i_hat0,
-                grad_psi=DqVector(g0.psi_d, g0.psi_q),
-                grad_rs=DqVector(g0.rs_d, g0.rs_q),
+            g0 = steady_state_gradients(
+                self._rs, self._x_d, self._x_q, n0, self._ih_d, self._ih_q,
+                cfg.ss_denom_floor,
             )
         else:
-            self.pred = PredictorState(i_hat=i_hat0)
-        self.hess: Optional[HessianState] = None
+            g0 = (0.0, 0.0, 0.0, 0.0)
+        self._gp_d, self._gp_q, self._gr_d, self._gr_q = g0
+        self._hess_ready = False
         self._primed = False
-        self._row1_was_on = abs(n0) > abs(cfg.n_lim1)
-        self._row2_was_on = abs(n0) < abs(cfg.n_lim2)
+        self._row1_was_on, self._row2_was_on = scheduler_rows(n0, cfg)
         self._row1_off_time = 0.0
         self._row2_off_time = 0.0
 
-    def _reseed_time(self) -> float:
-        x_d, x_q = self.known_x
-        r = max(self.theta.r_s, 1e-6)
-        return 10.0 * max(x_d, x_q) / (r * self.omega_n)
+    @property
+    def theta(self) -> ParameterVector:
+        return ParameterVector(self._psi, self._rs)
 
-    def _init_hessian(self, grads: GradientSet) -> HessianState:
-        tr = grads.psi_d**2 + grads.psi_q**2 + grads.rs_d**2 + grads.rs_q**2
-        cfg = self.cfg
-        if cfg.r0 is not None:
-            r0 = cfg.r0
-            return HessianState(scalar_r=r0, r11=0.5 * r0, r12=0.0, r22=0.5 * r0)
-        if tr > 1e-6:
+    @property
+    def pred(self) -> PredictorState:
+        return PredictorState(
+            i_hat=DqVector(self._ih_d, self._ih_q),
+            grad_psi=DqVector(self._gp_d, self._gp_q),
+            grad_rs=DqVector(self._gr_d, self._gr_q),
+        )
+
+    @property
+    def hess(self) -> Optional[HessianState]:
+        if not self._hess_ready:
+            return None
+        return HessianState(
+            scalar_r=self._scalar_r,
+            rg_psi_d=self._rg_psi_d,
+            rg_psi_q=self._rg_psi_q,
+            rg_rs_d=self._rg_rs_d,
+            rg_rs_q=self._rg_rs_q,
+            r11=self._r11,
+            r12=self._r12,
+            r22=self._r22,
+            mpp_last=self._mpp,
+        )
+
+    def _init_hessian(self, psi_d: float, psi_q: float, rs_d: float, rs_q: float) -> None:
+        tr = psi_d**2 + psi_q**2 + rs_d**2 + rs_q**2
+        r0 = self.cfg.r0
+        if r0 is not None:
+            h = HessianState(scalar_r=r0, r11=0.5 * r0, r12=0.0, r22=0.5 * r0)
+        elif tr > 1e-6:
             # structure-preserving start: the matrix Hessian begins at the
             # gradient outer product so a structurally singular operating
             # point (standstill) stays singular from the first step
-            return HessianState(
+            h = HessianState(
                 scalar_r=tr,
-                rg_psi_d=grads.psi_d**2,
-                rg_psi_q=grads.psi_q**2,
-                rg_rs_d=grads.rs_d**2,
-                rg_rs_q=grads.rs_q**2,
-                r11=grads.psi_d**2 + grads.psi_q**2,
-                r12=grads.psi_d * grads.rs_d + grads.psi_q * grads.rs_q,
-                r22=grads.rs_d**2 + grads.rs_q**2,
+                rg_psi_d=psi_d**2,
+                rg_psi_q=psi_q**2,
+                rg_rs_d=rs_d**2,
+                rg_rs_q=rs_q**2,
+                r11=psi_d**2 + psi_q**2,
+                r12=psi_d * rs_d + psi_q * rs_q,
+                r22=rs_d**2 + rs_q**2,
             )
-        return HessianState(scalar_r=1.0, r11=0.5, r12=0.0, r22=0.5)
-
-    def _selected_gradients(self, n: float) -> GradientSet:
-        ss = gradient_steady_state(
-            self.theta, self.known_x, n, self.pred.i_hat, self.cfg.ss_denom_floor
-        )
-        if self.cfg.gradient_mode_psi == "dynamic":
-            psi_d, psi_q = self.pred.grad_psi
         else:
-            psi_d, psi_q = ss.psi_d, ss.psi_q
-        if self.cfg.gradient_mode_rs == "dynamic":
-            rs_d, rs_q = self.pred.grad_rs
-        else:
-            rs_d, rs_q = ss.rs_d, ss.rs_q
-        return GradientSet(psi_d, psi_q, rs_d, rs_q)
+            h = HessianState(scalar_r=1.0, r11=0.5, r12=0.0, r22=0.5)
+        self._scalar_r = h.scalar_r
+        self._rg_psi_d, self._rg_psi_q = h.rg_psi_d, h.rg_psi_q
+        self._rg_rs_d, self._rg_rs_q = h.rg_rs_d, h.rg_rs_q
+        self._r11, self._r12, self._r22 = h.r11, h.r12, h.r22
+        self._mpp = h.mpp_last
+        self._hess_ready = True
 
-    def _handle_scheduler_edges(self, n: float, u: DqVector) -> None:
-        cfg = self.cfg
-        row1_on = abs(n) > abs(cfg.n_lim1)
-        row2_on = abs(n) < abs(cfg.n_lim2)
-        reseed_after = self._reseed_time()
-        reseed = False
-        if row1_on and not self._row1_was_on and self._row1_off_time > reseed_after:
-            reseed = True
-        if row2_on and not self._row2_was_on and self._row2_off_time > reseed_after:
-            reseed = True
-        if reseed:
-            i_ss = predictor_steady_state(self.theta, self.known_x, n, u)
+    def _reseed_on_edge(
+        self, n: float, u_d: float, u_q: float, row1_on: bool, row2_on: bool
+    ) -> None:
+        """Snap predictor and gradients to their steady state when a row
+        switches on after being off longer than ten axis time constants."""
+        r = max(self._rs, 1e-6)
+        reseed_after = 10.0 * max(self._x_d, self._x_q) / (r * self.omega_n)
+        if (
+            (row1_on and not self._row1_was_on and self._row1_off_time > reseed_after)
+            or (row2_on and not self._row2_was_on and self._row2_off_time > reseed_after)
+        ):
+            theta = self.theta
+            i_ss = predictor_steady_state(theta, self.known_x, n, DqVector(u_d, u_q))
             g = gradient_steady_state(
-                self.theta, self.known_x, n, i_ss, cfg.ss_denom_floor
+                theta, self.known_x, n, i_ss, self.cfg.ss_denom_floor
             )
-            self.pred = PredictorState(
-                i_hat=i_ss,
-                grad_psi=DqVector(g.psi_d, g.psi_q),
-                grad_rs=DqVector(g.rs_d, g.rs_q),
-            )
+            self._ih_d, self._ih_q = i_ss
+            self._gp_d, self._gp_q, self._gr_d, self._gr_q = g
+
+    def step(self, u: DqVector, n: float, i_meas: DqVector) -> StepTelemetry:
+        """Consume one sample of applied voltage, speed and measured
+        current, each voltage and current a (d, q) pair; advance the
+        estimate."""
+        cfg = self.cfg
+        u_d, u_q = u
+        row1_on, row2_on = scheduler_rows(n, cfg)
+        if (row1_on and not self._row1_was_on) or (row2_on and not self._row2_was_on):
+            self._reseed_on_edge(n, u_d, u_q, row1_on, row2_on)
         dt = self.t_samp
         self._row1_off_time = 0.0 if row1_on else self._row1_off_time + dt
         self._row2_off_time = 0.0 if row2_on else self._row2_off_time + dt
         self._row1_was_on = row1_on
         self._row2_was_on = row2_on
 
-    def step(self, u: DqVector, n: float, i_meas: DqVector) -> StepTelemetry:
-        """Consume one sample of applied voltage, speed and measured
-        current; advance the estimate."""
-        self._handle_scheduler_edges(n, u)
+        ih_d, ih_q = self._ih_d, self._ih_q
         if self._primed:
-            self.pred = _advance_all(
-                self.pred, u, n, self.theta, self.known_x, self.omega_n, self.t_samp
+            kernel = self._kernel
+            kernel.set(self._rs, self._x_d, self._x_q, n)
+            i_old_d, i_old_q = ih_d, ih_q
+            ih_d, ih_q = kernel.drive(i_old_d, i_old_q, u_d, u_q, self._psi)
+            self._gp_d, self._gp_q, self._gr_d, self._gr_q = advance_gradients(
+                kernel, self._gp_d, self._gp_q, self._gr_d, self._gr_q,
+                i_old_d, i_old_q, ih_d, ih_q,
             )
+            self._ih_d, self._ih_q = ih_d, ih_q
         else:
             self._primed = True
 
-        eps = prediction_error(i_meas, self.pred.i_hat)
-        grads = self._selected_gradients(n)
-        if self.hess is None:
-            self.hess = self._init_hessian(grads)
-
-        cfg = self.cfg
-        if cfg.algorithm == "sga":
-            self.theta, self.hess, L = sga_update(
-                self.theta, eps, grads, self.hess, cfg, self.box, schedule_n=n
-            )
-            r_scalar = self.hess.scalar_r
-            det_r = 0.0
-            mpp = False
-        elif cfg.algorithm == "gna":
-            self.theta, self.hess, L = gna_update(
-                self.theta, eps, grads, self.hess, cfg, self.box, schedule_n=n
-            )
-            r_scalar = 0.0
-            det_r = self.hess.det()
-            mpp = self.hess.mpp_last
+        i_d, i_q = i_meas
+        eps_d = i_d - ih_d
+        eps_q = i_q - ih_q
+        if self._dyn_psi and self._dyn_rs:
+            psi_d, psi_q, rs_d, rs_q = self._gp_d, self._gp_q, self._gr_d, self._gr_q
         else:
-            self.theta, L = phyint_update(
-                self.theta, eps, n, self.pred.i_hat, self.known_x, cfg, self.box,
-                schedule_n=n,
+            psi_d, psi_q, rs_d, rs_q = steady_state_gradients(
+                self._rs, self._x_d, self._x_q, n, ih_d, ih_q, cfg.ss_denom_floor
             )
-            r_scalar = 0.0
-            det_r = 0.0
-            mpp = False
+            if self._dyn_psi:
+                psi_d, psi_q = self._gp_d, self._gp_q
+            if self._dyn_rs:
+                rs_d, rs_q = self._gr_d, self._gr_q
+        if not self._hess_ready:
+            self._init_hessian(psi_d, psi_q, rs_d, rs_q)
 
-        return StepTelemetry(
-            eps_d=eps.d,
-            eps_q=eps.q,
-            i_hat_d=self.pred.i_hat.d,
-            i_hat_q=self.pred.i_hat.q,
-            psi_m_hat=self.theta.psi_m,
-            r_s_hat=self.theta.r_s,
-            l11=L.l11,
-            l12=L.l12,
-            l21=L.l21,
-            l22=L.l22,
-            r_scalar=r_scalar,
-            det_R=det_r,
-            mpp_used=mpp,
+        algorithm = cfg.algorithm
+        r_scalar = det_r = 0.0
+        mpp = False
+        if algorithm == "sga":
+            if cfg.sga_r_mode == "trace":
+                self._scalar_r, l11, l12, l21, l22 = sga_trace_gains(
+                    self._scalar_r, psi_d, psi_q, rs_d, rs_q, cfg
+                )
+            else:
+                (
+                    self._rg_psi_d, self._rg_psi_q, self._rg_rs_d, self._rg_rs_q,
+                    l11, l12, l21, l22,
+                ) = sga_per_gradient_gains(
+                    self._rg_psi_d, self._rg_psi_q, self._rg_rs_d, self._rg_rs_q,
+                    psi_d, psi_q, rs_d, rs_q, cfg,
+                )
+            r_scalar = self._scalar_r
+            self._mpp = False
+        elif algorithm == "gna":
+            self._r11, self._r12, self._r22, det_r, mpp, l11, l12, l21, l22 = gna_gains(
+                self._r11, self._r12, self._r22, psi_d, psi_q, rs_d, rs_q, cfg
+            )
+            self._mpp = mpp
+        else:
+            l11, l12, l21, l22 = phyint_gains(
+                self._rs, n, ih_d, ih_q, self._x_d, self._x_q, cfg
+            )
+        if not row1_on:
+            l11 = l12 = 0.0
+        if not row2_on:
+            l21 = l22 = 0.0
+        psi, rs = self._psi, self._rs = update_parameters(
+            self._psi, self._rs, l11, l12, l21, l22, eps_d, eps_q, self.box
         )
+        return _new_telemetry(StepTelemetry, (
+            eps_d, eps_q, ih_d, ih_q, psi, rs, l11, l12, l21, l22, r_scalar, det_r, mpp,
+        ))

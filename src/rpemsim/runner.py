@@ -11,32 +11,39 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .control import (
+    CurrentLoops,
     PiState,
-    References,
-    current_controller,
     limit_current,
+    mtpa_currents,
     mtpa_reference,
-    speed_controller,
+    pi_update,
     tune_current_loops,
     tune_speed_loop,
 )
 from .estimator import RpemEstimator
 from .plant import (
-    MachineParams,
-    PlantState,
+    Trapezoid,
     apply_param_event,
-    integrate_electrical,
+    electromagnetic_torque,
+    speed_step,
     steady_state_voltage,
-    torque,
 )
 from .pu import DqVector
-from .scenario import Scenario, schedule_value
+from .scenario import Scenario, ScheduleCursor, schedule_value
+
+# Entry points of the control and plant layers that the loop below reaches
+# through their float kernels instead. They stay attributes of this module
+# because the benchmark's tracer (perfbench/tracing.py) wraps them here by
+# name.
+from .control import current_controller, speed_controller  # noqa: F401
+from .plant import integrate_electrical, torque  # noqa: F401
 
 
 class SimulationDiverged(RuntimeError):
@@ -147,12 +154,20 @@ def convergence_metrics(
     )
 
 
-def _check_finite(t: float, step: int, last_valid: str, *pairs: tuple[str, float]) -> None:
-    for name, value in pairs:
-        if not math.isfinite(value):
-            raise SimulationDiverged(
-                t, f"{name} = {value} at step {step}; last valid sample {last_valid}"
-            )
+def _diverged(
+    k: int, dt: float, detail: str, i_prev: tuple[float, float],
+    psi_hat: np.ndarray, r_s_hat: np.ndarray,
+) -> SimulationDiverged:
+    """The divergence diagnostic of step k; the last valid sample is the
+    state at the end of step k - 1."""
+    if k == 0:
+        last = "(initial state)"
+    else:
+        last = (
+            f"(t={(k - 1) * dt:.6f}, i=({i_prev[0]:.6g}, {i_prev[1]:.6g}), "
+            f"theta=({psi_hat[k - 1]:.6g}, {r_s_hat[k - 1]:.6g}))"
+        )
+    return SimulationDiverged(k * dt, f"{detail} at step {k}; last valid sample {last}")
 
 
 def run(scenario: Scenario) -> RunResult:
@@ -162,13 +177,14 @@ def run(scenario: Scenario) -> RunResult:
     dt = scenario.t_samp_s
     n_steps = int(round(scenario.duration_s / dt))
     cfg = scenario.estimator.gain_config()
+    ctl = scenario.control
 
-    tau_sched = scenario.control.tau_ref
+    tau_sched = ctl.tau_ref
     speed_sched = scenario.speed_ref_schedule()
     load_sched = scenario.load_torque_schedule()
-    mech = scenario.mechanical()
-    speed_mode = scenario.plant.speed_mode
-    torque_mode = scenario.control.mode == "torque"
+    inertia_H = scenario.mechanical().inertia_H
+    prescribed = scenario.plant.speed_mode == "prescribed"
+    torque_mode = ctl.mode == "torque"
     substeps = scenario.plant.substeps
 
     # initial operating point: settled at the t=0 references
@@ -180,17 +196,12 @@ def run(scenario: Scenario) -> RunResult:
     )
     theta0 = scenario.initial_theta(params0)
     box = scenario.parameter_box(params0)
-    known_x = (params0.x_d, params0.x_q)
-    theta0_params = MachineParams(
-        x_d=known_x[0], x_q=known_x[1], r_s=theta0.r_s, psi_m=theta0.psi_m
-    )
-    id0, iq0 = limit_current(
-        *mtpa_reference(tau0, theta0_params), scenario.control.i_max_pu
-    )
+    x_d, x_q = known_x = (params0.x_d, params0.x_q)
+    theta0_params = scenario.initial_model(params0)
+    id0, iq0 = limit_current(*mtpa_reference(tau0, theta0_params), ctl.i_max_pu)
     i0 = DqVector(id0, iq0)
     u0 = steady_state_voltage(params0, i0, n0)
 
-    plant = PlantState(i=i0, n=n0, theta=0.0, params=params0)
     estimator = RpemEstimator(
         cfg=cfg,
         theta0=theta0,
@@ -202,10 +213,7 @@ def run(scenario: Scenario) -> RunResult:
         n0=n0,
     )
 
-    pi_d, pi_q = tune_current_loops(
-        theta0_params, omega_n, dt, scenario.control.u_max_pu
-    )
-    ctl = scenario.control
+    pi_d, pi_q = tune_current_loops(theta0_params, omega_n, dt, ctl.u_max_pu)
     if ctl.kp_d is not None or ctl.ti_d is not None:
         pi_d = PiState(
             kp=ctl.kp_d if ctl.kp_d is not None else pi_d.kp,
@@ -221,122 +229,138 @@ def run(scenario: Scenario) -> RunResult:
     # preload integrators so the loop starts in steady state
     ff_d0 = -n0 * theta0_params.x_q * i0.q
     ff_q0 = n0 * (theta0_params.x_d * i0.d + theta0_params.psi_m)
-    pi_d = PiState(pi_d.kp, pi_d.ti, u0.d - ff_d0, pi_d.output_limit)
-    pi_q = PiState(pi_q.kp, pi_q.ti, u0.q - ff_q0, pi_q.output_limit)
-    pi_n = tune_speed_loop(mech.inertia_H, ctl.tau_max_pu)
-    pi_n = PiState(pi_n.kp, pi_n.ti, tau0, pi_n.output_limit)
+    loops = CurrentLoops(
+        PiState(pi_d.kp, pi_d.ti, u0.d - ff_d0, pi_d.output_limit),
+        PiState(pi_q.kp, pi_q.ti, u0.q - ff_q0, pi_q.output_limit),
+        theta0_params.x_d, theta0_params.x_q, dt, ctl.u_max_pu,
+    )
+    pi_n = tune_speed_loop(inertia_H, ctl.tau_max_pu)
+    kp_n, ti_n, lim_n, integ_n = pi_n.kp, pi_n.ti, pi_n.output_limit, tau0
 
     rng = np.random.default_rng(scenario.seed)
     sigma = scenario.plant.noise_sigma_pu
-    # per-step draw order keeps realizations prefix-stable across durations
-    noise = rng.standard_normal((n_steps, 2)) * sigma if sigma > 0.0 else None
+    # per-step draw order keeps realizations prefix-stable across durations;
+    # the flat view yields step k's (d, q) pair at 2k, 2k + 1 as floats
+    noise = (
+        memoryview(rng.standard_normal((n_steps, 2)) * sigma).cast("B").cast("d")
+        if sigma > 0.0 else None
+    )
 
-    pending_events = sorted(scenario.parameter_events(), key=lambda e: e.time_s)
+    events = sorted(scenario.parameter_events(), key=lambda e: e.time_s)
+    event_times = [ev.time_s for ev in events] + [math.inf]
     ev_idx = 0
+    plant_params = params0
+    p_psi, p_rs, p_xd, p_xq = params0.psi_m, params0.r_s, params0.x_d, params0.x_q
 
     dec = scenario.log_decimation
     n_log = (n_steps + dec - 1) // dec
-    log = {c: np.empty(n_log) for c in LOG_COLUMNS}
-    t_full = np.empty(n_steps)
+    log_rows = np.empty((n_log, len(LOG_COLUMNS)))
+    pack_log_row = struct.Struct(f"{len(LOG_COLUMNS)}d").pack_into
+    log_bytes = memoryview(log_rows).cast("B")
+    row_bytes = log_rows.itemsize * len(LOG_COLUMNS)
     psi_hat_full = np.empty(n_steps)
     rs_hat_full = np.empty(n_steps)
     psi_true_full = np.empty(n_steps)
     rs_true_full = np.empty(n_steps)
+    psi_hat_buf, rs_hat_buf, psi_true_buf, rs_true_buf = (
+        memoryview(a) for a in (psi_hat_full, rs_hat_full, psi_true_full, rs_true_full)
+    )
 
-    u_applied = u0
+    speed_at = ScheduleCursor(speed_sched).at
+    tau_at = ScheduleCursor(tau_sched).at
+    load_at = ScheduleCursor(load_sched).at
+    estimator_step = estimator.step
+    loops_step = loops.step
+    plant = Trapezoid(omega_n, dt / substeps)
+    plant_set = plant.set
+    plant_drive = plant.drive
+    isfinite = math.isfinite
+    i_max = ctl.i_max_pu
+
+    u_applied = (u0.d, u0.q)
     n_applied = n0
+    n_plant = n0
+    i_d, i_q = i0
     mpp_steps = 0
     log_row = 0
-    last_valid = "(initial state)"
+    k = 0
+    try:
+        for k in range(n_steps):
+            t = k * dt
+            while event_times[ev_idx] <= t:
+                plant_params = apply_param_event(plant_params, events[ev_idx])
+                p_psi, p_rs = plant_params.psi_m, plant_params.r_s
+                p_xd, p_xq = plant_params.x_d, plant_params.x_q
+                ev_idx += 1
 
-    for k in range(n_steps):
-        t = k * dt
-        while ev_idx < len(pending_events) and pending_events[ev_idx].time_s <= t:
-            plant.params = apply_param_event(plant.params, pending_events[ev_idx])
-            ev_idx += 1
+            if prescribed:
+                n_plant = speed_at(t)
+            n_now = n_plant
 
-        if speed_mode == "prescribed":
-            plant.n = schedule_value(speed_sched, t)
-        n_now = plant.n
+            if noise is not None:
+                im_d, im_q = i_d + noise[2 * k], i_q + noise[2 * k + 1]
+            else:
+                im_d, im_q = i_d, i_q
 
-        if noise is not None:
-            i_meas = DqVector(
-                plant.i.d + noise[k, 0], plant.i.q + noise[k, 1]
-            )
-        else:
-            i_meas = plant.i
+            tele = estimator_step(u_applied, n_applied, (im_d, im_q))
+            eps_d, eps_q, ih_d, ih_q, psi, rs, l11, l12, l21, l22, r_sc, det_r, mpp = tele
+            if mpp:
+                mpp_steps += 1
 
-        tele = estimator.step(u_applied, n_applied, i_meas)
-        if tele.mpp_used:
-            mpp_steps += 1
+            if torque_mode:
+                tau_cmd = tau_at(t)
+            else:
+                tau_cmd, integ_n = pi_update(
+                    speed_at(t), n_now, kp_n, ti_n, integ_n, lim_n, dt
+                )
+            id_ref, iq_ref = limit_current(*mtpa_currents(tau_cmd, psi, x_d, x_q), i_max)
+            u_cmd = loops_step(id_ref, iq_ref, im_d, im_q, n_now, psi)
+            u_d, u_q = u_cmd
 
-        if torque_mode:
-            tau_cmd = schedule_value(tau_sched, t)
-        else:
-            tau_cmd, pi_n = speed_controller(
-                schedule_value(speed_sched, t), n_now, pi_n, dt
-            )
-        theta_params = MachineParams(
-            x_d=known_x[0], x_q=known_x[1],
-            r_s=tele.r_s_hat, psi_m=tele.psi_m_hat,
-        )
-        id_ref, iq_ref = limit_current(
-            *mtpa_reference(tau_cmd, theta_params), ctl.i_max_pu
-        )
-        refs = References(
-            torque_ref=tau_cmd, id_ref=id_ref, iq_ref=iq_ref,
-            speed_ref=schedule_value(speed_sched, t),
-        )
-        u_cmd, pi_d, pi_q = current_controller(
-            refs, i_meas, n_now, theta_params, pi_d, pi_q, dt, ctl.u_max_pu
-        )
+            plant_set(p_rs, p_xd, p_xq, n_now)
+            nd, nq = i_d, i_q
+            for _ in range(substeps):
+                nd, nq = plant_drive(nd, nq, u_d, u_q, p_psi)
+            if not prescribed:
+                n_plant = speed_step(
+                    n_plant, electromagnetic_torque(p_psi, p_xd, p_xq, nd, nq),
+                    load_at(t), inertia_H, dt,
+                )
 
-        sub_dt = dt / substeps
-        for _ in range(substeps):
-            plant = integrate_electrical(
-                plant, u_cmd, sub_dt, "trapezoidal", omega_n
-            )
-        tau_e = torque(plant)
-        if speed_mode == "dynamic":
-            plant.n = plant.n + dt * (
-                tau_e - schedule_value(load_sched, t)
-            ) / (2.0 * mech.inertia_H)
-        plant.theta = (plant.theta + n_now * omega_n * dt) % (2.0 * math.pi)
+            if not isfinite(nd + nq + n_plant + psi + rs + u_d + u_q):
+                for name, value in (
+                    ("i_d", nd), ("i_q", nq), ("n", n_plant), ("psi_m_hat", psi),
+                    ("r_s_hat", rs), ("u_d", u_d), ("u_q", u_q),
+                ):
+                    if not isfinite(value):
+                        raise _diverged(
+                            k, dt, f"{name} = {value}", (i_d, i_q),
+                            psi_hat_full, rs_hat_full,
+                        )
+            i_d, i_q = nd, nq
 
-        _check_finite(
-            t, k, last_valid,
-            ("i_d", plant.i.d), ("i_q", plant.i.q), ("n", plant.n),
-            ("psi_m_hat", tele.psi_m_hat), ("r_s_hat", tele.r_s_hat),
-            ("u_d", u_cmd.d), ("u_q", u_cmd.q),
-        )
-        last_valid = (
-            f"(t={t:.6f}, i=({plant.i.d:.6g}, {plant.i.q:.6g}), "
-            f"theta=({tele.psi_m_hat:.6g}, {tele.r_s_hat:.6g}))"
-        )
+            psi_hat_buf[k] = psi
+            rs_hat_buf[k] = rs
+            psi_true_buf[k] = p_psi
+            rs_true_buf[k] = p_rs
+            if k % dec == 0:
+                pack_log_row(
+                    log_bytes, log_row * row_bytes,
+                    t, n_now, im_d, im_q, ih_d, ih_q, eps_d, eps_q,
+                    psi, rs, p_psi, p_rs, l11, l12, l21, l22, r_sc, det_r,
+                )
+                log_row += 1
 
-        t_full[k] = t
-        psi_hat_full[k] = tele.psi_m_hat
-        rs_hat_full[k] = tele.r_s_hat
-        psi_true_full[k] = plant.params.psi_m
-        rs_true_full[k] = plant.params.r_s
-        if k % dec == 0:
-            for col, val in (
-                ("t", t), ("n", n_now), ("i_d", i_meas.d), ("i_q", i_meas.q),
-                ("i_hat_d", tele.i_hat_d), ("i_hat_q", tele.i_hat_q),
-                ("eps_d", tele.eps_d), ("eps_q", tele.eps_q),
-                ("psi_m_hat", tele.psi_m_hat), ("r_s_hat", tele.r_s_hat),
-                ("psi_m_true", plant.params.psi_m),
-                ("r_s_true", plant.params.r_s),
-                ("L11", tele.l11), ("L12", tele.l12),
-                ("L21", tele.l21), ("L22", tele.l22),
-                ("r", tele.r_scalar), ("detR", tele.det_R),
-            ):
-                log[col][log_row] = val
-            log_row += 1
+            u_applied = u_cmd
+            n_applied = n_now
+    except (OverflowError, ZeroDivisionError) as exc:
+        detail = f"{type(exc).__name__}: {exc.args[-1] if exc.args else exc}"
+        raise _diverged(
+            k, dt, detail, (i_d, i_q), psi_hat_full, rs_hat_full
+        ) from exc
 
-        u_applied = u_cmd
-        n_applied = n_now
-
+    # k * dt for every step, as the loop computed it
+    t_full = np.arange(n_steps) * dt
     reports: dict[str, ConvergenceReport] = {}
     for target, hat, true in (
         ("psi_m", psi_hat_full, psi_true_full),
@@ -358,7 +382,7 @@ def run(scenario: Scenario) -> RunResult:
 
     return RunResult(
         scenario_name=scenario.name,
-        log={c: log[c][:log_row] for c in LOG_COLUMNS},
+        log={c: log_rows[:log_row, j].copy() for j, c in enumerate(LOG_COLUMNS)},
         t_full=t_full,
         psi_m_hat=psi_hat_full,
         r_s_hat=rs_hat_full,

@@ -9,10 +9,11 @@ estimator / events; unknown keys anywhere are rejected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .estimator import GainConfig, ParameterBox, ParameterVector
+from .estimator import GainConfig, ParameterBox, ParameterVector, box_bounds_around
 from .plant import MechanicalParams, StepEvent, validate_events
 from .pu import (
     TABLE_MACHINE_CONFIG,
@@ -30,13 +31,33 @@ class ScenarioError(ConfigError):
 Schedule = list[tuple[float, float]]  # (time_s, value) steps, piecewise const
 
 
+class ScheduleCursor:
+    """Reads a schedule at non-decreasing times.
+
+    An entry applies from its time on, with a 1e-12 s tolerance; each entry
+    is passed over once, so a run reads its schedules in O(1) per step.
+    """
+
+    __slots__ = ("_times", "_values", "_idx", "_next", "value")
+
+    def __init__(self, schedule: Schedule) -> None:
+        self._times = [t for t, _ in schedule] + [math.inf]
+        self._values = [v for _, v in schedule]
+        self._idx = 0
+        self._next = self._times[1]
+        self.value = self._values[0]
+
+    def at(self, t: float) -> float:
+        """The schedule value at t; t must not be below the previous call's."""
+        while not t + 1e-12 < self._next:
+            self._idx += 1
+            self.value = self._values[self._idx]
+            self._next = self._times[self._idx + 1]
+        return self.value
+
+
 def schedule_value(schedule: Schedule, t: float) -> float:
-    value = schedule[0][1]
-    for time_s, v in schedule:
-        if t + 1e-12 < time_s:
-            break
-        value = v
-    return value
+    return ScheduleCursor(schedule).at(t)
 
 
 def _check_schedule(schedule: Schedule, name: str) -> None:
@@ -184,6 +205,8 @@ class Scenario:
                     f"event at t={ev.time_s}s lies beyond the run duration"
                 )
         self.estimator.gain_config()  # raises on bad gains
+        self.parameter_box(params)
+        self.initial_model(params)
         return base, params
 
     def mechanical(self) -> MechanicalParams:
@@ -223,28 +246,38 @@ class Scenario:
             ),
         )
 
+    def initial_model(self, true_params: MachineParams) -> MachineParams:
+        """The controller's model at t = 0: known reactances with the
+        initial estimate theta0."""
+        theta0 = self.initial_theta(true_params)
+        try:
+            model = MachineParams(
+                x_d=true_params.x_d, x_q=true_params.x_q,
+                r_s=theta0.r_s, psi_m=theta0.psi_m,
+            )
+        except ConfigError as exc:
+            raise ScenarioError(f"initial estimate theta0 is invalid: {exc}") from exc
+        if not model.psi_m > 0.0:
+            raise ScenarioError(
+                f"initial estimate theta0_psi_m must be positive, got {model.psi_m}"
+            )
+        return model
+
     def parameter_box(self, true_params: MachineParams) -> ParameterBox:
-        nominal = ParameterVector(true_params.psi_m, true_params.r_s)
-        default = ParameterBox.around(nominal, self.estimator.box_fraction)
+        """The estimator's box: explicit bounds win over +-box_fraction
+        around the true initial values."""
         est = self.estimator
-        return ParameterBox(
-            psi_m_min=(
-                est.box_psi_m_min if est.box_psi_m_min is not None
-                else default.psi_m_min
-            ),
-            psi_m_max=(
-                est.box_psi_m_max if est.box_psi_m_max is not None
-                else default.psi_m_max
-            ),
-            r_s_min=(
-                est.box_r_s_min if est.box_r_s_min is not None
-                else default.r_s_min
-            ),
-            r_s_max=(
-                est.box_r_s_max if est.box_r_s_max is not None
-                else default.r_s_max
-            ),
-        )
+        nominal = ParameterVector(true_params.psi_m, true_params.r_s)
+        default = box_bounds_around(nominal, est.box_fraction)
+        explicit = (est.box_psi_m_min, est.box_psi_m_max, est.box_r_s_min, est.box_r_s_max)
+        try:
+            return ParameterBox(*(
+                d if e is None else e for e, d in zip(explicit, default)
+            ))
+        except ConfigError as exc:
+            raise ScenarioError(
+                f"estimator parameter box (box_fraction={est.box_fraction}): {exc}"
+            ) from exc
 
     # -- serialization ----------------------------------------------------
 

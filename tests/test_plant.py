@@ -9,6 +9,7 @@ from rpemsim.plant import (
     MechanicalParams,
     PlantState,
     StepEvent,
+    Trapezoid,
     apply_step_events,
     electrical_derivative,
     integrate_electrical,
@@ -16,10 +17,12 @@ from rpemsim.plant import (
     mechanical_step,
     steady_state_current,
     steady_state_voltage,
+    step_matrices,
     torque,
+    trapezoid_matrices,
     validate_events,
 )
-from rpemsim.pu import ConfigError, DqVector
+from rpemsim.pu import ConfigError, DqVector, MachineParams
 
 DT = 125e-6
 
@@ -220,3 +223,26 @@ def test_steady_state_voltage_inverts_current_solve(params):
     back = steady_state_current(params, u, n)
     assert back.d == pytest.approx(i.d, abs=1e-12)
     assert back.q == pytest.approx(i.q, abs=1e-12)
+
+
+def test_step_matrices_rejects_nan_resistance(params):
+    # MachineParams lets NaN through (nan < 0 is False); the step must not
+    # hand back NaN matrices
+    bad = MachineParams(x_d=params.x_d, x_q=params.x_q, r_s=math.nan, psi_m=params.psi_m)
+    with pytest.raises(ValueError, match="singular"):
+        step_matrices(bad, 0.3, 2 * math.pi * 50.0, DT)
+
+
+def test_trapezoid_caches_matrices_until_an_input_changes(params, omega_n):
+    k = Trapezoid(omega_n, DT)
+    p = (params.r_s, params.x_d, params.x_q)
+    k.set(*p, 0.3)
+    assert (k.mi11, k.mi12, k.mi21, k.mi22, k.n11, k.n12, k.n21, k.n22) == (
+        trapezoid_matrices(*p, 0.3, omega_n, DT)
+    )
+    k.set(*p, 0.0)
+    assert math.copysign(1.0, k.n12) == 1.0
+    # a signed-zero speed flips the zero off-diagonal entries, bit for bit
+    k.set(*p, -0.0)
+    assert math.copysign(1.0, k.n12) == -1.0
+    assert k.n12 == trapezoid_matrices(*p, -0.0, omega_n, DT)[5]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,10 +163,22 @@ def test_divergence_aborts_with_diagnostic():
             tau_ref=[(0.0, 0.3)], kp_d=1e12, kp_q=1e12, u_max_pu=1e300
         ),
     )
-    with pytest.raises(SimulationDiverged) as err:
-        run(sc)
-    assert "t=" in str(err.value)
-    assert "last valid sample" in str(err.value)
+    # both end in the diagnostic, also where float arithmetic raises
+    # OverflowError before a state turns non-finite
+    for noise in (0.001, 0.0):
+        sc = Scenario.from_dict(
+            {**sc.to_dict(), "plant": {"noise_sigma_pu": noise}}
+        )
+        with pytest.raises(SimulationDiverged) as err:
+            run(sc)
+        msg = str(err.value)
+        assert "t=" in msg
+        assert "last valid sample" in msg
+        # the last valid sample is the step before the failing step k
+        k = int(re.search(r" at step (\d+); ", msg).group(1))
+        assert k >= 1
+        assert err.value.t == k * sc.t_samp_s
+        assert f"last valid sample (t={(k - 1) * sc.t_samp_s:.6f}, " in msg
 
 
 def test_speed_mode_follows_reference():
@@ -249,6 +262,35 @@ def test_cli_validate_bad_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"name": "x", "duration_s": -1.0}))
     assert cli_main(["validate", str(path)]) == 1
+
+
+@pytest.mark.parametrize("estimator", [
+    {"box_fraction": 1.5},          # default box reaches below zero
+    {"box_r_s_min": -0.01},
+    {"box_psi_m_min": -0.1},
+    {"theta0_psi_m": -1.0},
+    {"theta0_psi_m": 0.0},          # MTPA needs a positive flux estimate
+    {"theta0_r_s": -0.02},
+])
+def test_cli_validate_rejects_box_and_theta0_that_run_refuses(tmp_path, capsys, estimator):
+    d = {"name": "x", "duration_s": 1.0, "estimator": estimator}
+    with pytest.raises(ScenarioError):
+        Scenario.from_dict(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert cli_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
+def test_explicit_bounds_make_a_wide_box_fraction_valid(params):
+    sc = Scenario.from_dict({
+        "name": "boxed", "duration_s": 1.0,
+        "estimator": {"box_fraction": 1.5, "box_psi_m_min": 0.5, "box_r_s_min": 0.0},
+    })
+    box = sc.parameter_box(params)
+    assert (box.psi_m_min, box.r_s_min) == (0.5, 0.0)
+    assert box.r_s_max == pytest.approx(2.5 * params.r_s, rel=1e-12)
 
 
 def test_cli_sim_writes_outputs(tmp_path):
