@@ -7,12 +7,9 @@ from .analysis import (
     discrete_stability,
     eigenvalues,
     evaluate_maps,
-    gradient_map,
-    hessian_map,
-    sensitivity_map,
     steady_state_error,
 )
-from .control import PiState, References, mtpa_reference, voltage_limit
+from .control import PiState, References, mtpa_reference
 from .estimator import (
     GainConfig,
     GainMatrix,
@@ -22,26 +19,19 @@ from .estimator import (
     PredictorState,
     RpemEstimator,
     gain_schedule,
-    gamma_from_T0,
     gna_update,
     gradient_dynamic_step,
     gradient_steady_state,
     phyint_update,
     prediction_error,
     predictor_step,
-    project_parameters,
     pseudoinverse_2x2,
     sga_update,
 )
 from .plant import (
-    MechanicalParams,
     PlantState,
     StepEvent,
-    apply_step_events,
-    electrical_derivative,
     integrate_electrical,
-    measure,
-    mechanical_step,
     torque,
 )
 from .pu import (
@@ -51,10 +41,8 @@ from .pu import (
     MachineParams,
     SiMachineData,
     default_machine,
-    inverse_park,
     machine_from_config,
     make_base,
-    park,
     to_per_unit,
 )
 from .runner import ConvergenceReport, RunResult, SimulationDiverged, convergence_metrics, run

@@ -254,35 +254,6 @@ def evaluate_maps(
     return MapTables(grid=grid, **out)
 
 
-def sensitivity_map(
-    grid: OperatingGrid,
-    params: MachineParams,
-    omega_n: float,
-    deltas: tuple[float, float, float, float],
-    **kw,
-) -> dict[str, np.ndarray]:
-    """Steady-state prediction-error surfaces for the given parameter
-    mismatches."""
-    t = evaluate_maps(grid, params, omega_n, deltas=deltas, **kw)
-    return {"eps_d": t.eps_d, "eps_q": t.eps_q}
-
-
-def gradient_map(
-    grid: OperatingGrid, params: MachineParams, omega_n: float, **kw
-) -> dict[str, np.ndarray]:
-    """Steady-state prediction-gradient surfaces."""
-    t = evaluate_maps(grid, params, omega_n, **kw)
-    return {"psi11": t.psi11, "psi12": t.psi12, "psi21": t.psi21, "psi22": t.psi22}
-
-
-def hessian_map(
-    grid: OperatingGrid, params: MachineParams, omega_n: float, **kw
-) -> dict[str, np.ndarray]:
-    """Scalar Hessian trace and matrix-Hessian determinant surfaces."""
-    t = evaluate_maps(grid, params, omega_n, **kw)
-    return {"r_scalar": t.r_scalar, "det_R": t.det_R}
-
-
 CSV_HEADER = [
     "n_pu", "tau_pu", "eps_d", "eps_q", "psi11", "psi12", "psi21", "psi22",
     "r_scalar", "det_R", "re_l1", "im_l1", "re_l2", "im_l2",

@@ -146,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p.add_argument(
-        "--format", default="csv", choices=["csv"], help="log format (csv only)"
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sim", help="run one scenario or preset")

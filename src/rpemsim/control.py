@@ -102,23 +102,6 @@ def pi_update(
     return out, integ
 
 
-def pi_step(ref: float, meas: float, state: PiState, dt: float) -> tuple[float, PiState]:
-    """:func:`pi_update` on a :class:`PiState`."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    out, integ = pi_update(
-        ref, meas, state.kp, state.ti, state.integrator, state.output_limit, dt
-    )
-    return out, PiState(state.kp, state.ti, integ, state.output_limit)
-
-
-def voltage_limit(u: DqVector, u_max: float) -> DqVector:
-    """Scale the voltage command onto the limit circle, preserving angle."""
-    if u_max <= 0.0:
-        raise ValueError("u_max must be positive")
-    return DqVector(*limit_current(u.d, u.q, u_max))
-
-
 class CurrentLoops:
     """Per-axis PI plus cross-coupling / back-EMF feedforward and the
     voltage limit, with both integrators held as floats.
@@ -190,7 +173,12 @@ def speed_controller(
     n_ref: float, n: float, state: PiState, dt: float
 ) -> tuple[float, PiState]:
     """PI speed loop producing a clamped torque reference."""
-    return pi_step(n_ref, n, state, dt)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    out, integ = pi_update(
+        n_ref, n, state.kp, state.ti, state.integrator, state.output_limit, dt
+    )
+    return out, PiState(state.kp, state.ti, integ, state.output_limit)
 
 
 def tune_current_loops(

@@ -90,11 +90,6 @@ def clamp_to_box(psi_m: float, r_s: float, box: ParameterBox) -> tuple[float, fl
     return psi_m, r_s
 
 
-def project_parameters(theta: ParameterVector, box: ParameterBox) -> ParameterVector:
-    """Componentwise clamp into the admissible box."""
-    return ParameterVector(*clamp_to_box(theta.psi_m, theta.r_s, box))
-
-
 def update_parameters(
     psi_m: float, r_s: float, l11: float, l12: float, l21: float, l22: float,
     eps_d: float, eps_q: float, box: ParameterBox,
@@ -200,15 +195,6 @@ class GainConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.gain_cap <= 0.0:
             raise ConfigError("gain_cap must be positive")
-
-
-def gamma_from_T0(t_samp: float, t0: float) -> float:
-    """Per-step gain from the integral time constant: gamma0 = T_samp/T0."""
-    if t_samp <= 0.0:
-        raise ConfigError("T_samp must be positive")
-    if t0 < t_samp:
-        raise ConfigError("T0 must be >= T_samp")
-    return t_samp / t0
 
 
 def prediction_error(i_meas: DqVector, i_hat: DqVector) -> DqVector:
@@ -614,8 +600,8 @@ class RpemEstimator:
     -> schedule -> parameter update -> projection. The error is therefore
     always evaluated against the previous parameter estimate.
 
-    The state is held as floats; ``theta``, ``pred`` and ``hess`` are
-    read-only views built on access.
+    The state is held as floats; ``theta`` and ``pred`` are read-only
+    views built on access.
     """
 
     __slots__ = (
@@ -678,48 +664,25 @@ class RpemEstimator:
             grad_rs=DqVector(self._gr_d, self._gr_q),
         )
 
-    @property
-    def hess(self) -> Optional[HessianState]:
-        if not self._hess_ready:
-            return None
-        return HessianState(
-            scalar_r=self._scalar_r,
-            rg_psi_d=self._rg_psi_d,
-            rg_psi_q=self._rg_psi_q,
-            rg_rs_d=self._rg_rs_d,
-            rg_rs_q=self._rg_rs_q,
-            r11=self._r11,
-            r12=self._r12,
-            r22=self._r22,
-            mpp_last=self._mpp,
-        )
-
     def _init_hessian(self, psi_d: float, psi_q: float, rs_d: float, rs_q: float) -> None:
         tr = psi_d**2 + psi_q**2 + rs_d**2 + rs_q**2
         r0 = self.cfg.r0
+        self._rg_psi_d = self._rg_psi_q = self._rg_rs_d = self._rg_rs_q = 0.0
         if r0 is not None:
-            h = HessianState(scalar_r=r0, r11=0.5 * r0, r12=0.0, r22=0.5 * r0)
+            self._scalar_r, self._r11, self._r12, self._r22 = r0, 0.5 * r0, 0.0, 0.5 * r0
         elif tr > 1e-6:
             # structure-preserving start: the matrix Hessian begins at the
             # gradient outer product so a structurally singular operating
             # point (standstill) stays singular from the first step
-            h = HessianState(
-                scalar_r=tr,
-                rg_psi_d=psi_d**2,
-                rg_psi_q=psi_q**2,
-                rg_rs_d=rs_d**2,
-                rg_rs_q=rs_q**2,
-                r11=psi_d**2 + psi_q**2,
-                r12=psi_d * rs_d + psi_q * rs_q,
-                r22=rs_d**2 + rs_q**2,
-            )
+            self._scalar_r = tr
+            self._rg_psi_d, self._rg_psi_q = psi_d**2, psi_q**2
+            self._rg_rs_d, self._rg_rs_q = rs_d**2, rs_q**2
+            self._r11 = psi_d**2 + psi_q**2
+            self._r12 = psi_d * rs_d + psi_q * rs_q
+            self._r22 = rs_d**2 + rs_q**2
         else:
-            h = HessianState(scalar_r=1.0, r11=0.5, r12=0.0, r22=0.5)
-        self._scalar_r = h.scalar_r
-        self._rg_psi_d, self._rg_psi_q = h.rg_psi_d, h.rg_psi_q
-        self._rg_rs_d, self._rg_rs_q = h.rg_rs_d, h.rg_rs_q
-        self._r11, self._r12, self._r22 = h.r11, h.r12, h.r22
-        self._mpp = h.mpp_last
+            self._scalar_r, self._r11, self._r12, self._r22 = 1.0, 0.5, 0.0, 0.5
+        self._mpp = False
         self._hess_ready = True
 
     def _reseed_on_edge(

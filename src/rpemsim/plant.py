@@ -1,4 +1,4 @@
-"""Continuous-time IPMSM electrical model, torque, mechanics and measurement.
+"""Continuous-time IPMSM electrical model, torque, speed step and step events.
 
 The electrical part in rotor coordinates, per-unit:
 
@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Literal, Optional
-
-import numpy as np
+from typing import Literal, Optional
 
 from .pu import ConfigError, DqVector, MachineParams
 
-IntegrationMethod = Literal["explicit_euler", "trapezoidal"]
+IntegrationMethod = Literal["trapezoidal"]
 
 _EVENT_TARGETS = ("psi_m", "r_s", "x_d", "x_q", "load_torque", "speed_ref")
 
@@ -38,17 +36,6 @@ class PlantState:
 
 
 @dataclass(frozen=True)
-class MechanicalParams:
-    inertia_H: float = 0.5  # per-unit inertia constant, seconds
-    load_torque: float = 0.0
-    speed_mode: Literal["dynamic", "prescribed"] = "prescribed"
-
-    def __post_init__(self) -> None:
-        if self.speed_mode == "dynamic" and self.inertia_H <= 0.0:
-            raise ConfigError("dynamic speed mode needs inertia_H > 0")
-
-
-@dataclass(frozen=True)
 class StepEvent:
     """Scheduled step change of a true plant quantity; the estimator is
     never informed."""
@@ -59,23 +46,16 @@ class StepEvent:
     value: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.time_s < 0.0:
-            raise ConfigError("event time must be >= 0")
+        # chained comparison, so that NaN and inf fail too
+        if not 0.0 <= self.time_s < math.inf:
+            raise ConfigError(f"event time must be >= 0 and finite, got {self.time_s}")
         if self.target not in _EVENT_TARGETS:
             raise ConfigError(f"unknown event target {self.target!r}")
         if (self.factor is None) == (self.value is None):
             raise ConfigError("event needs exactly one of factor / value")
-
-
-def electrical_derivative(state: PlantState, u: DqVector, omega_n: float) -> DqVector:
-    """di/dt of the electrical model, per second."""
-    p = state.params
-    i_d, i_q = state.i
-    n = state.n
-    return DqVector(
-        d=(omega_n / p.x_d) * (u.d - p.r_s * i_d + n * p.x_q * i_q),
-        q=(omega_n / p.x_q) * (u.q - p.r_s * i_q - n * p.x_d * i_d - n * p.psi_m),
-    )
+        amount = self.factor if self.factor is not None else self.value
+        if not math.isfinite(amount):
+            raise ConfigError(f"event at t={self.time_s}s: {self.target} step must be finite")
 
 
 def electromagnetic_torque(
@@ -94,21 +74,6 @@ def torque(state: PlantState) -> float:
 def speed_step(n: float, tau_e: float, tau_l: float, inertia_H: float, dt: float) -> float:
     """Per-unit speed after one step of the torque balance."""
     return n + dt * (tau_e - tau_l) / (2.0 * inertia_H)
-
-
-def mechanical_step(
-    n: float, tau_e: float, tau_l: float, mech: MechanicalParams, dt: float,
-    prescribed_n: Optional[float] = None,
-) -> float:
-    """Advance per-unit speed one step.
-
-    In prescribed mode the scenario schedule wins regardless of torques.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if mech.speed_mode == "prescribed":
-        return prescribed_n if prescribed_n is not None else n
-    return speed_step(n, tau_e, tau_l, mech.inertia_H, dt)
 
 
 def trapezoid_matrices(
@@ -223,13 +188,8 @@ def integrate_electrical(
     method: IntegrationMethod = "trapezoidal",
     omega_n: float = 2.0 * math.pi * 50.0,
 ) -> PlantState:
-    """Advance the stator current one fixed step; n, theta, params untouched."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if method == "explicit_euler":
-        dd = electrical_derivative(state, u, omega_n)
-        i_new = DqVector(state.i.d + dt * dd.d, state.i.q + dt * dd.q)
-        return PlantState(i=i_new, n=state.n, theta=state.theta, params=state.params)
+    """Advance the stator current one trapezoidal step; n, theta, params
+    untouched."""
     if method != "trapezoidal":
         raise ValueError(f"unknown integration method {method!r}")
     p = state.params
@@ -272,18 +232,6 @@ def steady_state_voltage(
     )
 
 
-def measure(
-    state: PlantState, noise_sigma: float, rng: np.random.Generator
-) -> DqVector:
-    """Measured stator current: true value plus iid Gaussian noise per axis."""
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be >= 0")
-    if noise_sigma == 0.0:
-        return state.i
-    w = rng.standard_normal(2)
-    return DqVector(state.i.d + noise_sigma * w[0], state.i.q + noise_sigma * w[1])
-
-
 def apply_param_event(params: MachineParams, event: StepEvent) -> MachineParams:
     """Apply one parameter step event; raises ConfigError if the result is
     invalid."""
@@ -292,23 +240,6 @@ def apply_param_event(params: MachineParams, event: StepEvent) -> MachineParams:
     current = getattr(params, event.target)
     new = current * event.factor if event.factor is not None else event.value
     return replace(params, **{event.target: new})
-
-
-def apply_step_events(
-    state: PlantState, events: Iterable[StepEvent], t: float
-) -> PlantState:
-    """Apply every pending parameter event with time <= t, in order.
-
-    The caller is expected to pass only not-yet-applied events; scenario
-    level targets (load_torque, speed_ref) are dispatched by the runner.
-    """
-    params = state.params
-    for ev in events:
-        if ev.time_s <= t and ev.target in ("psi_m", "r_s", "x_d", "x_q"):
-            params = apply_param_event(params, ev)
-    if params is state.params:
-        return state
-    return replace(state, params=params)
 
 
 def validate_events(events: list[StepEvent], params0: MachineParams) -> None:

@@ -1,4 +1,4 @@
-"""Per-unit base system and rotor-frame coordinate transforms.
+"""Per-unit base system and machine parameters.
 
 Base convention (amplitude-invariant, peak-phase):
   u_base   = sqrt(2/3) * U_n      (peak phase voltage from rated line-line)
@@ -30,9 +30,6 @@ class DqVector(NamedTuple):
 
     d: float
     q: float
-
-    def norm(self) -> float:
-        return math.hypot(self.d, self.q)
 
 
 @dataclass(frozen=True)
@@ -74,12 +71,19 @@ class MachineParams:
     psi_m: float
 
     def __post_init__(self) -> None:
-        if self.x_d <= 0.0 or self.x_q <= 0.0:
-            raise ConfigError("reactances must be positive")
-        if self.r_s < 0.0:
-            raise ConfigError("stator resistance must be non-negative")
-        if self.psi_m < 0.0:
-            raise ConfigError("magnet flux linkage must be non-negative")
+        # chained comparisons, so that NaN and inf fail too
+        if not (0.0 < self.x_d < math.inf and 0.0 < self.x_q < math.inf):
+            raise ConfigError(
+                f"reactances must be positive and finite, got x_d={self.x_d}, x_q={self.x_q}"
+            )
+        if not 0.0 <= self.r_s < math.inf:
+            raise ConfigError(
+                f"stator resistance must be non-negative and finite, got {self.r_s}"
+            )
+        if not 0.0 <= self.psi_m < math.inf:
+            raise ConfigError(
+                f"magnet flux linkage must be non-negative and finite, got {self.psi_m}"
+            )
         if self.x_q < self.x_d - 1e-12:
             raise ConfigError("saliency convention violated: requires x_q >= x_d")
 
@@ -133,36 +137,6 @@ def to_per_unit(si: SiMachineData, base: BaseQuantities) -> MachineParams:
         x_q=base.omega_n * si.lq_H / base.z_base,
         r_s=si.rs_ohm / base.z_base,
         psi_m=si.psi_m_Wb / base.psi_base,
-    )
-
-
-def from_per_unit(params: MachineParams, base: BaseQuantities) -> SiMachineData:
-    """Inverse of :func:`to_per_unit`."""
-    return SiMachineData(
-        rs_ohm=params.r_s * base.z_base,
-        ld_H=params.x_d * base.z_base / base.omega_n,
-        lq_H=params.x_q * base.z_base / base.omega_n,
-        psi_m_Wb=params.psi_m * base.psi_base,
-    )
-
-
-def park(stationary: DqVector, theta: float) -> DqVector:
-    """Rotate a stationary-frame vector by -theta into rotor coordinates."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return DqVector(
-        d=c * stationary.d + s * stationary.q,
-        q=-s * stationary.d + c * stationary.q,
-    )
-
-
-def inverse_park(rotor: DqVector, theta: float) -> DqVector:
-    """Rotate a rotor-frame vector by +theta back to the stationary frame."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return DqVector(
-        d=c * rotor.d - s * rotor.q,
-        q=s * rotor.d + c * rotor.q,
     )
 
 

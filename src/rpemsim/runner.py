@@ -182,7 +182,7 @@ def run(scenario: Scenario) -> RunResult:
     tau_sched = ctl.tau_ref
     speed_sched = scenario.speed_ref_schedule()
     load_sched = scenario.load_torque_schedule()
-    inertia_H = scenario.mechanical().inertia_H
+    inertia_H = scenario.plant.inertia_H_s
     prescribed = scenario.plant.speed_mode == "prescribed"
     torque_mode = ctl.mode == "torque"
     substeps = scenario.plant.substeps

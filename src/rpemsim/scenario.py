@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .estimator import GainConfig, ParameterBox, ParameterVector, box_bounds_around
-from .plant import MechanicalParams, StepEvent, validate_events
+from .plant import StepEvent, validate_events
 from .pu import (
     TABLE_MACHINE_CONFIG,
     BaseQuantities,
@@ -96,10 +96,17 @@ class PlantSection:
     substeps: int = 1
 
     def __post_init__(self) -> None:
-        if self.noise_sigma_pu < 0.0:
-            raise ScenarioError("noise_sigma_pu must be >= 0")
+        # range checks are chained comparisons, so that NaN and inf fail too
+        if not 0.0 <= self.noise_sigma_pu < math.inf:
+            raise ScenarioError(
+                f"noise_sigma_pu must be >= 0 and finite, got {self.noise_sigma_pu}"
+            )
         if self.speed_mode not in ("prescribed", "dynamic"):
             raise ScenarioError(f"unknown speed_mode {self.speed_mode!r}")
+        if self.speed_mode == "dynamic" and not 0.0 < self.inertia_H_s < math.inf:
+            raise ScenarioError(
+                f"dynamic speed mode needs a finite inertia_H_s > 0, got {self.inertia_H_s}"
+            )
         if self.substeps < 1:
             raise ScenarioError("substeps must be >= 1")
 
@@ -187,10 +194,11 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0.0:
-            raise ScenarioError("duration must be positive")
-        if self.t_samp_s <= 0.0:
-            raise ScenarioError("t_samp_s must be positive")
+        # chained comparisons, so that NaN and inf fail too
+        if not 0.0 < self.duration_s < math.inf:
+            raise ScenarioError(f"duration must be positive and finite, got {self.duration_s}")
+        if not 0.0 < self.t_samp_s < math.inf:
+            raise ScenarioError(f"t_samp_s must be positive and finite, got {self.t_samp_s}")
         if self.log_decimation < 1:
             raise ScenarioError("log_decimation must be >= 1")
         self.validate()
@@ -208,13 +216,6 @@ class Scenario:
         self.parameter_box(params)
         self.initial_model(params)
         return base, params
-
-    def mechanical(self) -> MechanicalParams:
-        return MechanicalParams(
-            inertia_H=self.plant.inertia_H_s,
-            load_torque=self.plant.load_torque_pu,
-            speed_mode=self.plant.speed_mode,  # type: ignore[arg-type]
-        )
 
     def load_torque_schedule(self) -> Schedule:
         return merge_events_into_schedule(

@@ -11,9 +11,6 @@ from rpemsim.analysis import (
     eigen_sweep,
     eigenvalues,
     evaluate_maps,
-    gradient_map,
-    hessian_map,
-    sensitivity_map,
     steady_state_error,
     system_matrix,
     time_constants,
@@ -263,19 +260,6 @@ def test_infeasible_cells_marked_absent_not_zero(params, base):
     assert math.isnan(corner)
     assert not np.all(np.isnan(t.psi21))  # low-speed cells still present
     assert np.isnan(t.eps_d[-1, -1])
-
-
-def test_map_wrappers_expose_named_surfaces(params, base):
-    grid = OperatingGrid(
-        speed_axis=np.linspace(-1, 1, 5), torque_axis=np.linspace(-1, 1, 5)
-    )
-    sens = sensitivity_map(grid, params, base.omega_n, (0.05, 0.0, 0.0, 0.0))
-    assert set(sens) == {"eps_d", "eps_q"}
-    grads = gradient_map(grid, params, base.omega_n)
-    assert set(grads) == {"psi11", "psi12", "psi21", "psi22"}
-    hess = hessian_map(grid, params, base.omega_n)
-    assert set(hess) == {"r_scalar", "det_R"}
-    assert hess["r_scalar"].shape == (5, 5)
 
 
 def test_grid_rejects_non_monotone():

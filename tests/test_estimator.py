@@ -14,8 +14,8 @@ from rpemsim.estimator import (
     ParameterVector,
     PredictorState,
     RpemEstimator,
+    clamp_to_box,
     gain_schedule,
-    gamma_from_T0,
     gna_update,
     gradient_dynamic_step,
     gradient_steady_state,
@@ -23,7 +23,6 @@ from rpemsim.estimator import (
     prediction_error,
     predictor_step,
     predictor_steady_state,
-    project_parameters,
     pseudoinverse_2x2,
     sga_update,
 )
@@ -405,14 +404,12 @@ def test_schedule_limit_ordering_enforced():
 
 
 def test_project_interior_unchanged(wide_box):
-    theta = ParameterVector(0.9, 0.05)
-    assert project_parameters(theta, wide_box) == theta
+    assert clamp_to_box(0.9, 0.05, wide_box) == (0.9, 0.05)
 
 
 def test_project_clamps_to_box():
     box = ParameterBox(psi_m_min=0.8, psi_m_max=1.0, r_s_min=0.03, r_s_max=0.06)
-    theta = project_parameters(ParameterVector(1.5, 0.01), box)
-    assert theta == ParameterVector(1.0, 0.03)
+    assert clamp_to_box(1.5, 0.01, box) == (1.0, 0.03)
 
 
 @given(
@@ -422,26 +419,8 @@ def test_project_clamps_to_box():
 @settings(max_examples=50, deadline=None)
 def test_project_idempotent(psi, rs):
     box = ParameterBox(psi_m_min=0.6, psi_m_max=1.2, r_s_min=0.03, r_s_max=0.07)
-    once = project_parameters(ParameterVector(psi, rs), box)
-    assert project_parameters(once, box) == once
-
-
-def test_gamma_from_T0_reference_value():
-    assert gamma_from_T0(125e-6, 0.3846) == pytest.approx(3.25e-4, rel=1e-3)
-
-
-def test_gamma_from_T0_unity():
-    assert gamma_from_T0(125e-6, 125e-6) == 1.0
-
-
-def test_gamma_from_T0_rejects_fast_T0():
-    with pytest.raises(ConfigError):
-        gamma_from_T0(125e-6, 1e-5)
-
-
-@pytest.mark.parametrize("gamma", [6.25e-4, 3.25e-4, 6.25e-5, 7.5e-6])
-def test_gamma_table_round_trip(gamma):
-    assert gamma_from_T0(125e-6, 125e-6 / gamma) == pytest.approx(gamma, rel=1e-12)
+    once = clamp_to_box(psi, rs, box)
+    assert clamp_to_box(*once, box) == once
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpemsim.plant import (
-    MechanicalParams,
     PlantState,
     StepEvent,
     Trapezoid,
-    apply_step_events,
-    electrical_derivative,
+    apply_param_event,
     integrate_electrical,
-    measure,
-    mechanical_step,
+    speed_step,
     steady_state_current,
     steady_state_voltage,
-    step_matrices,
     torque,
     trapezoid_matrices,
     validate_events,
 )
-from rpemsim.pu import ConfigError, DqVector, MachineParams
+from rpemsim.pu import ConfigError, DqVector
+from rpemsim.runner import run
+from rpemsim.scenario import ControlSection, PlantSection, Scenario
 
 DT = 125e-6
 
@@ -49,17 +47,23 @@ def _exact_response(params, i0, u, n, omega_n, t):
     return expm @ (x0 - x_ss) + x_ss
 
 
+def _kernel(params, n, omega_n):
+    k = Trapezoid(omega_n, DT)
+    k.set(params.r_s, params.x_d, params.x_q, n)
+    return k
+
+
 def test_derivative_unexcited_at_rest(params, omega_n):
-    d = electrical_derivative(_state(params), DqVector(0.0, 0.0), omega_n)
-    assert d == DqVector(0.0, 0.0)
+    # zero derivative: one step from zero current stays at zero
+    i = _kernel(params, 0.0, omega_n).drive(0.0, 0.0, 0.0, 0.0, params.psi_m)
+    assert i == (0.0, 0.0)
 
 
 def test_derivative_back_emf_cancellation(params, omega_n):
     n = 0.5
-    u = DqVector(0.0, n * params.psi_m)
-    d = electrical_derivative(_state(params, n=n), u, omega_n)
-    assert d.d == pytest.approx(0.0, abs=1e-15)
-    assert d.q == pytest.approx(0.0, abs=1e-15)
+    i = _kernel(params, n, omega_n).drive(0.0, 0.0, 0.0, n * params.psi_m, params.psi_m)
+    assert i[0] == pytest.approx(0.0, abs=1e-15)
+    assert i[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_simulation_converges_to_analytic_steady_state(params, omega_n):
@@ -75,9 +79,9 @@ def test_simulation_converges_to_analytic_steady_state(params, omega_n):
         state = integrate_electrical(state, u, DT, "trapezoidal", omega_n)
     assert abs(state.i.d - i_ss.d) < 1e-8
     assert abs(state.i.q - i_ss.q) < 1e-8
-    # and the derivative there is zero
-    dz = electrical_derivative(_state(params, i=i_ss, n=n), u, omega_n)
-    assert abs(dz.d) < 1e-9 and abs(dz.q) < 1e-9
+    # and the derivative there is zero: one step from it stays there
+    i = _kernel(params, n, omega_n).drive(i_ss.d, i_ss.q, u.d, u.q, params.psi_m)
+    assert abs(i[0] - i_ss.d) < 1e-12 and abs(i[1] - i_ss.q) < 1e-12
 
 
 def test_torque_zero_current(params):
@@ -102,30 +106,28 @@ def test_torque_sign_symmetry(params, i_d, i_q):
 
 
 def test_mechanical_torque_balance():
-    mech = MechanicalParams(inertia_H=1.0, speed_mode="dynamic")
-    assert mechanical_step(0.3, 0.4, 0.4, mech, DT) == 0.3
+    assert speed_step(0.3, 0.4, 0.4, 1.0, DT) == 0.3
 
 
 def test_mechanical_prescribed_ignores_torque():
-    mech = MechanicalParams(speed_mode="prescribed")
-    assert mechanical_step(0.3, 5.0, -5.0, mech, DT, prescribed_n=0.7) == 0.7
+    # in prescribed mode the run's plant speed is the schedule, whatever
+    # the electromagnetic and load torques
+    sc = Scenario(
+        name="prescribed",
+        duration_s=0.02,
+        plant=PlantSection(speed_mode="prescribed", load_torque_pu=5.0),
+        control=ControlSection(tau_ref=[(0.0, 1.0)], speed_ref=[(0.0, 0.3), (0.01, 0.7)]),
+    )
+    log = run(sc).log
+    assert np.array_equal(log["n"], np.where(log["t"] + 1e-12 < 0.01, 0.3, 0.7))
 
 
 def test_mechanical_hand_value():
-    mech = MechanicalParams(inertia_H=1.0, speed_mode="dynamic")
-    dn = mechanical_step(0.0, 1.0, 0.0, mech, DT) - 0.0
+    dn = speed_step(0.0, 1.0, 0.0, 1.0, DT) - 0.0
     assert dn == pytest.approx(6.25e-5, rel=1e-12)
 
 
-def test_euler_single_step_hand_value(params, omega_n):
-    state = _state(params, i=DqVector(1.0, 0.0), n=0.0)
-    out = integrate_electrical(state, DqVector(0.0, 0.0), DT, "explicit_euler", omega_n)
-    expected = 1.0 - DT * omega_n * params.r_s / params.x_d
-    assert out.i.d == pytest.approx(expected, rel=1e-12)
-    assert expected == pytest.approx(0.9970488, rel=1e-6)
-
-
-@pytest.mark.parametrize("method,order", [("explicit_euler", 1), ("trapezoidal", 2)])
+@pytest.mark.parametrize("method,order", [("trapezoidal", 2)])
 def test_integration_convergence_order(params, omega_n, method, order):
     # oracle: matrix exponential of the linear system
     n, u = 0.5, DqVector(0.1, 0.6)
@@ -150,48 +152,11 @@ def test_trapezoidal_bounded_at_rated_speed(params, omega_n):
         assert abs(state.i.d) < 10.0 and abs(state.i.q) < 10.0
 
 
-def test_measure_noiseless_returns_state(params):
-    rng = np.random.default_rng(0)
-    st_ = _state(params, i=DqVector(0.3, -0.2))
-    assert measure(st_, 0.0, rng) == st_.i
-
-
-def test_measure_deterministic_given_seed(params):
-    st_ = _state(params, i=DqVector(0.1, 0.2))
-    a = [measure(st_, 0.01, np.random.default_rng(42)) for _ in range(3)]
-    b = [measure(st_, 0.01, np.random.default_rng(42)) for _ in range(3)]
-    # same seed, fresh generator: only the first draw repeats
-    assert a[0] == b[0]
-    rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-    seq1 = [measure(st_, 0.01, rng1) for _ in range(100)]
-    seq2 = [measure(st_, 0.01, rng2) for _ in range(100)]
-    assert seq1 == seq2
-
-
-def test_measure_noise_statistics(params):
-    # oracle: law of large numbers on the sample standard deviation,
-    # one million samples
-    rng = np.random.default_rng(3)
-    st_ = _state(params, i=DqVector(0.0, 0.0))
-    sigma = 0.01
-    samples = np.array([measure(st_, sigma, rng) for _ in range(500_000)])
-    assert samples.size == 1_000_000
-    assert np.std(samples.ravel()) == pytest.approx(sigma, rel=0.01)
-
-
 def test_apply_step_events_flux_factor(params):
-    st_ = _state(params)
-    ev = [StepEvent(time_s=1.0, target="psi_m", factor=0.92)]
-    out = apply_step_events(st_, ev, 1.0)
-    assert out.params.psi_m == pytest.approx(0.92 * params.psi_m, rel=1e-12)
-    # untouched before the event time
-    same = apply_step_events(st_, ev, 0.5)
-    assert same.params.psi_m == params.psi_m
-
-
-def test_apply_step_events_empty_noop(params):
-    st_ = _state(params)
-    assert apply_step_events(st_, [], 10.0) is st_
+    out = apply_param_event(params, StepEvent(time_s=1.0, target="psi_m", factor=0.92))
+    assert out.psi_m == pytest.approx(0.92 * params.psi_m, rel=1e-12)
+    # the other parameters are untouched
+    assert (out.r_s, out.x_d, out.x_q) == (params.r_s, params.x_d, params.x_q)
 
 
 def test_validate_events_rejects_invalid_result(params):
@@ -226,11 +191,9 @@ def test_steady_state_voltage_inverts_current_solve(params):
 
 
 def test_step_matrices_rejects_nan_resistance(params):
-    # MachineParams lets NaN through (nan < 0 is False); the step must not
-    # hand back NaN matrices
-    bad = MachineParams(x_d=params.x_d, x_q=params.x_q, r_s=math.nan, psi_m=params.psi_m)
+    # the step must not hand back NaN matrices
     with pytest.raises(ValueError, match="singular"):
-        step_matrices(bad, 0.3, 2 * math.pi * 50.0, DT)
+        trapezoid_matrices(math.nan, params.x_d, params.x_q, 0.3, 2 * math.pi * 50.0, DT)
 
 
 def test_trapezoid_caches_matrices_until_an_input_changes(params, omega_n):

@@ -1,24 +1,15 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rpemsim.pu import (
     TABLE_MACHINE_CONFIG,
     ConfigError,
-    DqVector,
     SiMachineData,
-    from_per_unit,
-    inverse_park,
     machine_from_config,
     make_base,
-    park,
     to_per_unit,
 )
-
-finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
 def test_make_base_reference_plant():
@@ -68,39 +59,6 @@ def test_to_per_unit_zero_resistance_maps_to_zero():
 def test_to_per_unit_rejects_negative():
     with pytest.raises(ConfigError):
         SiMachineData(rs_ohm=-0.1, ld_H=0.1, lq_H=0.2, psi_m_Wb=1.0)
-
-
-def test_si_round_trip():
-    b = make_base(400.0, 4.93, 50.0, 3)
-    si = SiMachineData(rs_ohm=2.25, ld_H=0.0953, lq_H=0.206, psi_m_Wb=1.14)
-    p = to_per_unit(si, b)
-    back = from_per_unit(p, b)
-    assert back.rs_ohm == pytest.approx(si.rs_ohm, rel=1e-12)
-    assert back.ld_H == pytest.approx(si.ld_H, rel=1e-12)
-    assert back.lq_H == pytest.approx(si.lq_H, rel=1e-12)
-    assert back.psi_m_Wb == pytest.approx(si.psi_m_Wb, rel=1e-12)
-
-
-def test_park_identity_rotation():
-    assert park(DqVector(1.0, 0.0), 0.0) == DqVector(1.0, 0.0)
-
-
-def test_park_quarter_turn():
-    v = park(DqVector(0.0, 1.0), math.pi / 2)
-    assert v.d == pytest.approx(1.0, abs=1e-15)
-    assert v.q == pytest.approx(0.0, abs=1e-15)
-
-
-@given(d=finite, q=finite, theta=angles)
-@settings(max_examples=100, deadline=None)
-def test_park_round_trip_and_norm(d, q, theta):
-    v = DqVector(d, q)
-    w = park(v, theta)
-    back = inverse_park(w, theta)
-    scale = max(1.0, abs(d), abs(q))
-    assert abs(back.d - v.d) <= 1e-12 * scale
-    assert abs(back.q - v.q) <= 1e-12 * scale
-    assert abs(w.norm() - v.norm()) <= 1e-12 * scale
 
 
 def test_machine_config_table_values():

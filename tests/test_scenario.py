@@ -7,6 +7,7 @@ import pytest
 
 from rpemsim.cli import main as cli_main
 from rpemsim.plant import StepEvent
+from rpemsim.pu import TABLE_MACHINE_CONFIG, ConfigError
 from rpemsim.runner import SimulationDiverged, convergence_metrics, run
 from rpemsim.scenario import (
     ControlSection,
@@ -273,8 +274,34 @@ def test_cli_validate_bad_file(tmp_path):
     {"theta0_r_s": -0.02},
 ])
 def test_cli_validate_rejects_box_and_theta0_that_run_refuses(tmp_path, capsys, estimator):
-    d = {"name": "x", "duration_s": 1.0, "estimator": estimator}
-    with pytest.raises(ScenarioError):
+    _assert_validate_rejects({"name": "x", "duration_s": 1.0, "estimator": estimator},
+                             tmp_path, capsys)
+
+
+@pytest.mark.parametrize("fields", [
+    {"plant": {"speed_mode": "dynamic", "inertia_H_s": 0.0}},
+    {"plant": {"speed_mode": "dynamic", "inertia_H_s": math.nan}},
+    {"events": [{"time_s": 0.01, "target": "r_s", "factor": math.nan}]},
+    {"events": [{"time_s": math.nan, "target": "r_s", "factor": 0.9}]},
+    {"events": [{"time_s": 0.01, "target": "speed_ref", "value": math.inf}]},
+    {"duration_s": math.nan},
+    {"duration_s": math.inf},
+    {"t_samp_s": math.nan},
+    {"plant": {"noise_sigma_pu": math.nan}},
+    {"machine": {**TABLE_MACHINE_CONFIG, "r_s_pu": math.nan}},
+    {"machine": {**TABLE_MACHINE_CONFIG, "x_d_pu": math.inf}},
+])
+def test_cli_validate_rejects_non_finite_and_zero_inertia(tmp_path, capsys, fields):
+    # json writes and reads NaN and Infinity, as a scenario file may hold them;
+    # events and the machine section raise the ConfigError base class
+    _assert_validate_rejects({"name": "x", "duration_s": 1.0, **fields}, tmp_path, capsys,
+                             error=ConfigError)
+
+
+def _assert_validate_rejects(d, tmp_path, capsys, error=ScenarioError):
+    """``Scenario.from_dict`` raises ``error`` and ``rpemsim validate``
+    exits 1 with a one-line error."""
+    with pytest.raises(error):
         Scenario.from_dict(d)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
