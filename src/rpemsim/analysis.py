@@ -4,14 +4,16 @@ over the 4-quadrant speed-torque plane.
 
 Grid cells are loaded with MTPA currents at the cell torque; cells whose
 MTPA reference, current magnitude or steady-state voltage is infeasible
-are marked NaN (absent, not zero).
+are marked NaN (absent, not zero). The grid is evaluated one speed row
+at a time: the scalar kernels take torque-axis arrays at a float speed,
+and the CSV writer formats one row of cells per ``%`` operation.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from .control import ControlError, mtpa_reference
 from .estimator import ParameterVector, gradient_steady_state
 from .plant import steady_state_voltage
-from .pu import DqVector, MachineParams
+from .pu import ConfigError, DqVector, MachineParams
 
 
 class EigenPair(NamedTuple):
@@ -143,7 +145,7 @@ class OperatingGrid:
     def __post_init__(self) -> None:
         for axis in (self.speed_axis, self.torque_axis):
             if len(axis) < 2 or not np.all(np.diff(axis) > 0):
-                raise ValueError("grid axes must be strictly increasing")
+                raise ConfigError("grid axes must be strictly increasing")
 
 
 @dataclass
@@ -168,6 +170,9 @@ class MapTables:
     im_l2: np.ndarray
     z_euler_mag: np.ndarray
     z_trap_mag: np.ndarray
+
+
+MAP_SURFACES = tuple(f.name for f in fields(MapTables) if f.name != "grid")
 
 
 def cell_currents(
@@ -195,88 +200,82 @@ def evaluate_maps(
     """Evaluate every analytical surface on the grid.
 
     deltas = (delta_psi_m, delta_r_s, delta_x_d, delta_x_q) feed the
-    sensitivity surfaces. Evaluation is cell-independent and deterministic,
-    any traversal order produces identical tables.
+    sensitivity surfaces. The MTPA currents depend on torque only and are
+    built once per torque value. Each speed row then calls the scalar
+    kernels once, with torque-axis arrays and a float speed: their
+    element-wise arithmetic runs in the same order as a per-cell call, so
+    every cell equals its scalar evaluation bitwise.
     """
     theta = ParameterVector(psi_m=params.psi_m, r_s=params.r_s)
     known_x = (params.x_d, params.x_q)
-    ns = len(grid.speed_axis)
-    nt = len(grid.torque_axis)
-    shape = (ns, nt)
-    out = {
-        name: np.full(shape, np.nan)
-        for name in (
-            "i_d", "i_q", "eps_d", "eps_q", "psi11", "psi12", "psi21", "psi22",
-            "r_scalar", "det_R", "re_l1", "im_l1", "re_l2", "im_l2",
-            "z_euler_mag", "z_trap_mag",
-        )
-    }
+    shape = (len(grid.speed_axis), len(grid.torque_axis))
+    out = {name: np.full(shape, np.nan) for name in MAP_SURFACES}
+    currents = [cell_currents(params, tau, i_max) for tau in grid.torque_axis.tolist()]
+    cols = np.array([ti for ti, c in enumerate(currents) if c is not None], dtype=np.intp)
+    i_cols = DqVector(
+        np.array([currents[ti].d for ti in cols]),
+        np.array([currents[ti].q for ti in cols]),
+    )
     d_psi, d_rs, d_xd, d_xq = deltas
-    for si, n in enumerate(grid.speed_axis):
-        lam = eigenvalues(theta, known_x, float(n), omega_n)
-        ze = max(
-            abs(discrete_stability(lam.lambda1, dt, "explicit_euler")[0]),
-            abs(discrete_stability(lam.lambda2, dt, "explicit_euler")[0]),
+    for si, n in enumerate(grid.speed_axis.tolist()):
+        lam = eigenvalues(theta, known_x, n, omega_n)
+        u = steady_state_voltage(params, i_cols, n)
+        keep = np.array(
+            [not math.hypot(ud, uq) > u_max for ud, uq in zip(u.d.tolist(), u.q.tolist())],
+            dtype=bool,
         )
-        zt = max(
-            abs(discrete_stability(lam.lambda1, dt, "trapezoidal")[0]),
-            abs(discrete_stability(lam.lambda2, dt, "trapezoidal")[0]),
-        )
-        for ti, tau in enumerate(grid.torque_axis):
-            i = cell_currents(params, float(tau), i_max)
-            if i is None:
-                continue
-            u = steady_state_voltage(params, i, float(n))
-            if math.hypot(u.d, u.q) > u_max:
-                continue
-            eps = steady_state_error(
-                theta, known_x, float(n), i, d_psi, d_rs, d_xd, d_xq
-            )
-            g = gradient_steady_state(theta, known_x, float(n), i)
-            out["i_d"][si, ti] = i.d
-            out["i_q"][si, ti] = i.q
-            out["eps_d"][si, ti] = eps.d
-            out["eps_q"][si, ti] = eps.q
-            out["psi11"][si, ti] = g.psi_d
-            out["psi12"][si, ti] = g.psi_q
-            out["psi21"][si, ti] = g.rs_d
-            out["psi22"][si, ti] = g.rs_q
-            out["r_scalar"][si, ti] = (
-                g.psi_d**2 + g.psi_q**2 + g.rs_d**2 + g.rs_q**2
-            )
-            out["det_R"][si, ti] = (g.psi_d * g.rs_q - g.psi_q * g.rs_d) ** 2
-            out["re_l1"][si, ti] = lam.lambda1.real
-            out["im_l1"][si, ti] = lam.lambda1.imag
-            out["re_l2"][si, ti] = lam.lambda2.real
-            out["im_l2"][si, ti] = lam.lambda2.imag
-            out["z_euler_mag"][si, ti] = ze
-            out["z_trap_mag"][si, ti] = zt
+        if not keep.any():
+            continue
+        i = DqVector(i_cols.d[keep], i_cols.q[keep])
+        eps = steady_state_error(theta, known_x, n, i, d_psi, d_rs, d_xd, d_xq)
+        g = gradient_steady_state(theta, known_x, n, i)
+        row = {
+            "i_d": i.d, "i_q": i.q, "eps_d": eps.d, "eps_q": eps.q,
+            "psi11": g.psi_d, "psi12": g.psi_q, "psi21": g.rs_d, "psi22": g.rs_q,
+            "r_scalar": g.psi_d**2 + g.psi_q**2 + _squares(g.rs_d, i.d.shape)
+            + _squares(g.rs_q, i.d.shape),
+            "det_R": _squares(g.psi_d * g.rs_q - g.psi_q * g.rs_d, i.d.shape),
+            "re_l1": lam.lambda1.real, "im_l1": lam.lambda1.imag,
+            "re_l2": lam.lambda2.real, "im_l2": lam.lambda2.imag,
+            "z_euler_mag": max(
+                abs(discrete_stability(lam.lambda1, dt, "explicit_euler")[0]),
+                abs(discrete_stability(lam.lambda2, dt, "explicit_euler")[0]),
+            ),
+            "z_trap_mag": max(
+                abs(discrete_stability(lam.lambda1, dt, "trapezoidal")[0]),
+                abs(discrete_stability(lam.lambda2, dt, "trapezoidal")[0]),
+            ),
+        }
+        sel = cols[keep]
+        for name, value in row.items():
+            out[name][si, sel] = value
     return MapTables(grid=grid, **out)
 
 
-CSV_HEADER = [
-    "n_pu", "tau_pu", "eps_d", "eps_q", "psi11", "psi12", "psi21", "psi22",
-    "r_scalar", "det_R", "re_l1", "im_l1", "re_l2", "im_l2",
-    "z_euler_mag", "z_trap_mag",
-]
+def _squares(x, shape: tuple[int, ...]) -> np.ndarray:
+    """Element-wise Python ``x**2`` (libm pow), as a per-cell evaluation
+    computes it; array ``x**2`` is ``x*x`` and differs in the last bit."""
+    return np.array(list(map(pow, np.full(shape, x).tolist(), repeat(2))))
+
+
+CSV_HEADER = ["n_pu", "tau_pu", *MAP_SURFACES[2:]]
+_CSV_LINE = ",".join(["%.10g"] * len(CSV_HEADER)) + "\r\n"
 
 
 def write_maps_csv(tables: MapTables, path: str) -> None:
     """One row per (n, tau) cell with all surface values; NaN for absent
-    cells."""
-    grid = tables.grid
+    cells. Lines end in CRLF, as :mod:`csv` writes them."""
+    speeds, torques = tables.grid.speed_axis, tables.grid.torque_axis
+    ns, nt = len(speeds), len(torques)
+    table = np.column_stack(
+        [np.repeat(speeds, nt), np.tile(torques, ns)]
+        + [getattr(tables, name).ravel() for name in CSV_HEADER[2:]]
+    )
+    block = _CSV_LINE * nt
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_HEADER)
-        for si, n in enumerate(grid.speed_axis):
-            for ti, tau in enumerate(grid.torque_axis):
-                w.writerow(
-                    [f"{float(n):.10g}", f"{float(tau):.10g}"]
-                    + [
-                        f"{getattr(tables, name)[si, ti]:.10g}"
-                        for name in CSV_HEADER[2:]
-                    ]
-                )
+        f.write(",".join(CSV_HEADER) + "\r\n")
+        for si in range(ns):
+            f.write(block % tuple(table[si * nt:(si + 1) * nt].ravel().tolist()))
 
 
 def eigen_sweep(

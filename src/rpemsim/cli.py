@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 validation failure, 2 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import csv
 import fnmatch
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -91,15 +93,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _axis(bounds: tuple[float, float], points: int, option: str) -> np.ndarray:
+    """``points`` evenly spaced values over a finite, increasing range."""
+    lo, hi = bounds
+    if points < 2:
+        raise ConfigError(f"--points must be >= 2, got {points}")
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigError(f"{option} must be finite and increasing, got {lo} {hi}")
+    return np.linspace(lo, hi, points)
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     if args.surface not in SURFACES:
         raise ConfigError(f"unknown surface {args.surface!r}; pick from {SURFACES}")
+    rel = (args.delta_psi, args.delta_rs, args.delta_xd, args.delta_xq)
+    if not all(-math.inf < d < math.inf for d in rel):
+        raise ConfigError(f"--delta-* mismatches must be finite, got {rel}")
     base, params = default_machine()
     grid = OperatingGrid(
-        speed_axis=np.linspace(args.speed_range[0], args.speed_range[1], args.points),
-        torque_axis=np.linspace(
-            args.torque_range[0], args.torque_range[1], args.points
-        ),
+        speed_axis=_axis(args.speed_range, args.points, "--speed-range"),
+        torque_axis=_axis(args.torque_range, args.points, "--torque-range"),
     )
     deltas = (
         args.delta_psi * params.psi_m,
@@ -118,14 +131,12 @@ def cmd_map(args: argparse.Namespace) -> int:
 def cmd_eig(args: argparse.Namespace) -> int:
     base, params = default_machine()
     theta = ParameterVector(psi_m=params.psi_m, r_s=params.r_s)
-    speeds = np.linspace(args.speed_range[0], args.speed_range[1], args.points)
+    speeds = _axis(args.speed_range, args.points, "--speed-range")
     rows = eigen_sweep(theta, (params.x_d, params.x_q), base.omega_n, speeds)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "eigenvalues.csv")
     with open(path, "w", newline="") as f:
-        import csv as _csv
-
-        w = _csv.DictWriter(f, fieldnames=list(rows[0]))
+        w = csv.DictWriter(f, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
     print(f"wrote {path}")

@@ -103,10 +103,8 @@ class PlantSection:
             )
         if self.speed_mode not in ("prescribed", "dynamic"):
             raise ScenarioError(f"unknown speed_mode {self.speed_mode!r}")
-        if self.speed_mode == "dynamic" and not 0.0 < self.inertia_H_s < math.inf:
-            raise ScenarioError(
-                f"dynamic speed mode needs a finite inertia_H_s > 0, got {self.inertia_H_s}"
-            )
+        if not -math.inf < self.load_torque_pu < math.inf:
+            raise ScenarioError(f"load_torque_pu must be finite, got {self.load_torque_pu}")
         if self.substeps < 1:
             raise ScenarioError("substeps must be >= 1")
 
@@ -129,9 +127,10 @@ class ControlSection:
             raise ScenarioError(f"unknown control mode {self.mode!r}")
         _check_schedule(self.tau_ref, "tau_ref")
         _check_schedule(self.speed_ref, "speed_ref")
-        for lim in (self.i_max_pu, self.u_max_pu, self.tau_max_pu):
-            if lim <= 0.0:
-                raise ScenarioError("control limits must be positive")
+        for name in ("i_max_pu", "u_max_pu", "tau_max_pu", "kp_d", "ti_d", "kp_q", "ti_q"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ScenarioError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -201,6 +200,13 @@ class Scenario:
             raise ScenarioError(f"t_samp_s must be positive and finite, got {self.t_samp_s}")
         if self.log_decimation < 1:
             raise ScenarioError("log_decimation must be >= 1")
+        # the dynamic plant integrates with it, and the speed PI is tuned from it
+        uses_inertia = self.plant.speed_mode == "dynamic" or self.control.mode == "speed"
+        if uses_inertia and not 0.0 < self.plant.inertia_H_s < math.inf:
+            raise ScenarioError(
+                "dynamic speed mode and speed control need a finite inertia_H_s > 0, "
+                f"got {self.plant.inertia_H_s}"
+            )
         self.validate()
 
     def validate(self) -> tuple[BaseQuantities, MachineParams]:

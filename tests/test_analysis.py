@@ -1,12 +1,15 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rpemsim.analysis import (
     CSV_HEADER,
+    MAP_SURFACES,
     OperatingGrid,
+    cell_currents,
     discrete_stability,
     eigen_sweep,
     eigenvalues,
@@ -215,6 +218,50 @@ def test_map_evaluation_deterministic(params, base):
     for name in ("eps_d", "psi21", "det_R", "z_trap_mag"):
         x, y = getattr(a, name), getattr(b, name)
         assert np.array_equal(x, y, equal_nan=True)
+
+
+@pytest.mark.parametrize("r_s", [None, 1e-6])
+def test_row_evaluation_equals_per_cell_scalar_loop(params, base, r_s):
+    # oracle: the per-cell loop over the scalar kernels, in Python floats.
+    # r_s = 1e-6 puts the n = 0 row below the gradient denominator floor,
+    # u_max = 0.6 makes the high-speed corners voltage-infeasible
+    if r_s is not None:
+        params = replace(params, r_s=r_s)
+    speeds, torques = np.linspace(-1, 1, 7), np.linspace(-1.5, 1.5, 9)
+    deltas = (-0.01, 0.002, 0.01, -0.02)
+    t = evaluate_maps(OperatingGrid(speeds, torques), params, base.omega_n,
+                      deltas=deltas, i_max=1.2, u_max=0.6)
+    theta = ParameterVector(psi_m=params.psi_m, r_s=params.r_s)
+    known_x = (params.x_d, params.x_q)
+    want = {name: np.full((7, 9), np.nan) for name in MAP_SURFACES}
+    for si, n in enumerate(speeds.tolist()):
+        lam = eigenvalues(theta, known_x, n, base.omega_n)
+        for ti, tau in enumerate(torques.tolist()):
+            i = cell_currents(params, tau, 1.2)
+            if i is None:
+                continue
+            u = steady_state_voltage(params, i, n)
+            if math.hypot(u.d, u.q) > 0.6:
+                continue
+            eps = steady_state_error(theta, known_x, n, i, *deltas)
+            g = gradient_steady_state(theta, known_x, n, i)
+            cell = {
+                "i_d": i.d, "i_q": i.q, "eps_d": eps.d, "eps_q": eps.q,
+                "psi11": g.psi_d, "psi12": g.psi_q, "psi21": g.rs_d, "psi22": g.rs_q,
+                "r_scalar": g.psi_d**2 + g.psi_q**2 + g.rs_d**2 + g.rs_q**2,
+                "det_R": (g.psi_d * g.rs_q - g.psi_q * g.rs_d) ** 2,
+                "re_l1": lam.lambda1.real, "im_l1": lam.lambda1.imag,
+                "re_l2": lam.lambda2.real, "im_l2": lam.lambda2.imag,
+                "z_euler_mag": max(abs(discrete_stability(lam.lambda1, DT, "explicit_euler")[0]),
+                                   abs(discrete_stability(lam.lambda2, DT, "explicit_euler")[0])),
+                "z_trap_mag": max(abs(discrete_stability(lam.lambda1, DT, "trapezoidal")[0]),
+                                  abs(discrete_stability(lam.lambda2, DT, "trapezoidal")[0])),
+            }
+            for name, value in cell.items():
+                want[name][si, ti] = value
+    assert 0 < np.count_nonzero(np.isnan(t.i_d)) < t.i_d.size
+    for name in MAP_SURFACES:
+        assert np.array_equal(getattr(t, name), want[name], equal_nan=True), name
 
 
 def test_subgrid_values_independent_of_grid(params, base):

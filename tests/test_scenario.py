@@ -290,6 +290,16 @@ def test_cli_validate_rejects_box_and_theta0_that_run_refuses(tmp_path, capsys, 
     {"plant": {"noise_sigma_pu": math.nan}},
     {"machine": {**TABLE_MACHINE_CONFIG, "r_s_pu": math.nan}},
     {"machine": {**TABLE_MACHINE_CONFIG, "x_d_pu": math.inf}},
+    {"control": {"i_max_pu": math.nan}},
+    {"control": {"u_max_pu": math.nan}},
+    {"control": {"tau_max_pu": math.inf}},
+    {"control": {"kp_d": math.nan}},
+    {"control": {"ti_d": 0.0}},
+    {"control": {"kp_q": -1.0}},
+    {"control": {"ti_q": math.nan}},
+    {"plant": {"speed_mode": "dynamic", "load_torque_pu": math.nan}},
+    {"control": {"mode": "speed"}, "plant": {"inertia_H_s": 0.0}},
+    {"control": {"mode": "speed"}, "plant": {"inertia_H_s": math.nan}},
 ])
 def test_cli_validate_rejects_non_finite_and_zero_inertia(tmp_path, capsys, fields):
     # json writes and reads NaN and Infinity, as a scenario file may hold them;
@@ -356,6 +366,28 @@ def test_cli_map_writes_fixed_header(tmp_path):
         "n_pu,tau_pu,eps_d,eps_q,psi11,psi12,psi21,psi22,"
         "r_scalar,det_R,re_l1,im_l1,re_l2,im_l2,z_euler_mag,z_trap_mag"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "all", "--points", "1"],
+    ["map", "all", "--speed-range", "1", "-1"],
+    ["map", "all", "--torque-range", "0.5", "0.5"],
+    ["map", "all", "--torque-range", "0", "inf"],
+    ["map", "all", "--speed-range", "nan", "1"],
+    ["map", "all", "--speed-range", "0", "5e-324", "--points", "3"],
+    ["map", "all", "--delta-psi", "nan"],
+    ["map", "all", "--delta-rs", "inf"],
+    ["eig", "--points", "0"],
+    ["eig", "--points", "1"],
+    ["eig", "--speed-range", "1.2", "0"],
+    ["eig", "--speed-range", "0", "inf"],
+])
+def test_cli_map_and_eig_reject_bad_grid_input(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert cli_main(["--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_eig_writes(tmp_path):
