@@ -5,16 +5,17 @@ over the 4-quadrant speed-torque plane.
 Grid cells are loaded with MTPA currents at the cell torque; cells whose
 MTPA reference, current magnitude or steady-state voltage is infeasible
 are marked NaN (absent, not zero). The grid is evaluated one speed row
-at a time: the scalar kernels take torque-axis arrays at a float speed,
-and the CSV writer formats one row of cells per ``%`` operation.
+at a time: the scalar kernels take torque-axis arrays at a float speed.
+The CSV writer, which also writes the run logs, formats a block of rows
+per ``%`` operation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import repeat
-from typing import NamedTuple
+from itertools import chain, repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -258,24 +259,41 @@ def _squares(x, shape: tuple[int, ...]) -> np.ndarray:
     return np.array(list(map(pow, np.full(shape, x).tolist(), repeat(2))))
 
 
-CSV_HEADER = ["n_pu", "tau_pu", *MAP_SURFACES[2:]]
-_CSV_LINE = ",".join(["%.10g"] * len(CSV_HEADER)) + "\r\n"
+# the CSV columns of each ``rpemsim map`` surface; "all" writes every one
+MAP_COLUMNS = {
+    "sensitivity": ("eps_d", "eps_q"),
+    "gradient": ("psi11", "psi12", "psi21", "psi22"),
+    "hessian": ("r_scalar", "det_R"),
+    "stability": ("re_l1", "im_l1", "re_l2", "im_l2", "z_euler_mag", "z_trap_mag"),
+}
+MAP_COLUMNS["all"] = tuple(chain(*MAP_COLUMNS.values()))
 
 
-def write_maps_csv(tables: MapTables, path: str) -> None:
-    """One row per (n, tau) cell with all surface values; NaN for absent
-    cells. Lines end in CRLF, as :mod:`csv` writes them."""
+def write_maps_csv(tables: MapTables, path: str, surface: str = "all") -> None:
+    """One row per (n, tau) cell with the surface's values; NaN for absent
+    cells."""
     speeds, torques = tables.grid.speed_axis, tables.grid.torque_axis
-    ns, nt = len(speeds), len(torques)
+    columns = MAP_COLUMNS[surface]
     table = np.column_stack(
-        [np.repeat(speeds, nt), np.tile(torques, ns)]
-        + [getattr(tables, name).ravel() for name in CSV_HEADER[2:]]
+        [np.repeat(speeds, len(torques)), np.tile(torques, len(speeds))]
+        + [getattr(tables, name).ravel() for name in columns]
     )
-    block = _CSV_LINE * nt
+    write_csv_table(path, ["n_pu", "tau_pu", *columns], table)
+
+
+_CSV_BLOCK_ROWS = 256
+
+
+def write_csv_table(path: str, header: Sequence[str], table: np.ndarray) -> None:
+    """A CSV file of the header and one line per row of the 2-D float
+    ``table``, each value as ``%.10g``. Lines end in CRLF, as :mod:`csv`
+    writes them."""
+    line = ",".join(["%.10g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as f:
-        f.write(",".join(CSV_HEADER) + "\r\n")
-        for si in range(ns):
-            f.write(block % tuple(table[si * nt:(si + 1) * nt].ravel().tolist()))
+        f.write(",".join(header) + "\r\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            rows = table[start:start + _CSV_BLOCK_ROWS]
+            f.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def eigen_sweep(

@@ -7,7 +7,8 @@ Subcommands:
   eig                          eigenvalue trajectory against speed
   validate <scenario-file>     validate without running
 
-Exit codes: 0 success, 1 validation failure, 2 numerical divergence.
+Exit codes: 0 success, 1 validation failure or a command-line usage error,
+2 numerical divergence.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .analysis import OperatingGrid, eigen_sweep, evaluate_maps, write_maps_csv
+from .analysis import MAP_COLUMNS, OperatingGrid, eigen_sweep, evaluate_maps, write_maps_csv
 from .estimator import ParameterVector
 from .pu import ConfigError, default_machine
 from .runner import SimulationDiverged, run
@@ -34,7 +35,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_DIVERGED = 2
 
-SURFACES = ("sensitivity", "gradient", "hessian", "stability", "all")
+# argparse reads "-1e-3" as an option, not as a negative number
+RANGE_HELP = "lower and upper bound; write a negative bound in decimal form (-0.001, not -1e-3)"
 
 
 def _resolve_scenario(ref: str) -> Scenario:
@@ -104,8 +106,6 @@ def _axis(bounds: tuple[float, float], points: int, option: str) -> np.ndarray:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    if args.surface not in SURFACES:
-        raise ConfigError(f"unknown surface {args.surface!r}; pick from {SURFACES}")
     rel = (args.delta_psi, args.delta_rs, args.delta_xd, args.delta_xq)
     if not all(-math.inf < d < math.inf for d in rel):
         raise ConfigError(f"--delta-* mismatches must be finite, got {rel}")
@@ -123,7 +123,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     tables = evaluate_maps(grid, params, base.omega_n, deltas=deltas)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"map_{args.surface}.csv")
-    write_maps_csv(tables, path)
+    write_maps_csv(tables, path, args.surface)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -169,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("map", help="analytical surface maps")
-    sp.add_argument("surface", choices=SURFACES)
-    sp.add_argument("--speed-range", type=float, nargs=2, default=(-1.0, 1.0))
-    sp.add_argument("--torque-range", type=float, nargs=2, default=(-1.0, 1.0))
+    sp.add_argument("surface", choices=MAP_COLUMNS)
+    sp.add_argument("--speed-range", type=float, nargs=2, default=(-1.0, 1.0), help=RANGE_HELP)
+    sp.add_argument("--torque-range", type=float, nargs=2, default=(-1.0, 1.0), help=RANGE_HELP)
     sp.add_argument("--points", type=int, default=81)
     sp.add_argument("--delta-psi", type=float, default=-0.1,
                     help="relative flux mismatch for sensitivity surfaces")
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_map)
 
     sp = sub.add_parser("eig", help="eigenvalue trajectory over speed")
-    sp.add_argument("--speed-range", type=float, nargs=2, default=(0.0, 1.2))
+    sp.add_argument("--speed-range", type=float, nargs=2, default=(0.0, 1.2), help=RANGE_HELP)
     sp.add_argument("--points", type=int, default=121)
     sp.set_defaults(func=cmd_eig)
 
@@ -192,8 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2, the divergence code here, on a usage error
+        return EXIT_VALIDATION if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

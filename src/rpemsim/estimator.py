@@ -30,7 +30,7 @@ from typing import Literal, NamedTuple, Optional
 # step_matrices is not called here; it stays a module attribute because
 # the benchmark's tracer (perfbench/tracing.py) wraps it by this name
 from .plant import Trapezoid, steady_state_current, step_matrices  # noqa: F401
-from .pu import ConfigError, DqVector, MachineParams
+from .pu import ConfigError, DqVector, MachineParams, check_fields
 
 
 class ParameterVector(NamedTuple):
@@ -160,8 +160,9 @@ GradientMode = Literal["steady_state", "dynamic"]
 
 
 @dataclass(frozen=True)
-class GainConfig:
-    """Gain algorithm selection, adaptation rates, scheduler and floors.
+class GainSettings:
+    """Gain algorithm selection, adaptation rates and floors: the gain
+    settings a scenario's estimator section carries under the same names.
 
     gamma values are per-step weights gamma0 = T_samp / T0; the flux and
     resistance rows carry separate gain-rate values so one configuration
@@ -174,25 +175,31 @@ class GainConfig:
     gamma_r: float = 6.25e-4
     gradient_mode_psi: GradientMode = "steady_state"
     gradient_mode_rs: GradientMode = "steady_state"
-    n_lim1: float = 0.1
-    n_lim2: float = 0.01
     r_floor: float = 1e-6
     detR_floor: float = 1e-10
     i_floor: float = 0.02
-    ss_denom_floor: float = 1e-9
-    mpp_tol: float = 1e-9
     gain_cap: float = 1e4
     sga_r_mode: Literal["trace", "per_gradient"] = "trace"
     r0: Optional[float] = None
 
+
+@dataclass(frozen=True)
+class GainConfig(GainSettings):
+    """The gain settings plus the speed scheduler limits and numerical
+    tolerances."""
+
+    n_lim1: float = 0.1
+    n_lim2: float = 0.01
+    ss_denom_floor: float = 1e-9
+    mpp_tol: float = 1e-9
+
     def __post_init__(self) -> None:
+        check_fields(self)
         for g in (self.gamma_L_psi, self.gamma_L_rs, self.gamma_r):
             if not (0.0 < g <= 1.0):
                 raise ConfigError("gamma values must lie in (0, 1]")
         if abs(self.n_lim1) < abs(self.n_lim2):
             raise ConfigError("scheduler needs |n_lim1| >= |n_lim2|")
-        if self.algorithm not in ("sga", "gna", "phyint"):
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.gain_cap <= 0.0:
             raise ConfigError("gain_cap must be positive")
 

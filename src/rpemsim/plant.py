@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal, Optional
 
-from .pu import ConfigError, DqVector, MachineParams
+from .pu import ConfigError, DqVector, MachineParams, check_fields
 
 IntegrationMethod = Literal["trapezoidal"]
-
-_EVENT_TARGETS = ("psi_m", "r_s", "x_d", "x_q", "load_torque", "speed_ref")
 
 
 @dataclass
@@ -41,16 +39,15 @@ class StepEvent:
     never informed."""
 
     time_s: float
-    target: str
+    target: Literal["psi_m", "r_s", "x_d", "x_q", "load_torque", "speed_ref"]
     factor: Optional[float] = None
     value: Optional[float] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         # chained comparison, so that NaN and inf fail too
         if not 0.0 <= self.time_s < math.inf:
             raise ConfigError(f"event time must be >= 0 and finite, got {self.time_s}")
-        if self.target not in _EVENT_TARGETS:
-            raise ConfigError(f"unknown event target {self.target!r}")
         if (self.factor is None) == (self.value is None):
             raise ConfigError("event needs exactly one of factor / value")
         amount = self.factor if self.factor is not None else self.value

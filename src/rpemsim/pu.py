@@ -14,15 +14,107 @@ per-unit, i.e. omega_n * psi_base = u_base.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, Callable, Literal, NamedTuple, Optional
 
 TWO_PI = 2.0 * math.pi
 
 
 class ConfigError(ValueError):
     """Invalid machine or scenario configuration."""
+
+
+def check_fields(obj: Any, error: type[ConfigError] = ConfigError) -> None:
+    """Raise ``error`` unless every field of dataclass ``obj`` holds a value
+    of its declared type: for a float a number but not a bool (an int is
+    stored as its float), for an int an int but not a bool, for a
+    ``Literal`` a listed value, for an ``Optional`` also None, for a list or
+    a fixed-length tuple a list or tuple of such values (stored as the
+    declared container), for any other class an instance of it."""
+    for name, conform, what in _field_rules(type(obj)):
+        value = getattr(obj, name)
+        try:
+            conformed = conform(value)
+        except (TypeError, OverflowError):  # OverflowError: an int beyond float range
+            raise error(f"{type(obj).__name__}.{name} must be {what}, got {value!r}") from None
+        if conformed is not value:
+            object.__setattr__(obj, name, conformed)
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """The declared type of each field of dataclass ``cls``, resolved once."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def from_json(tp: Any, raw: Any, where: str, error: type[ConfigError] = ConfigError) -> Any:
+    """``raw`` with each JSON object that stands for a dataclass built into
+    it, keyed by the dataclass's field names; the dataclasses check the
+    values. ``where`` names ``raw`` in the messages of ``error``."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise error(f"{where} must be an object, got {raw!r}")
+        types = _field_types(tp)
+        unknown = raw.keys() - types.keys()
+        if unknown:
+            raise error(f"unknown {where} keys: {sorted(unknown)}")
+        missing = [f.name for f in dataclasses.fields(tp) if f.name not in raw
+                   and f.default is f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise error(f"missing {where} keys: {missing}")
+        return tp(**{k: from_json(types[k], v, f"{where}.{k}", error)
+                     if isinstance(v, (dict, list)) else v for k, v in raw.items()})
+    if typing.get_origin(tp) is list and isinstance(raw, list):
+        (item,) = typing.get_args(tp)
+        return [from_json(item, v, f"{where}[{i}]", error) for i, v in enumerate(raw)]
+    return raw
+
+
+@functools.cache
+def _field_rules(cls: type) -> tuple[tuple[str, Callable[[Any], Any], str], ...]:
+    return tuple((name, *_conformer(tp)) for name, tp in _field_types(cls).items())
+
+
+def _mismatch(value: Any) -> Any:
+    raise TypeError
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@functools.cache
+def _conformer(tp: Any) -> tuple[Callable[[Any], Any], str]:
+    """(conform, description) of type ``tp``: conform returns its argument as
+    a ``tp`` or raises TypeError."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:  # Optional[X]
+        conform, what = _conformer(next(a for a in args if a is not type(None)))
+        return (lambda v: v if v is None else conform(v)), f"{what} or null"
+    if origin is typing.Literal:
+        what = f"one of {', '.join(map(repr, args))}"
+        return (lambda v: v if v in args else _mismatch(v)), what
+    if origin is list:
+        item, what = _conformer(args[0])
+        return (lambda v: [item(x) for x in v] if isinstance(v, (list, tuple))
+                else _mismatch(v)), f"an array of {what}"
+    if origin is tuple:
+        items, whats = zip(*map(_conformer, args))
+        return (lambda v: tuple(c(x) for c, x in zip(items, v))
+                if isinstance(v, (list, tuple)) and len(v) == len(items)
+                else _mismatch(v)), f"[{', '.join(whats)}]"
+    if tp is float:
+        return (lambda v: v if isinstance(v, float) else float(v) if _is_int(v)
+                else _mismatch(v)), "a number"
+    if tp is int:
+        return (lambda v: v if _is_int(v) else _mismatch(v)), "an integer"
+    what = {str: "a string", dict: "an object"}.get(tp, f"a {tp.__name__}")
+    return (lambda v: v if isinstance(v, tp) else _mismatch(v)), what
 
 
 class DqVector(NamedTuple):
@@ -140,78 +232,56 @@ def to_per_unit(si: SiMachineData, base: BaseQuantities) -> MachineParams:
     )
 
 
-# Machine config file schema: flat key-value pairs, all keys optional except
-# the ratings. Direct pu overrides win over SI-derived values.
-_REQUIRED_KEYS = {
-    "rated_voltage_ll_V",
-    "rated_current_A",
-    "rated_speed_rpm",
-    "pole_pairs",
-}
-_SI_KEYS = {"Rs_ohm", "Ld_H", "Lq_H", "psi_m_Wb"}
-_PU_KEYS = {"r_s_pu", "x_d_pu", "x_q_pu", "psi_m_pu"}
-_OPTIONAL_KEYS = _SI_KEYS | _PU_KEYS | {"convention"}
+@dataclass(frozen=True)
+class MachineConfig:
+    """The machine section of a scenario: the ratings, then either the full
+    SI set or the full pu set. Direct pu values win over SI-derived ones."""
+
+    rated_voltage_ll_V: float
+    rated_current_A: float
+    rated_speed_rpm: float
+    pole_pairs: int
+    Rs_ohm: Optional[float] = None
+    Ld_H: Optional[float] = None
+    Lq_H: Optional[float] = None
+    psi_m_Wb: Optional[float] = None
+    r_s_pu: Optional[float] = None
+    x_d_pu: Optional[float] = None
+    x_q_pu: Optional[float] = None
+    psi_m_pu: Optional[float] = None
+    convention: Literal["amplitude_invariant"] = "amplitude_invariant"
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def machine_from_config(cfg: dict) -> tuple[BaseQuantities, MachineParams]:
-    """Build base and per-unit parameters from a flat key-value config.
+    """Build base and per-unit parameters from a flat key-value config,
+    the JSON form of :class:`MachineConfig`.
 
     Rated frequency is derived as f = p * N_n / 60 from speed and pole
     pairs. Unknown keys are rejected. The only accepted transform
     convention is "amplitude_invariant" (the default).
     """
-    unknown = set(cfg) - _REQUIRED_KEYS - _OPTIONAL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown machine config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(cfg)
-    if missing:
-        raise ConfigError(f"missing machine config keys: {sorted(missing)}")
-    convention = cfg.get("convention", "amplitude_invariant")
-    if convention != "amplitude_invariant":
-        raise ConfigError(f"unsupported transform convention: {convention!r}")
-
-    pole_pairs = int(cfg["pole_pairs"])
-    frequency = pole_pairs * float(cfg["rated_speed_rpm"]) / 60.0
+    c = from_json(MachineConfig, cfg, "machine config")
     base = make_base(
-        rated_voltage_ll=float(cfg["rated_voltage_ll_V"]),
-        rated_current=float(cfg["rated_current_A"]),
-        rated_frequency=frequency,
-        pole_pairs=pole_pairs,
+        rated_voltage_ll=c.rated_voltage_ll_V,
+        rated_current=c.rated_current_A,
+        rated_frequency=c.pole_pairs * c.rated_speed_rpm / 60.0,
+        pole_pairs=c.pole_pairs,
     )
-
-    have_si = _SI_KEYS <= set(cfg)
-    if have_si:
-        si = SiMachineData(
-            rs_ohm=float(cfg["Rs_ohm"]),
-            ld_H=float(cfg["Ld_H"]),
-            lq_H=float(cfg["Lq_H"]),
-            psi_m_Wb=float(cfg["psi_m_Wb"]),
-        )
-        params = to_per_unit(si, base)
-    elif _PU_KEYS <= set(cfg):
-        params = None
-    else:
+    si = (c.Rs_ohm, c.Ld_H, c.Lq_H, c.psi_m_Wb)
+    pu = {"r_s": c.r_s_pu, "x_d": c.x_d_pu, "x_q": c.x_q_pu, "psi_m": c.psi_m_pu}
+    # pu values replace individual SI-derived ones
+    overrides = {name: v for name, v in pu.items() if v is not None}
+    if None not in si:
+        return base, dataclasses.replace(to_per_unit(SiMachineData(*si), base), **overrides)
+    if len(overrides) < len(pu):
         raise ConfigError(
-            "machine config needs either the full SI set "
-            f"{sorted(_SI_KEYS)} or the full pu set {sorted(_PU_KEYS)}"
+            "machine config needs either the full SI set (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) "
+            "or the full pu set (r_s_pu, x_d_pu, x_q_pu, psi_m_pu)"
         )
-
-    # pu overrides replace individual derived values
-    values = {
-        "x_d": params.x_d if params else 0.0,
-        "x_q": params.x_q if params else 0.0,
-        "r_s": params.r_s if params else 0.0,
-        "psi_m": params.psi_m if params else 0.0,
-    }
-    for key, field in (
-        ("x_d_pu", "x_d"),
-        ("x_q_pu", "x_q"),
-        ("r_s_pu", "r_s"),
-        ("psi_m_pu", "psi_m"),
-    ):
-        if key in cfg:
-            values[field] = float(cfg[key])
-    return base, MachineParams(**values)
+    return base, MachineParams(**overrides)
 
 
 #: Ratings and offline-identified data of the reference 3 kW IPMSM plant.

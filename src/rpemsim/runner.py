@@ -9,7 +9,6 @@ predicts, so the prediction error carries parameter information only.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .analysis import write_csv_table
 from .control import (
     CurrentLoops,
     PiState,
@@ -91,13 +91,7 @@ class RunResult:
     mpp_steps: int
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(LOG_COLUMNS)
-            n_rows = len(self.log["t"])
-            cols = [self.log[c] for c in LOG_COLUMNS]
-            for i in range(n_rows):
-                w.writerow([f"{col[i]:.10g}" for col in cols])
+        write_csv_table(path, LOG_COLUMNS, np.column_stack([self.log[c] for c in LOG_COLUMNS]))
 
 
 def convergence_metrics(

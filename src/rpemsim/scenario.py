@@ -3,25 +3,38 @@ events, estimator configuration, plus the preset library replicating the
 reference step-change experiments.
 
 Scenario files are JSON with sections machine / plant / control /
-estimator / events; unknown keys anywhere are rejected.
+estimator / events, whose keys, types and defaults are the fields of the
+section dataclasses; unknown keys anywhere are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Literal, Optional
 
-from .estimator import GainConfig, ParameterBox, ParameterVector, box_bounds_around
+from .estimator import (
+    GainConfig,
+    GainSettings,
+    ParameterBox,
+    ParameterVector,
+    box_bounds_around,
+)
 from .plant import StepEvent, validate_events
 from .pu import (
     TABLE_MACHINE_CONFIG,
     BaseQuantities,
     ConfigError,
     MachineParams,
+    check_fields,
+    from_json,
     machine_from_config,
 )
+
+#: Most plant steps, round(duration_s / t_samp_s) * substeps, one run may take;
+#: the longest preset takes 192 000.
+MAX_PLANT_STEPS = 10**7
 
 
 class ScenarioError(ConfigError):
@@ -61,6 +74,8 @@ def schedule_value(schedule: Schedule, t: float) -> float:
 
 
 def _check_schedule(schedule: Schedule, name: str) -> None:
+    if not all(-math.inf < x < math.inf for entry in schedule for x in entry):
+        raise ScenarioError(f"{name} schedule times and values must be finite")
     if not schedule:
         raise ScenarioError(f"{name} schedule must not be empty")
     times = [t for t, _ in schedule]
@@ -78,10 +93,7 @@ def merge_events_into_schedule(
     for ev in sorted(events, key=lambda e: e.time_s):
         if ev.target != target:
             continue
-        if ev.value is not None:
-            v = ev.value
-        else:
-            v = schedule_value(merged, ev.time_s) * ev.factor
+        v = ev.value if ev.value is not None else schedule_value(merged, ev.time_s) * ev.factor
         merged.append((ev.time_s, v))
         merged.sort(key=lambda p: p[0])
     return merged
@@ -90,19 +102,18 @@ def merge_events_into_schedule(
 @dataclass(frozen=True)
 class PlantSection:
     noise_sigma_pu: float = 0.0
-    speed_mode: str = "prescribed"
+    speed_mode: Literal["prescribed", "dynamic"] = "prescribed"
     inertia_H_s: float = 0.5
     load_torque_pu: float = 0.0
     substeps: int = 1
 
     def __post_init__(self) -> None:
+        check_fields(self, ScenarioError)
         # range checks are chained comparisons, so that NaN and inf fail too
         if not 0.0 <= self.noise_sigma_pu < math.inf:
             raise ScenarioError(
                 f"noise_sigma_pu must be >= 0 and finite, got {self.noise_sigma_pu}"
             )
-        if self.speed_mode not in ("prescribed", "dynamic"):
-            raise ScenarioError(f"unknown speed_mode {self.speed_mode!r}")
         if not -math.inf < self.load_torque_pu < math.inf:
             raise ScenarioError(f"load_torque_pu must be finite, got {self.load_torque_pu}")
         if self.substeps < 1:
@@ -111,7 +122,7 @@ class PlantSection:
 
 @dataclass(frozen=True)
 class ControlSection:
-    mode: str = "torque"  # torque | speed
+    mode: Literal["torque", "speed"] = "torque"
     tau_ref: Schedule = field(default_factory=lambda: [(0.0, 0.0)])
     speed_ref: Schedule = field(default_factory=lambda: [(0.0, 0.0)])
     i_max_pu: float = 1.5
@@ -123,8 +134,7 @@ class ControlSection:
     ti_q: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("torque", "speed"):
-            raise ScenarioError(f"unknown control mode {self.mode!r}")
+        check_fields(self, ScenarioError)
         _check_schedule(self.tau_ref, "tau_ref")
         _check_schedule(self.speed_ref, "speed_ref")
         for name in ("i_max_pu", "u_max_pu", "tau_max_pu", "kp_d", "ti_d", "kp_q", "ti_q"):
@@ -134,46 +144,23 @@ class ControlSection:
 
 
 @dataclass(frozen=True)
-class EstimatorSection:
-    algorithm: str = "sga"
-    gamma_L_psi: float = 3.25e-4
-    gamma_L_rs: float = 6.25e-5
-    gamma_r: float = 6.25e-4
-    gradient_mode_psi: str = "steady_state"
-    gradient_mode_rs: str = "steady_state"
-    n_lim1_pu: float = 0.1
-    n_lim2_pu: float = 0.01
+class EstimatorSection(GainSettings):
+    n_lim1_pu: float = GainConfig.n_lim1
+    n_lim2_pu: float = GainConfig.n_lim2
     box_fraction: float = 0.3
     box_psi_m_min: Optional[float] = None  # explicit bounds win over fraction
     box_psi_m_max: Optional[float] = None
     box_r_s_min: Optional[float] = None
     box_r_s_max: Optional[float] = None
-    r_floor: float = 1e-6
-    detR_floor: float = 1e-10
-    i_floor: float = 0.02
-    gain_cap: float = 1e4
-    sga_r_mode: str = "trace"
-    r0: Optional[float] = None
     theta0_psi_m: Optional[float] = None  # default: true initial values
     theta0_r_s: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        check_fields(self, ScenarioError)
+
     def gain_config(self) -> GainConfig:
-        return GainConfig(
-            algorithm=self.algorithm,  # type: ignore[arg-type]
-            gamma_L_psi=self.gamma_L_psi,
-            gamma_L_rs=self.gamma_L_rs,
-            gamma_r=self.gamma_r,
-            gradient_mode_psi=self.gradient_mode_psi,  # type: ignore[arg-type]
-            gradient_mode_rs=self.gradient_mode_rs,  # type: ignore[arg-type]
-            n_lim1=self.n_lim1_pu,
-            n_lim2=self.n_lim2_pu,
-            r_floor=self.r_floor,
-            detR_floor=self.detR_floor,
-            i_floor=self.i_floor,
-            gain_cap=self.gain_cap,
-            sga_r_mode=self.sga_r_mode,  # type: ignore[arg-type]
-            r0=self.r0,
-        )
+        settings = {f.name: getattr(self, f.name) for f in fields(GainSettings)}
+        return GainConfig(**settings, n_lim1=self.n_lim1_pu, n_lim2=self.n_lim2_pu)
 
 
 @dataclass(frozen=True)
@@ -193,13 +180,20 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
+        check_fields(self, ScenarioError)
         # chained comparisons, so that NaN and inf fail too
         if not 0.0 < self.duration_s < math.inf:
             raise ScenarioError(f"duration must be positive and finite, got {self.duration_s}")
         if not 0.0 < self.t_samp_s < math.inf:
             raise ScenarioError(f"t_samp_s must be positive and finite, got {self.t_samp_s}")
+        samples = self.duration_s / self.t_samp_s  # round() raises on inf: skip it past the cap
+        steps = round(samples) * self.plant.substeps if samples < MAX_PLANT_STEPS + 1 else samples
+        if not 1 <= steps <= MAX_PLANT_STEPS:
+            raise ScenarioError(f"the run takes {steps} plant steps, not 1 to {MAX_PLANT_STEPS}")
         if self.log_decimation < 1:
             raise ScenarioError("log_decimation must be >= 1")
+        if self.seed < 0:  # the noise generator takes only non-negative seeds
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         # the dynamic plant integrates with it, and the speed PI is tuned from it
         uses_inertia = self.plant.speed_mode == "dynamic" or self.control.mode == "speed"
         if uses_inertia and not 0.0 < self.plant.inertia_H_s < math.inf:
@@ -215,9 +209,7 @@ class Scenario:
         validate_events(self.events, params)
         for ev in self.events:
             if ev.time_s > self.duration_s:
-                raise ScenarioError(
-                    f"event at t={ev.time_s}s lies beyond the run duration"
-                )
+                raise ScenarioError(f"event at t={ev.time_s}s lies beyond the run duration")
         self.estimator.gain_config()  # raises on bad gains
         self.parameter_box(params)
         self.initial_model(params)
@@ -229,28 +221,16 @@ class Scenario:
         )
 
     def speed_ref_schedule(self) -> Schedule:
-        return merge_events_into_schedule(
-            self.control.speed_ref, self.events, "speed_ref"
-        )
+        return merge_events_into_schedule(self.control.speed_ref, self.events, "speed_ref")
 
     def parameter_events(self) -> list[StepEvent]:
-        return [
-            ev for ev in self.events
-            if ev.target in ("psi_m", "r_s", "x_d", "x_q")
-        ]
+        return [ev for ev in self.events if ev.target in ("psi_m", "r_s", "x_d", "x_q")]
 
     def initial_theta(self, true_params: MachineParams) -> ParameterVector:
+        est = self.estimator
         return ParameterVector(
-            psi_m=(
-                self.estimator.theta0_psi_m
-                if self.estimator.theta0_psi_m is not None
-                else true_params.psi_m
-            ),
-            r_s=(
-                self.estimator.theta0_r_s
-                if self.estimator.theta0_r_s is not None
-                else true_params.r_s
-            ),
+            psi_m=true_params.psi_m if est.theta0_psi_m is None else est.theta0_psi_m,
+            r_s=true_params.r_s if est.theta0_r_s is None else est.theta0_r_s,
         )
 
     def initial_model(self, true_params: MachineParams) -> MachineParams:
@@ -289,65 +269,26 @@ class Scenario:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "duration_s": self.duration_s,
-            "machine": dict(self.machine),
-            "plant": asdict(self.plant),
-            "control": {
-                **asdict(self.control),
-                "tau_ref": [list(p) for p in self.control.tau_ref],
-                "speed_ref": [list(p) for p in self.control.speed_ref],
-            },
-            "estimator": asdict(self.estimator),
-            "events": [
-                {k: v for k, v in asdict(ev).items() if v is not None}
-                for ev in self.events
-            ],
-            "seed": self.seed,
-            "t_samp_s": self.t_samp_s,
-            "log_decimation": self.log_decimation,
-            "description": self.description,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Scenario":
-        known_top = {
-            "name", "duration_s", "machine", "plant", "control", "estimator",
-            "events", "seed", "t_samp_s", "log_decimation", "description",
-        }
-        unknown = set(d) - known_top
-        if unknown:
-            raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
+    def from_dict(cls, d: Any) -> "Scenario":
+        """The scenario of a JSON document; every error is a ScenarioError."""
         try:
-            plant = PlantSection(**d.get("plant", {}))
-            ctl_raw = dict(d.get("control", {}))
-            for key in ("tau_ref", "speed_ref"):
-                if key in ctl_raw:
-                    ctl_raw[key] = [(float(t), float(v)) for t, v in ctl_raw[key]]
-            control = ControlSection(**ctl_raw)
-            estimator = EstimatorSection(**d.get("estimator", {}))
-            events = [StepEvent(**ev) for ev in d.get("events", [])]
-        except TypeError as exc:
-            raise ScenarioError(f"bad scenario section: {exc}") from exc
-        return cls(
-            name=d["name"],
-            duration_s=float(d["duration_s"]),
-            machine=dict(d.get("machine", TABLE_MACHINE_CONFIG)),
-            plant=plant,
-            control=control,
-            estimator=estimator,
-            events=events,
-            seed=int(d.get("seed", 1)),
-            t_samp_s=float(d.get("t_samp_s", 125e-6)),
-            log_decimation=int(d.get("log_decimation", 8)),
-            description=d.get("description", ""),
-        )
+            return from_json(cls, d, "scenario", ScenarioError)
+        except ScenarioError:
+            raise
+        except ConfigError as exc:  # machine and event checks
+            raise ScenarioError(str(exc)) from exc
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as f:
-        return Scenario.from_dict(json.load(f))
+    try:
+        with open(path) as f:
+            d = json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    return Scenario.from_dict(d)
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
@@ -410,11 +351,7 @@ def _scenario(
     description: str = "",
     seed: int = 7,
 ) -> Scenario:
-    speed_ref = (
-        speed_schedule if speed_schedule is not None else [(0.0, speed or 0.0)]
-    )
-    est = {"algorithm": algorithm}
-    est.update(est_kwargs or {})
+    speed_ref = speed_schedule if speed_schedule is not None else [(0.0, speed or 0.0)]
     return Scenario(
         name=name,
         duration_s=duration,
@@ -428,7 +365,7 @@ def _scenario(
             tau_ref=[(0.0, tau or 0.0)],
             speed_ref=speed_ref,
         ),
-        estimator=EstimatorSection(**est),
+        estimator=EstimatorSection(algorithm=algorithm, **(est_kwargs or {})),
         events=[StepEvent(**ev) for ev in (events or [])],
         seed=seed,
         description=description,
@@ -436,33 +373,15 @@ def _scenario(
 
 
 def _psi_est(**kw) -> dict:
-    d = {
-        "gamma_L_psi": GAMMA_L_PSI,
-        "gamma_r": GAMMA_R_PSI,
-        "gamma_L_rs": GAMMA_L_RS_SGA,
-    }
-    d.update(kw)
-    return d
+    return {"gamma_L_psi": GAMMA_L_PSI, "gamma_r": GAMMA_R_PSI, "gamma_L_rs": GAMMA_L_RS_SGA, **kw}
 
 
 def _rs_est(algorithm: str, effective: bool = False, **kw) -> dict:
-    if algorithm == "gna":
-        d = {
-            "gamma_L_rs": GAMMA_L_RS_GNA_EFFECTIVE if effective else GAMMA_L_RS_GNA,
-            "gamma_r": GAMMA_R_RS_GNA,
-        }
-    elif algorithm == "phyint":
-        d = {
-            "gamma_L_rs": (
-                GAMMA_L_RS_PHYINT_EFFECTIVE if effective else GAMMA_L_RS_SGA
-            ),
-            "gamma_r": GAMMA_R_RS_SGA,
-        }
-    else:
-        d = {"gamma_L_rs": GAMMA_L_RS_SGA, "gamma_r": GAMMA_R_RS_SGA}
-    d["gamma_L_psi"] = GAMMA_L_PSI
-    d.update(kw)
-    return d
+    gamma_L_rs, gamma_r = {
+        "gna": (GAMMA_L_RS_GNA_EFFECTIVE if effective else GAMMA_L_RS_GNA, GAMMA_R_RS_GNA),
+        "phyint": (GAMMA_L_RS_PHYINT_EFFECTIVE if effective else GAMMA_L_RS_SGA, GAMMA_R_RS_SGA),
+    }.get(algorithm, (GAMMA_L_RS_SGA, GAMMA_R_RS_SGA))
+    return {"gamma_L_rs": gamma_L_rs, "gamma_r": gamma_r, "gamma_L_psi": GAMMA_L_PSI, **kw}
 
 
 def preset_library() -> dict[str, Scenario]:
@@ -472,12 +391,8 @@ def preset_library() -> dict[str, Scenario]:
     presets: dict[str, Scenario] = {}
 
     # flux step experiments, real-time simulator panel set
-    for panel, (n, tau) in {
-        "a": (-0.2, 0.0),
-        "b": (-0.4, 0.2),
-        "c": (0.4, 0.2),
-        "d": (0.8, 0.4),
-    }.items():
+    fig7 = {"a": (-0.2, 0.0), "b": (-0.4, 0.2), "c": (0.4, 0.2), "d": (0.8, 0.4)}
+    for panel, (n, tau) in fig7.items():
         presets[f"fig7{panel}"] = _scenario(
             f"fig7{panel}",
             8.0,
@@ -491,12 +406,8 @@ def preset_library() -> dict[str, Scenario]:
     # resistance step experiments, real-time simulator panel set; panels a
     # and d sit at |n| = 0.05, outside the default standstill window, so
     # the resistance window is widened for them
-    for panel, (n, tau) in {
-        "a": (-0.05, 0.2),
-        "b": (0.0, 0.2),
-        "c": (0.0, 0.6),
-        "d": (0.05, 0.6),
-    }.items():
+    fig8 = {"a": (-0.05, 0.2), "b": (0.0, 0.2), "c": (0.0, 0.6), "d": (0.05, 0.6)}
+    for panel, (n, tau) in fig8.items():
         wide = {"n_lim2_pu": 0.06} if abs(n) > 0.01 else {}
         presets[f"fig8{panel}"] = _scenario(
             f"fig8{panel}",

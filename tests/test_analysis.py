@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rpemsim.analysis import (
-    CSV_HEADER,
+    MAP_COLUMNS,
     MAP_SURFACES,
     OperatingGrid,
     cell_currents,
@@ -286,7 +286,7 @@ def test_csv_export_header_and_shape(tmp_path, params, base):
     write_maps_csv(t, str(path))
     with open(path) as f:
         rows = list(csv.reader(f))
-    assert rows[0] == CSV_HEADER
+    assert rows[0] == ["n_pu", "tau_pu", *MAP_COLUMNS["all"]]
     assert len(rows) == 1 + 25
 
 

@@ -403,6 +403,23 @@ def test_schedule_limit_ordering_enforced():
         _cfg(n_lim1=0.01, n_lim2=0.1)
 
 
+@pytest.mark.parametrize("field", [
+    {"sga_r_mode": "bogus"},
+    {"algorithm": "newton"},
+    {"gradient_mode_rs": "bogus"},
+    {"gamma_r": "big"},
+    {"gamma_L_psi": True},
+    {"r0": "1"},
+])
+def test_gain_config_rejects_values_outside_the_declared_types(field):
+    with pytest.raises(ConfigError):
+        _cfg(**field)
+
+
+def test_gain_config_stores_an_integer_rate_as_its_float():
+    assert type(_cfg(gamma_r=1).gamma_r) is float
+
+
 def test_project_interior_unchanged(wide_box):
     assert clamp_to_box(0.9, 0.05, wide_box) == (0.9, 0.05)
 

@@ -97,6 +97,27 @@ def test_machine_config_pure_pu_path():
     assert (p.r_s, p.x_d, p.x_q, p.psi_m) == (0.05, 0.6, 1.4, 0.9)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("rated_voltage_ll_V", "abc"),
+    ("rated_current_A", True),
+    ("rated_current_A", None),
+    ("psi_m_pu", [0.9]),
+    ("pole_pairs", 2.5),
+    ("pole_pairs", 3.0),
+    ("convention", 1),
+    pytest.param("rated_speed_rpm", 10**400, id="rated_speed_rpm-beyond_float"),
+])
+def test_machine_config_rejects_non_numbers_and_non_integer_pole_pairs(key, value):
+    cfg = {**TABLE_MACHINE_CONFIG, key: value}
+    with pytest.raises(ConfigError, match=key):
+        machine_from_config(cfg)
+
+
+def test_machine_config_null_optional_value_is_unset():
+    cfg = {**TABLE_MACHINE_CONFIG, "psi_m_pu": None}
+    assert machine_from_config(cfg)[1].psi_m == pytest.approx(1.097, rel=1e-3)  # SI value
+
+
 def test_machine_config_rejects_other_convention():
     cfg = dict(TABLE_MACHINE_CONFIG)
     cfg["convention"] = "power_invariant"

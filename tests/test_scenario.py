@@ -1,16 +1,21 @@
+import copy
 import json
 import math
 import re
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpemsim.cli import main as cli_main
 from rpemsim.plant import StepEvent
-from rpemsim.pu import TABLE_MACHINE_CONFIG, ConfigError
+from rpemsim.pu import TABLE_MACHINE_CONFIG, ConfigError, MachineConfig
 from rpemsim.runner import SimulationDiverged, convergence_metrics, run
 from rpemsim.scenario import (
     ControlSection,
+    EstimatorSection,
     PlantSection,
     Scenario,
     ScenarioError,
@@ -308,6 +313,127 @@ def test_cli_validate_rejects_non_finite_and_zero_inertia(tmp_path, capsys, fiel
                              error=ConfigError)
 
 
+# fig9d has both kinds of event: a factor (events[0]) and a value step
+_VALID = preset_library()["fig9d"].to_dict()
+
+
+def _declared_fields():
+    """(path into a scenario dict, declared type) of every field."""
+    out = [((name,), tp) for name, tp in get_type_hints(Scenario).items()]
+    for section, cls in (
+        ("machine", MachineConfig), ("plant", PlantSection), ("control", ControlSection),
+        ("estimator", EstimatorSection), ("events", StepEvent),
+    ):
+        prefix = (section, 0) if section == "events" else (section,)
+        out += [((*prefix, name), tp) for name, tp in get_type_hints(cls).items()]
+    return out
+
+
+def _other_json(tp):
+    """JSON values of any type but the one ``tp`` declares, and for an int
+    also non-integral numbers, for a Literal also strings not listed."""
+    other = {
+        str: st.text(max_size=4),
+        float: st.integers() | st.floats(),
+        bool: st.booleans(),
+        list: st.lists(st.integers(), max_size=2),
+        dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+        None: st.none(),
+    }
+    if get_origin(tp) is Union:  # Optional[X]
+        del other[None]
+        (tp,) = (a for a in get_args(tp) if a is not type(None))
+    if tp is int:
+        del other[float]
+        other[int] = st.floats().filter(lambda x: not x.is_integer())
+    elif get_origin(tp) is Literal:
+        other[str] = st.text(max_size=8).filter(lambda x: x not in get_args(tp))
+    elif tp in (float, str):
+        del other[tp]
+    elif get_origin(tp) is list:
+        del other[list]
+    else:  # the machine dict and the section dataclasses are JSON objects
+        del other[dict]
+    return st.one_of(*other.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_from_dict_rejects_any_field_of_another_json_type(data):
+    path, tp = data.draw(st.sampled_from(_declared_fields()))
+    d = copy.deepcopy(_VALID)
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(_other_json(tp))
+    with pytest.raises(ScenarioError):
+        Scenario.from_dict(d)
+
+
+_VALID_TEXT = json.dumps({"name": "x", "duration_s": 1.0})
+
+
+def _with(**fields) -> str:
+    return json.dumps({"name": "x", "duration_s": 1.0, **fields})
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_VALID_TEXT[:-5], id="truncated_json"),
+    pytest.param("[" + _VALID_TEXT + "]", id="top_level_array"),
+    pytest.param('"x"', id="top_level_string"),
+    pytest.param(b'{"name": "\xff", "duration_s": 1.0}', id="not_utf8"),
+    pytest.param(json.dumps({"duration_s": 1.0}), id="missing_name"),
+    pytest.param(json.dumps({"name": 5, "duration_s": 1.0}), id="name_5"),
+    pytest.param(_with(duration_s="abc"), id="duration_abc"),
+    pytest.param(_with(duration_s=True), id="duration_true"),
+    pytest.param(_with(estimator={"gamma_r": "big"}), id="gamma_r_big"),
+    pytest.param(_with(control={"tau_ref": [[0.0, 0.3, 1.0]]}), id="tau_ref_triple"),
+    pytest.param(_with(control={"speed_ref": [[0.0, math.nan]]}), id="speed_ref_nan"),
+    pytest.param(_with(log_decimation=1.7), id="log_decimation_1.7"),
+    pytest.param(_with(seed=1.5), id="seed_1.5"),
+    pytest.param(_with(seed=-1), id="seed_negative"),
+    pytest.param(_with(plant={"substeps": 2.5}), id="substeps_2.5"),
+    pytest.param(_with(estimator={"sga_r_mode": "bogus"}), id="sga_r_mode_bogus"),
+    pytest.param(_with(estimator={"gradient_mode_psi": "bogus"}), id="gradient_mode_bogus"),
+    pytest.param(_with(machine={**TABLE_MACHINE_CONFIG, "rated_voltage_ll_V": "abc"}),
+                 id="rated_voltage_abc"),
+    pytest.param(_with(machine={**TABLE_MACHINE_CONFIG, "pole_pairs": 2.5}),
+                 id="pole_pairs_2.5"),
+    pytest.param(_with(t_samp_s=1e-9), id="t_samp_1e-9"),
+    pytest.param(_with(duration_s=1e-5), id="zero_steps"),
+    pytest.param(_with(duration_s=1e300, t_samp_s=1e-300), id="step_count_overflows"),
+])
+def test_cli_validate_rejects_malformed_files_in_one_line(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    assert cli_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_step_cap_counts_plant_substeps():
+    d = preset_library()["fig9a"].to_dict()  # 24 s: 192 000 samples
+    d["plant"]["substeps"] = 52  # 9 984 000 plant steps
+    assert Scenario.from_dict(d).plant.substeps == 52
+    d["plant"]["substeps"] = 53  # 10 176 000
+    with pytest.raises(ScenarioError, match="plant steps"):
+        Scenario.from_dict(d)
+
+
+def test_integer_numbers_are_stored_as_floats():
+    sc = Scenario.from_dict({
+        "name": "x", "duration_s": 1, "control": {"tau_ref": [[0, 1]]},
+        "events": [{"time_s": 0, "target": "psi_m", "factor": 1}],
+    })
+    assert type(sc.duration_s) is float
+    assert [type(x) for x in sc.control.tau_ref[0]] == [float, float]
+    assert type(sc.events[0].factor) is float
+
+
 def _assert_validate_rejects(d, tmp_path, capsys, error=ScenarioError):
     """``Scenario.from_dict`` raises ``error`` and ``rpemsim validate``
     exits 1 with a one-line error."""
@@ -388,6 +514,46 @@ def test_cli_map_and_eig_reject_bad_grid_input(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_map_surface_writes_its_columns_of_map_all(tmp_path):
+    out = tmp_path / "maps"
+    assert cli_main(["--out", str(out), "map", "all", "--points", "5"]) == 0
+    *all_lines, end = (out / "map_all.csv").read_bytes().split(b"\r\n")
+    assert end == b""
+    rows = [line.split(b",") for line in all_lines]
+    header = rows[0]
+    written = []
+    for surface in ("sensitivity", "gradient", "hessian", "stability"):
+        assert cli_main(["--out", str(out), "map", surface, "--points", "5"]) == 0
+        lines = (out / f"map_{surface}.csv").read_bytes().split(b"\r\n")
+        columns = lines[0].split(b",")
+        assert columns[:2] == [b"n_pu", b"tau_pu"]
+        keep = [header.index(c) for c in columns]
+        assert lines == [b",".join(row[i] for i in keep) for row in rows] + [b""]
+        written += columns[2:]
+    # the four surfaces split the columns of map all between them
+    assert written == header[2:]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "--speed-range", "-1e-3", "1"],
+    ["map", "bogus"],
+    ["map", "all", "--points", "many"],
+    ["sim"],
+    ["frobnicate"],
+])
+def test_cli_usage_error_exits_1_not_the_divergence_code(tmp_path, capsys, argv):
+    assert cli_main(["--out", str(tmp_path / "o"), *argv]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_cli_negative_range_bound_in_decimal_form(tmp_path, capsys):
+    assert cli_main(["eig", "--help"]) == 0
+    assert "decimal form" in capsys.readouterr().out
+    out = tmp_path / "eig"
+    assert cli_main(["--out", str(out), "eig", "--speed-range", "-0.001", "1", "--points", "3"]) == 0
+    assert (out / "eigenvalues.csv").read_text().splitlines()[1].startswith("-0.001,")
 
 
 def test_cli_eig_writes(tmp_path):
