@@ -10,11 +10,13 @@ information only. Parameter updates are
 
 with the gain L computed from the prediction gradient (the sensitivity of
 the predicted current to each estimated parameter) by one of three
-algorithms:
+algorithms, each a gain object that owns its filter state and takes the
+same per-sample call; :func:`make_gain` picks one from the configuration:
 
-  SGA     normalized gradient step, scalar filtered Hessian
-  GNA     Gauss-Newton step, 2x2 filtered Hessian with pseudoinverse
-          fallback where the Hessian is singular (standstill)
+  SGA     normalized gradient step, scalar filtered Hessian (SgaTrace)
+          or one filter per gradient entry (SgaPerGradient)
+  GNA     Gauss-Newton step (Gna), 2x2 filtered Hessian with
+          pseudoinverse fallback where it is singular (standstill)
   PhyInt  fixed gains solving the steady-state error relations directly
 
 A speed scheduler zeroes the flux row at low speed and the resistance row
@@ -24,7 +26,7 @@ away from standstill, decoupling the two estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Literal, NamedTuple, Optional
 
 # step_matrices is not called here; it stays a module attribute because
@@ -133,12 +135,13 @@ class PredictorState:
 
 @dataclass
 class HessianState:
-    """Second-order information built from the prediction gradients.
+    """Filter state of the object-level oracles :func:`sga_update` and
+    :func:`gna_update`, across all algorithms.
 
-    scalar_r serves the SGA trace mode, the per-gradient fields its
-    per-gradient variant, and (r11, r12, r22) the symmetric GNA matrix.
-    mpp_last records whether the last GNA step took the pseudoinverse
-    branch.
+    Its fields carry the names of the gain objects' state: scalar_r serves
+    :class:`SgaTrace`, the per-gradient fields :class:`SgaPerGradient`, and
+    (r11, r12, r22) the symmetric :class:`Gna` matrix. mpp_last records
+    whether the last GNA step took the pseudoinverse branch.
     """
 
     scalar_r: float = 1.0
@@ -198,10 +201,17 @@ class GainConfig(GainSettings):
         for g in (self.gamma_L_psi, self.gamma_L_rs, self.gamma_r):
             if not (0.0 < g <= 1.0):
                 raise ConfigError("gamma values must lie in (0, 1]")
-        if abs(self.n_lim1) < abs(self.n_lim2):
-            raise ConfigError("scheduler needs |n_lim1| >= |n_lim2|")
-        if self.gain_cap <= 0.0:
-            raise ConfigError("gain_cap must be positive")
+        # chained comparisons, so that NaN fails too; only r0 may be None
+        for name in ("gain_cap", "r_floor", "detR_floor", "r0"):
+            x = getattr(self, name)
+            if not (x is None or 0.0 < x < math.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {x}")
+        for name in ("i_floor", "ss_denom_floor", "mpp_tol"):
+            x = getattr(self, name)
+            if not 0.0 <= x < math.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite, got {x}")
+        if not abs(self.n_lim2) <= abs(self.n_lim1) < math.inf:
+            raise ConfigError("scheduler needs finite limits with |n_lim1| >= |n_lim2|")
 
 
 def prediction_error(i_meas: DqVector, i_hat: DqVector) -> DqVector:
@@ -365,79 +375,59 @@ def _scheduled_update(
     return theta, L
 
 
-# The gain kernels below take the prediction gradients and the Hessian
-# state as floats and return the updated state followed by the gains
-# (l11, l12, l21, l22). Floors are applied as max(x, floor) spelled out.
+# The gain objects below own their filter state. Each step() takes the
+# prediction gradients, the resistance estimate r_s, the speed n and the
+# predicted current (i_d, i_q), and returns the gains (l11, l12, l21, l22)
+# followed by the telemetry (r_scalar, det_R, mpp_used). Floors are
+# applied as max(x, floor) spelled out.
+GainStep = tuple[float, float, float, float, float, float, bool]
 
 
-def sga_trace_gains(
-    r: float, psi_d: float, psi_q: float, rs_d: float, rs_q: float,
-    cfg: GainConfig,
-) -> tuple[float, float, float, float, float]:
-    """SGA trace mode: one scalar r filters the full gradient trace."""
-    tr = psi_d**2 + psi_q**2 + rs_d**2 + rs_q**2
-    r = r + cfg.gamma_r * (tr - r)
-    fl = cfg.r_floor
-    rdiv = fl if fl > r else r
-    return (
-        r,
-        cfg.gamma_L_psi * psi_d / rdiv,
-        cfg.gamma_L_psi * psi_q / rdiv,
-        cfg.gamma_L_rs * rs_d / rdiv,
-        cfg.gamma_L_rs * rs_q / rdiv,
-    )
+@dataclass(slots=True)
+class SgaTrace:
+    """SGA trace mode: one scalar r filters the full gradient trace, and
+    L = (gamma_L / r) * gradient."""
+
+    cfg: GainConfig
+    scalar_r: float
+
+    def step(self, psi_d: float, psi_q: float, rs_d: float, rs_q: float,
+             r_s: float, n: float, i_d: float, i_q: float) -> GainStep:
+        cfg = self.cfg
+        tr = psi_d**2 + psi_q**2 + rs_d**2 + rs_q**2
+        r = self.scalar_r = self.scalar_r + cfg.gamma_r * (tr - self.scalar_r)
+        fl, gp, gr = cfg.r_floor, cfg.gamma_L_psi, cfg.gamma_L_rs
+        rdiv = fl if fl > r else r
+        return (gp * psi_d / rdiv, gp * psi_q / rdiv, gr * rs_d / rdiv, gr * rs_q / rdiv,
+                r, 0.0, False)
 
 
-def sga_per_gradient_gains(
-    rpd: float, rpq: float, rrd: float, rrq: float,
-    psi_d: float, psi_q: float, rs_d: float, rs_q: float, cfg: GainConfig,
-) -> tuple[float, float, float, float, float, float, float, float]:
+@dataclass(slots=True)
+class SgaPerGradient:
     """SGA per-gradient mode: each gain element is normalized by a filter
-    of its own squared gradient entry."""
-    g = cfg.gamma_r
-    rpd = rpd + g * (psi_d**2 - rpd)
-    rpq = rpq + g * (psi_q**2 - rpq)
-    rrd = rrd + g * (rs_d**2 - rrd)
-    rrq = rrq + g * (rs_q**2 - rrq)
-    fl = cfg.r_floor
-    return (
-        rpd, rpq, rrd, rrq,
-        cfg.gamma_L_psi * psi_d / (fl if fl > rpd else rpd),
-        cfg.gamma_L_psi * psi_q / (fl if fl > rpq else rpq),
-        cfg.gamma_L_rs * rs_d / (fl if fl > rrd else rrd),
-        cfg.gamma_L_rs * rs_q / (fl if fl > rrq else rrq),
-    )
+    of its own squared gradient entry, which makes the settled gains
+    coincide with the PhyInt relations. The reported r_scalar is the seed
+    trace scalar_r, which no step moves."""
 
+    cfg: GainConfig
+    scalar_r: float
+    rg_psi_d: float
+    rg_psi_q: float
+    rg_rs_d: float
+    rg_rs_q: float
 
-def sga_update(
-    theta: ParameterVector,
-    eps: DqVector,
-    grads: GradientSet,
-    hess: HessianState,
-    cfg: GainConfig,
-    box: ParameterBox,
-    schedule_n: Optional[float] = None,
-) -> tuple[ParameterVector, HessianState, GainMatrix]:
-    """Stochastic-gradient update.
-
-    Trace mode filters the full gradient trace into one scalar r and uses
-    L = (gamma_L / r) * gradient. Per-gradient mode normalizes each gain
-    element by a filter of its own squared gradient entry, which makes the
-    settled gains coincide with the PhyInt relations.
-    """
-    if cfg.sga_r_mode == "trace":
-        r, *L = sga_trace_gains(hess.scalar_r, *grads, cfg)
-        hess_new = replace(hess, scalar_r=r, mpp_last=False)
-    else:
-        rpd, rpq, rrd, rrq, *L = sga_per_gradient_gains(
-            hess.rg_psi_d, hess.rg_psi_q, hess.rg_rs_d, hess.rg_rs_q, *grads, cfg
-        )
-        hess_new = replace(
-            hess, rg_psi_d=rpd, rg_psi_q=rpq, rg_rs_d=rrd, rg_rs_q=rrq,
-            mpp_last=False,
-        )
-    theta, L = _scheduled_update(theta, GainMatrix(*L), eps, cfg, box, schedule_n)
-    return theta, hess_new, L
+    def step(self, psi_d: float, psi_q: float, rs_d: float, rs_q: float,
+             r_s: float, n: float, i_d: float, i_q: float) -> GainStep:
+        cfg = self.cfg
+        g = cfg.gamma_r
+        rpd = self.rg_psi_d = self.rg_psi_d + g * (psi_d**2 - self.rg_psi_d)
+        rpq = self.rg_psi_q = self.rg_psi_q + g * (psi_q**2 - self.rg_psi_q)
+        rrd = self.rg_rs_d = self.rg_rs_d + g * (rs_d**2 - self.rg_rs_d)
+        rrq = self.rg_rs_q = self.rg_rs_q + g * (rs_q**2 - self.rg_rs_q)
+        fl, gp, gr = cfg.r_floor, cfg.gamma_L_psi, cfg.gamma_L_rs
+        return (gp * psi_d / (fl if fl > rpd else rpd), gp * psi_q / (fl if fl > rpq else rpq),
+                gr * rs_d / (fl if fl > rrd else rrd), gr * rs_q / (fl if fl > rrq else rrq),
+                self.scalar_r, 0.0, False)
 
 
 def pseudoinverse_2x2(
@@ -481,39 +471,127 @@ def pseudoinverse_2x2(
     return ((p11, p12), (p12, p22))
 
 
-def gna_gains(
-    r11: float, r12: float, r22: float,
-    psi_d: float, psi_q: float, rs_d: float, rs_q: float, cfg: GainConfig,
-) -> tuple[float, float, float, float, bool, float, float, float, float]:
-    """GNA: filtered 2x2 Hessian (r11, r12, r22), its determinant and
-    whether the pseudoinverse was used, then the capped gains."""
-    g = cfg.gamma_r
-    r11 = r11 + g * (psi_d**2 + psi_q**2 - r11)
-    r12 = r12 + g * (psi_d * rs_d + psi_q * rs_q - r12)
-    r22 = r22 + g * (rs_d**2 + rs_q**2 - r22)
-    det = r11 * r22 - r12 * r12
-    if det >= cfg.detR_floor:
-        inv = 1.0 / det
-        q11, q12, q22 = r22 * inv, -r12 * inv, r11 * inv
-        mpp = False
+@dataclass(slots=True)
+class Gna:
+    """GNA: filtered 2x2 Hessian (r11, r12, r22). The exact inverse is used
+    while det(R) stays above the floor; below it the pseudoinverse takes
+    over, which is what keeps the resistance row alive at standstill where
+    the matrix is structurally singular. Each gain row's magnitude is then
+    capped."""
+
+    cfg: GainConfig
+    r11: float
+    r12: float
+    r22: float
+
+    def step(self, psi_d: float, psi_q: float, rs_d: float, rs_q: float,
+             r_s: float, n: float, i_d: float, i_q: float) -> GainStep:
+        cfg = self.cfg
+        g = cfg.gamma_r
+        r11 = self.r11 = self.r11 + g * (psi_d**2 + psi_q**2 - self.r11)
+        r12 = self.r12 = self.r12 + g * (psi_d * rs_d + psi_q * rs_q - self.r12)
+        r22 = self.r22 = self.r22 + g * (rs_d**2 + rs_q**2 - self.r22)
+        det = r11 * r22 - r12 * r12
+        if det >= cfg.detR_floor:
+            inv = 1.0 / det
+            q11, q12, q22 = r22 * inv, -r12 * inv, r11 * inv
+            mpp = False
+        else:
+            # the module global, so a wrapper installed there sees the call
+            (q11, q12), (_, q22) = pseudoinverse_2x2(((r11, r12), (r12, r22)), cfg.mpp_tol)
+            mpp = True
+        l11 = cfg.gamma_L_psi * (q11 * psi_d + q12 * rs_d)
+        l12 = cfg.gamma_L_psi * (q11 * psi_q + q12 * rs_q)
+        l21 = cfg.gamma_L_rs * (q12 * psi_d + q22 * rs_d)
+        l22 = cfg.gamma_L_rs * (q12 * psi_q + q22 * rs_q)
+        # bound each gain row's magnitude; large gains amplify noise
+        cap = cfg.gain_cap
+        n1 = math.hypot(l11, l12)
+        if n1 > cap:
+            l11, l12 = l11 * (cap / n1), l12 * (cap / n1)
+        n2 = math.hypot(l21, l22)
+        if n2 > cap:
+            l21, l22 = l21 * (cap / n2), l22 * (cap / n2)
+        return l11, l12, l21, l22, 0.0, det, mpp
+
+
+@dataclass(slots=True)
+class PhyInt:
+    """Physically interpreted gains, with no filter state. The flux gain is
+    the high-speed inversion of the steady-state error, L11 = -gamma * x_d,
+    fed by the d-axis error only. The resistance gains invert the
+    steady-state relations per axis at r_s and the predicted current; a
+    denominator below its current-scaled threshold zeroes that gain for
+    the step instead of letting it blow up."""
+
+    cfg: GainConfig
+    x_d: float
+    x_q: float
+
+    def step(self, psi_d: float, psi_q: float, rs_d: float, rs_q: float,
+             r_s: float, n: float, i_d: float, i_q: float) -> GainStep:
+        cfg = self.cfg
+        x_d, x_q = self.x_d, self.x_q
+        D = r_s * r_s + n * n * x_d * x_q
+        den_d = -r_s * i_d - n * x_q * i_q
+        den_q = -r_s * i_q + n * x_d * i_d
+        th_d = cfg.i_floor * (r_s + abs(n) * x_q)
+        th_q = cfg.i_floor * (r_s + abs(n) * x_d)
+        l21 = cfg.gamma_L_rs * D / den_d if abs(den_d) >= th_d and th_d > 0.0 else 0.0
+        l22 = cfg.gamma_L_rs * D / den_q if abs(den_q) >= th_q and th_q > 0.0 else 0.0
+        return -cfg.gamma_L_psi * x_d, 0.0, l21, l22, 0.0, 0.0, False
+
+
+def make_gain(
+    cfg: GainConfig, known_x: tuple[float, float],
+    psi_d: float, psi_q: float, rs_d: float, rs_q: float,
+) -> SgaTrace | SgaPerGradient | Gna | PhyInt:
+    """The gain object ``cfg`` selects, its filters seeded from ``cfg.r0``
+    when that is set, else from the first prediction gradients."""
+    if cfg.algorithm == "phyint":
+        return PhyInt(cfg, *known_x)
+    sq = (psi_d**2, psi_q**2, rs_d**2, rs_q**2)
+    tr = sq[0] + sq[1] + sq[2] + sq[3]
+    if cfg.r0 is None and tr > 1e-6:
+        # structure-preserving start: the filters begin at the gradient
+        # outer product, so a structurally singular operating point
+        # (standstill) stays singular from the first step
+        r, hess = tr, (sq[0] + sq[1], psi_d * rs_d + psi_q * rs_q, sq[2] + sq[3])
     else:
-        (q11, q12), (_, q22) = pseudoinverse_2x2(((r11, r12), (r12, r22)), cfg.mpp_tol)
-        mpp = True
-    l11 = cfg.gamma_L_psi * (q11 * psi_d + q12 * rs_d)
-    l12 = cfg.gamma_L_psi * (q11 * psi_q + q12 * rs_q)
-    l21 = cfg.gamma_L_rs * (q12 * psi_d + q22 * rs_d)
-    l22 = cfg.gamma_L_rs * (q12 * psi_q + q22 * rs_q)
-    # bound each gain row's magnitude; large gains amplify noise
-    cap = cfg.gain_cap
-    n1 = math.hypot(l11, l12)
-    if n1 > cap:
-        k = cap / n1
-        l11, l12 = l11 * k, l12 * k
-    n2 = math.hypot(l21, l22)
-    if n2 > cap:
-        k = cap / n2
-        l21, l22 = l21 * k, l22 * k
-    return r11, r12, r22, det, mpp, l11, l12, l21, l22
+        r = 1.0 if cfg.r0 is None else cfg.r0
+        sq, hess = (0.0, 0.0, 0.0, 0.0), (0.5 * r, 0.0, 0.5 * r)
+    if cfg.algorithm == "gna":
+        return Gna(cfg, *hess)
+    return SgaTrace(cfg, r) if cfg.sga_r_mode == "trace" else SgaPerGradient(cfg, r, *sq)
+
+
+def _oracle_update(
+    cls: type, theta: ParameterVector, eps: DqVector, grads: GradientSet,
+    hess: HessianState, cfg: GainConfig, box: ParameterBox, schedule_n: Optional[float],
+) -> tuple[ParameterVector, HessianState, GainMatrix]:
+    """One step of gain object ``cls`` started from the ``hess`` fields
+    named as its state, then the scheduled parameter update."""
+    names = [f.name for f in fields(cls) if f.name != "cfg"]
+    gain = cls(cfg, *(getattr(hess, k) for k in names))
+    *L, _, _, mpp = gain.step(*grads, 0.0, 0.0, 0.0, 0.0)
+    hess = replace(hess, mpp_last=mpp, **{k: getattr(gain, k) for k in names})
+    theta, L = _scheduled_update(theta, GainMatrix(*L), eps, cfg, box, schedule_n)
+    return theta, hess, L
+
+
+def sga_update(
+    theta: ParameterVector,
+    eps: DqVector,
+    grads: GradientSet,
+    hess: HessianState,
+    cfg: GainConfig,
+    box: ParameterBox,
+    schedule_n: Optional[float] = None,
+) -> tuple[ParameterVector, HessianState, GainMatrix]:
+    """Stochastic-gradient update: :class:`SgaTrace` or
+    :class:`SgaPerGradient` by ``cfg.sga_r_mode``."""
+    cls = SgaTrace if cfg.sga_r_mode == "trace" else SgaPerGradient
+    return _oracle_update(cls, theta, eps, grads, hess, cfg, box, schedule_n)
 
 
 def gna_update(
@@ -525,32 +603,8 @@ def gna_update(
     box: ParameterBox,
     schedule_n: Optional[float] = None,
 ) -> tuple[ParameterVector, HessianState, GainMatrix]:
-    """Gauss-Newton update with 2x2 matrix Hessian.
-
-    The exact inverse is used while det(R) stays above the floor; below it
-    the pseudoinverse takes over, which is what keeps the resistance row
-    alive at standstill where the matrix is structurally singular.
-    """
-    r11, r12, r22, _, mpp, *L = gna_gains(hess.r11, hess.r12, hess.r22, *grads, cfg)
-    theta, L = _scheduled_update(theta, GainMatrix(*L), eps, cfg, box, schedule_n)
-    return theta, replace(hess, r11=r11, r12=r12, r22=r22, mpp_last=mpp), L
-
-
-def phyint_gains(
-    r_s: float, n: float, i_d: float, i_q: float, x_d: float, x_q: float,
-    cfg: GainConfig,
-) -> tuple[float, float, float, float]:
-    """PhyInt gains at the estimate r_s and predicted current i."""
-    r = r_s
-    D = r * r + n * n * x_d * x_q
-    l11 = -cfg.gamma_L_psi * x_d
-    den_d = -r * i_d - n * x_q * i_q
-    den_q = -r * i_q + n * x_d * i_d
-    th_d = cfg.i_floor * (r + abs(n) * x_q)
-    th_q = cfg.i_floor * (r + abs(n) * x_d)
-    l21 = cfg.gamma_L_rs * D / den_d if abs(den_d) >= th_d and th_d > 0.0 else 0.0
-    l22 = cfg.gamma_L_rs * D / den_q if abs(den_q) >= th_q and th_q > 0.0 else 0.0
-    return l11, 0.0, l21, l22
+    """Gauss-Newton update with 2x2 matrix Hessian, see :class:`Gna`."""
+    return _oracle_update(Gna, theta, eps, grads, hess, cfg, box, schedule_n)
 
 
 def phyint_update(
@@ -563,16 +617,9 @@ def phyint_update(
     box: ParameterBox,
     schedule_n: Optional[float] = None,
 ) -> tuple[ParameterVector, GainMatrix]:
-    """Physically interpreted gains.
-
-    The flux gain is the high-speed inversion of the steady-state error,
-    L11 = -gamma * x_d, fed by the d-axis error only. The resistance gains
-    invert the steady-state relations per axis; a denominator below its
-    current-scaled threshold zeroes that gain for the step instead of
-    letting it blow up.
-    """
-    L = GainMatrix(*phyint_gains(theta.r_s, n, i_hat.d, i_hat.q, *known_x, cfg))
-    return _scheduled_update(theta, L, eps, cfg, box, schedule_n)
+    """Physically interpreted gains, see :class:`PhyInt`."""
+    L = PhyInt(cfg, *known_x).step(0.0, 0.0, 0.0, 0.0, theta.r_s, n, i_hat.d, i_hat.q)
+    return _scheduled_update(theta, GainMatrix(*L[:4]), eps, cfg, box, schedule_n)
 
 
 class StepTelemetry(NamedTuple):
@@ -599,13 +646,15 @@ _new_telemetry = tuple.__new__
 
 
 class RpemEstimator:
-    """Stateful per-sample estimator combining predictor, gradients,
-    Hessian, gain algorithm, scheduler and projection.
+    """Stateful per-sample estimator combining predictor, gradients, gain
+    object, scheduler and projection.
 
-    Per-sample ordering: (reseed on scheduler edges) -> predictor step ->
-    prediction error -> gradient step/selection -> Hessian update -> gain
-    -> schedule -> parameter update -> projection. The error is therefore
-    always evaluated against the previous parameter estimate.
+    Per-sample ordering: (reseed on scheduler edges) -> predictor and
+    gradient step -> prediction error -> gradient selection -> gain object
+    step (filter update, then gain) -> schedule -> parameter update ->
+    projection. The error is therefore always evaluated against the
+    previous parameter estimate. The first sample skips the predictor step
+    and builds the gain object (:func:`make_gain`) from its gradients.
 
     The state is held as floats; ``theta`` and ``pred`` are read-only
     views built on access.
@@ -614,10 +663,8 @@ class RpemEstimator:
     __slots__ = (
         "cfg", "box", "known_x", "omega_n", "t_samp", "_kernel", "_x_d", "_x_q",
         "_dyn_psi", "_dyn_rs", "_psi", "_rs", "_ih_d", "_ih_q",
-        "_gp_d", "_gp_q", "_gr_d", "_gr_q", "_hess_ready", "_scalar_r",
-        "_rg_psi_d", "_rg_psi_q", "_rg_rs_d", "_rg_rs_q", "_r11", "_r12", "_r22",
-        "_mpp", "_primed", "_row1_was_on", "_row2_was_on", "_row1_off_time",
-        "_row2_off_time",
+        "_gp_d", "_gp_q", "_gr_d", "_gr_q", "_gain",
+        "_row1_was_on", "_row2_was_on", "_row1_off_time", "_row2_off_time",
     )
 
     def __init__(
@@ -645,16 +692,13 @@ class RpemEstimator:
         self._dyn_rs = cfg.gradient_mode_rs == "dynamic"
         self._psi, self._rs = clamp_to_box(theta0.psi_m, theta0.r_s, box)
         self._ih_d, self._ih_q = i_hat0
+        g0 = (0.0, 0.0, 0.0, 0.0)
         if gradient_init == "steady_state":
             g0 = steady_state_gradients(
-                self._rs, self._x_d, self._x_q, n0, self._ih_d, self._ih_q,
-                cfg.ss_denom_floor,
+                self._rs, self._x_d, self._x_q, n0, self._ih_d, self._ih_q, cfg.ss_denom_floor
             )
-        else:
-            g0 = (0.0, 0.0, 0.0, 0.0)
         self._gp_d, self._gp_q, self._gr_d, self._gr_q = g0
-        self._hess_ready = False
-        self._primed = False
+        self._gain = None
         self._row1_was_on, self._row2_was_on = scheduler_rows(n0, cfg)
         self._row1_off_time = 0.0
         self._row2_off_time = 0.0
@@ -670,27 +714,6 @@ class RpemEstimator:
             grad_psi=DqVector(self._gp_d, self._gp_q),
             grad_rs=DqVector(self._gr_d, self._gr_q),
         )
-
-    def _init_hessian(self, psi_d: float, psi_q: float, rs_d: float, rs_q: float) -> None:
-        tr = psi_d**2 + psi_q**2 + rs_d**2 + rs_q**2
-        r0 = self.cfg.r0
-        self._rg_psi_d = self._rg_psi_q = self._rg_rs_d = self._rg_rs_q = 0.0
-        if r0 is not None:
-            self._scalar_r, self._r11, self._r12, self._r22 = r0, 0.5 * r0, 0.0, 0.5 * r0
-        elif tr > 1e-6:
-            # structure-preserving start: the matrix Hessian begins at the
-            # gradient outer product so a structurally singular operating
-            # point (standstill) stays singular from the first step
-            self._scalar_r = tr
-            self._rg_psi_d, self._rg_psi_q = psi_d**2, psi_q**2
-            self._rg_rs_d, self._rg_rs_q = rs_d**2, rs_q**2
-            self._r11 = psi_d**2 + psi_q**2
-            self._r12 = psi_d * rs_d + psi_q * rs_q
-            self._r22 = rs_d**2 + rs_q**2
-        else:
-            self._scalar_r, self._r11, self._r12, self._r22 = 1.0, 0.5, 0.0, 0.5
-        self._mpp = False
-        self._hess_ready = True
 
     def _reseed_on_edge(
         self, n: float, u_d: float, u_q: float, row1_on: bool, row2_on: bool
@@ -727,7 +750,8 @@ class RpemEstimator:
         self._row2_was_on = row2_on
 
         ih_d, ih_q = self._ih_d, self._ih_q
-        if self._primed:
+        gain = self._gain
+        if gain is not None:
             kernel = self._kernel
             kernel.set(self._rs, self._x_d, self._x_q, n)
             i_old_d, i_old_q = ih_d, ih_q
@@ -737,8 +761,6 @@ class RpemEstimator:
                 i_old_d, i_old_q, ih_d, ih_q,
             )
             self._ih_d, self._ih_q = ih_d, ih_q
-        else:
-            self._primed = True
 
         i_d, i_q = i_meas
         eps_d = i_d - ih_d
@@ -753,36 +775,12 @@ class RpemEstimator:
                 psi_d, psi_q = self._gp_d, self._gp_q
             if self._dyn_rs:
                 rs_d, rs_q = self._gr_d, self._gr_q
-        if not self._hess_ready:
-            self._init_hessian(psi_d, psi_q, rs_d, rs_q)
+        if gain is None:
+            gain = self._gain = make_gain(cfg, self.known_x, psi_d, psi_q, rs_d, rs_q)
 
-        algorithm = cfg.algorithm
-        r_scalar = det_r = 0.0
-        mpp = False
-        if algorithm == "sga":
-            if cfg.sga_r_mode == "trace":
-                self._scalar_r, l11, l12, l21, l22 = sga_trace_gains(
-                    self._scalar_r, psi_d, psi_q, rs_d, rs_q, cfg
-                )
-            else:
-                (
-                    self._rg_psi_d, self._rg_psi_q, self._rg_rs_d, self._rg_rs_q,
-                    l11, l12, l21, l22,
-                ) = sga_per_gradient_gains(
-                    self._rg_psi_d, self._rg_psi_q, self._rg_rs_d, self._rg_rs_q,
-                    psi_d, psi_q, rs_d, rs_q, cfg,
-                )
-            r_scalar = self._scalar_r
-            self._mpp = False
-        elif algorithm == "gna":
-            self._r11, self._r12, self._r22, det_r, mpp, l11, l12, l21, l22 = gna_gains(
-                self._r11, self._r12, self._r22, psi_d, psi_q, rs_d, rs_q, cfg
-            )
-            self._mpp = mpp
-        else:
-            l11, l12, l21, l22 = phyint_gains(
-                self._rs, n, ih_d, ih_q, self._x_d, self._x_q, cfg
-            )
+        l11, l12, l21, l22, r_scalar, det_r, mpp = gain.step(
+            psi_d, psi_q, rs_d, rs_q, self._rs, n, ih_d, ih_q
+        )
         if not row1_on:
             l11 = l12 = 0.0
         if not row2_on:

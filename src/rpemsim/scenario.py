@@ -181,6 +181,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         check_fields(self, ScenarioError)
+        # the CLI writes <name>.csv and <name>_report.json into its output directory
+        if any(c in self.name for c in "/\\\0"):
+            raise ScenarioError(f"name must not hold a path separator or NUL, got {self.name!r}")
         # chained comparisons, so that NaN and inf fail too
         if not 0.0 < self.duration_s < math.inf:
             raise ScenarioError(f"duration must be positive and finite, got {self.duration_s}")

@@ -9,14 +9,19 @@ from rpemsim.estimator import (
     GainConfig,
     GainMatrix,
     GradientSet,
+    Gna,
     HessianState,
     ParameterBox,
     ParameterVector,
+    PhyInt,
     PredictorState,
     RpemEstimator,
+    SgaPerGradient,
+    SgaTrace,
     clamp_to_box,
     gain_schedule,
     gna_update,
+    make_gain,
     gradient_dynamic_step,
     gradient_steady_state,
     phyint_update,
@@ -372,6 +377,25 @@ def test_phyint_equals_per_gradient_sga_resistance_row(theta_nominal, known_x, w
     )
     assert L_sga.l21 == pytest.approx(L_phy.l21, rel=1e-9)
     assert L_sga.l22 == pytest.approx(L_phy.l22, rel=1e-9)
+
+
+@pytest.mark.parametrize("settings,grads,want", [
+    # first gradients with trace 5: each filter starts at its own share
+    ({}, (1.0, 0.0, 0.0, 2.0), lambda c: SgaTrace(c, 5.0)),
+    ({"sga_r_mode": "per_gradient"}, (1.0, 0.0, 0.0, 2.0),
+     lambda c: SgaPerGradient(c, 5.0, 1.0, 0.0, 0.0, 4.0)),
+    ({"algorithm": "gna"}, (1.0, 0.0, 3.0, 2.0), lambda c: Gna(c, 1.0, 3.0, 13.0)),
+    # r0, or gradients below the trace floor, start every filter at a set value
+    ({"r0": 2.0}, (1.0, 0.0, 0.0, 2.0), lambda c: SgaTrace(c, 2.0)),
+    ({"sga_r_mode": "per_gradient", "r0": 2.0}, (1.0, 0.0, 0.0, 2.0),
+     lambda c: SgaPerGradient(c, 2.0, 0.0, 0.0, 0.0, 0.0)),
+    ({"algorithm": "gna", "r0": 2.0}, (1.0, 0.0, 0.0, 2.0), lambda c: Gna(c, 1.0, 0.0, 1.0)),
+    ({"algorithm": "gna"}, (0.0, 0.0, 0.0, 1e-4), lambda c: Gna(c, 0.5, 0.0, 0.5)),
+    ({"algorithm": "phyint"}, (1.0, 0.0, 0.0, 2.0), lambda c: PhyInt(c, 0.5, 0.75)),
+])
+def test_make_gain_picks_the_configured_object_and_seeds_its_filters(settings, grads, want):
+    cfg = _cfg(**settings)
+    assert make_gain(cfg, (0.5, 0.75), *grads) == want(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,15 @@ SEEDS = (101, 107)
 FULL_RATE = ("t_full", "psi_m_hat", "r_s_hat", "psi_m_true", "r_s_true")
 
 
-def _short(scenario: Scenario, seed: int) -> Scenario:
+def _short(scenario: Scenario, seed: int, horizon_s: float = HORIZON_S) -> Scenario:
     d = scenario.to_dict()
-    k = HORIZON_S / d["duration_s"]
+    k = horizon_s / d["duration_s"]
     ctl = dict(d["control"])
     for key in ("tau_ref", "speed_ref"):
         ctl[key] = [[t * k, v] for t, v in ctl[key]]
     return Scenario.from_dict({
         **d,
-        "duration_s": HORIZON_S,
+        "duration_s": horizon_s,
         "control": ctl,
         "events": [{**ev, "time_s": ev["time_s"] * k} for ev in d["events"]],
         "seed": seed,

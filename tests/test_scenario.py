@@ -277,6 +277,13 @@ def test_cli_validate_bad_file(tmp_path):
     {"theta0_psi_m": -1.0},
     {"theta0_psi_m": 0.0},          # MTPA needs a positive flux estimate
     {"theta0_r_s": -0.02},
+    # gain values the gain formulas cannot use; each of these used to run
+    {"r_floor": -1.0},
+    {"r_floor": 0.0},
+    {"i_floor": -1.0},
+    {"detR_floor": 0.0},
+    {"r0": -1.0},
+    {"r0": 0.0},
 ])
 def test_cli_validate_rejects_box_and_theta0_that_run_refuses(tmp_path, capsys, estimator):
     _assert_validate_rejects({"name": "x", "duration_s": 1.0, "estimator": estimator},
@@ -305,6 +312,10 @@ def test_cli_validate_rejects_box_and_theta0_that_run_refuses(tmp_path, capsys, 
     {"plant": {"speed_mode": "dynamic", "load_torque_pu": math.nan}},
     {"control": {"mode": "speed"}, "plant": {"inertia_H_s": 0.0}},
     {"control": {"mode": "speed"}, "plant": {"inertia_H_s": math.nan}},
+    {"estimator": {"algorithm": "gna", "gain_cap": math.nan}},
+    {"estimator": {"n_lim1_pu": math.nan}},
+    {"estimator": {"detR_floor": math.nan}},
+    {"estimator": {"r0": math.nan}},  # validated, then diverged at step 0
 ])
 def test_cli_validate_rejects_non_finite_and_zero_inertia(tmp_path, capsys, fields):
     # json writes and reads NaN and Infinity, as a scenario file may hold them;
@@ -444,6 +455,16 @@ def _assert_validate_rejects(d, tmp_path, capsys, error=ScenarioError):
     assert cli_main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["../x", "a\\b", "a\0b"])
+def test_cli_rejects_a_name_that_leaves_the_output_directory(tmp_path, capsys, name):
+    # sim writes <name>.csv into --out: "../x" used to land beside it, and
+    # a NUL ended in a ValueError traceback
+    _assert_validate_rejects({"name": name, "duration_s": 0.01}, tmp_path, capsys)
+    out = tmp_path / "o" / "a"
+    assert cli_main(["--out", str(out), "sim", str(tmp_path / "bad.json")]) == 1
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [tmp_path / "bad.json"]
 
 
 def test_explicit_bounds_make_a_wide_box_fraction_valid(params):
