@@ -32,7 +32,9 @@ from typing import Literal, NamedTuple, Optional
 # step_matrices is not called here; it stays a module attribute because
 # the benchmark's tracer (perfbench/tracing.py) wraps it by this name
 from .plant import Trapezoid, steady_state_current, step_matrices  # noqa: F401
-from .pu import ConfigError, DqVector, MachineParams, check_fields
+from .pu import (
+    ConfigError, DqVector, Finite, MachineParams, NonNegative, Positive, Rate, check_fields,
+)
 
 
 class ParameterVector(NamedTuple):
@@ -47,19 +49,15 @@ class ParameterBox:
     """Admissible parameter region; estimates are clamped into it after
     every update."""
 
-    psi_m_min: float
+    psi_m_min: NonNegative
     psi_m_max: float
-    r_s_min: float
+    r_s_min: NonNegative
     r_s_max: float
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not (self.psi_m_min < self.psi_m_max and self.r_s_min < self.r_s_max):
             raise ConfigError("parameter box must be nonempty (min < max per axis)")
-        if self.psi_m_min < 0.0 or self.r_s_min < 0.0:
-            raise ConfigError(
-                "parameter box lower bounds must be >= 0, got "
-                f"psi_m_min={self.psi_m_min}, r_s_min={self.r_s_min}"
-            )
 
     @classmethod
     def around(cls, nominal: ParameterVector, fraction: float = 0.3) -> "ParameterBox":
@@ -158,6 +156,9 @@ class HessianState:
         return self.r11 * self.r22 - self.r12 * self.r12
 
 
+SS_DENOM_FLOOR = 1e-9  # steady-state gradient denominators below it count as 0
+MPP_TOL = 1e-9  # the pseudoinverse drops eigenvalues below MPP_TOL * the largest
+
 Algorithm = Literal["sga", "gna", "phyint"]
 GradientMode = Literal["steady_state", "dynamic"]
 
@@ -173,45 +174,30 @@ class GainSettings:
     """
 
     algorithm: Algorithm = "sga"
-    gamma_L_psi: float = 3.25e-4
-    gamma_L_rs: float = 6.25e-5
-    gamma_r: float = 6.25e-4
+    gamma_L_psi: Rate = 3.25e-4
+    gamma_L_rs: Rate = 6.25e-5
+    gamma_r: Rate = 6.25e-4
     gradient_mode_psi: GradientMode = "steady_state"
     gradient_mode_rs: GradientMode = "steady_state"
-    r_floor: float = 1e-6
-    detR_floor: float = 1e-10
-    i_floor: float = 0.02
-    gain_cap: float = 1e4
+    r_floor: Positive = 1e-6
+    detR_floor: Positive = 1e-10
+    i_floor: NonNegative = 0.02
+    gain_cap: Positive = 1e4
     sga_r_mode: Literal["trace", "per_gradient"] = "trace"
-    r0: Optional[float] = None
+    r0: Optional[Positive] = None
 
 
 @dataclass(frozen=True)
 class GainConfig(GainSettings):
-    """The gain settings plus the speed scheduler limits and numerical
-    tolerances."""
+    """The gain settings plus the speed scheduler limits."""
 
-    n_lim1: float = 0.1
-    n_lim2: float = 0.01
-    ss_denom_floor: float = 1e-9
-    mpp_tol: float = 1e-9
+    n_lim1: Finite = 0.1
+    n_lim2: Finite = 0.01
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for g in (self.gamma_L_psi, self.gamma_L_rs, self.gamma_r):
-            if not (0.0 < g <= 1.0):
-                raise ConfigError("gamma values must lie in (0, 1]")
-        # chained comparisons, so that NaN fails too; only r0 may be None
-        for name in ("gain_cap", "r_floor", "detR_floor", "r0"):
-            x = getattr(self, name)
-            if not (x is None or 0.0 < x < math.inf):
-                raise ConfigError(f"{name} must be positive and finite, got {x}")
-        for name in ("i_floor", "ss_denom_floor", "mpp_tol"):
-            x = getattr(self, name)
-            if not 0.0 <= x < math.inf:
-                raise ConfigError(f"{name} must be >= 0 and finite, got {x}")
-        if not abs(self.n_lim2) <= abs(self.n_lim1) < math.inf:
-            raise ConfigError("scheduler needs finite limits with |n_lim1| >= |n_lim2|")
+        if not abs(self.n_lim2) <= abs(self.n_lim1):
+            raise ConfigError("scheduler needs |n_lim1| >= |n_lim2|")
 
 
 def prediction_error(i_meas: DqVector, i_hat: DqVector) -> DqVector:
@@ -304,7 +290,7 @@ def gradient_dynamic_step(
 
 def steady_state_gradients(
     r_s: float, x_d: float, x_q: float, n: float, i_d: float, i_q: float,
-    denom_floor: float,
+    denom_floor: float = SS_DENOM_FLOOR,
 ) -> tuple[float, float, float, float]:
     """(psi_d, psi_q, rs_d, rs_q) of :func:`gradient_steady_state`."""
     r = r_s
@@ -324,7 +310,7 @@ def gradient_steady_state(
     known_x: tuple[float, float],
     n: float,
     i_hat: DqVector,
-    denom_floor: float = 1e-9,
+    denom_floor: float = SS_DENOM_FLOOR,
 ) -> GradientSet:
     """Closed-form steady-state prediction gradients.
 
@@ -431,7 +417,7 @@ class SgaPerGradient:
 
 
 def pseudoinverse_2x2(
-    R: tuple[tuple[float, float], tuple[float, float]], tol: float = 1e-9
+    R: tuple[tuple[float, float], tuple[float, float]], tol: float = MPP_TOL
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Moore-Penrose pseudoinverse of a symmetric 2x2 matrix.
 
@@ -498,7 +484,7 @@ class Gna:
             mpp = False
         else:
             # the module global, so a wrapper installed there sees the call
-            (q11, q12), (_, q22) = pseudoinverse_2x2(((r11, r12), (r12, r22)), cfg.mpp_tol)
+            (q11, q12), (_, q22) = pseudoinverse_2x2(((r11, r12), (r12, r22)))
             mpp = True
         l11 = cfg.gamma_L_psi * (q11 * psi_d + q12 * rs_d)
         l12 = cfg.gamma_L_psi * (q11 * psi_q + q12 * rs_q)
@@ -695,7 +681,7 @@ class RpemEstimator:
         g0 = (0.0, 0.0, 0.0, 0.0)
         if gradient_init == "steady_state":
             g0 = steady_state_gradients(
-                self._rs, self._x_d, self._x_q, n0, self._ih_d, self._ih_q, cfg.ss_denom_floor
+                self._rs, self._x_d, self._x_q, n0, self._ih_d, self._ih_q
             )
         self._gp_d, self._gp_q, self._gr_d, self._gr_q = g0
         self._gain = None
@@ -728,9 +714,7 @@ class RpemEstimator:
         ):
             theta = self.theta
             i_ss = predictor_steady_state(theta, self.known_x, n, DqVector(u_d, u_q))
-            g = gradient_steady_state(
-                theta, self.known_x, n, i_ss, self.cfg.ss_denom_floor
-            )
+            g = gradient_steady_state(theta, self.known_x, n, i_ss)
             self._ih_d, self._ih_q = i_ss
             self._gp_d, self._gp_q, self._gr_d, self._gr_q = g
 
@@ -769,7 +753,7 @@ class RpemEstimator:
             psi_d, psi_q, rs_d, rs_q = self._gp_d, self._gp_q, self._gr_d, self._gr_q
         else:
             psi_d, psi_q, rs_d, rs_q = steady_state_gradients(
-                self._rs, self._x_d, self._x_q, n, ih_d, ih_q, cfg.ss_denom_floor
+                self._rs, self._x_d, self._x_q, n, ih_d, ih_q
             )
             if self._dyn_psi:
                 psi_d, psi_q = self._gp_d, self._gp_q

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal, Optional
 
-from .pu import ConfigError, DqVector, MachineParams, check_fields
+from .pu import ConfigError, DqVector, Finite, MachineParams, NonNegative, check_fields
 
 IntegrationMethod = Literal["trapezoidal"]
-
 
 @dataclass
 class PlantState:
@@ -38,21 +37,15 @@ class StepEvent:
     """Scheduled step change of a true plant quantity; the estimator is
     never informed."""
 
-    time_s: float
+    time_s: NonNegative
     target: Literal["psi_m", "r_s", "x_d", "x_q", "load_torque", "speed_ref"]
-    factor: Optional[float] = None
-    value: Optional[float] = None
+    factor: Optional[Finite] = None
+    value: Optional[Finite] = None
 
     def __post_init__(self) -> None:
         check_fields(self)
-        # chained comparison, so that NaN and inf fail too
-        if not 0.0 <= self.time_s < math.inf:
-            raise ConfigError(f"event time must be >= 0 and finite, got {self.time_s}")
         if (self.factor is None) == (self.value is None):
             raise ConfigError("event needs exactly one of factor / value")
-        amount = self.factor if self.factor is not None else self.value
-        if not math.isfinite(amount):
-            raise ConfigError(f"event at t={self.time_s}s: {self.target} step must be finite")
 
 
 def electromagnetic_torque(

@@ -19,7 +19,7 @@ import functools
 import math
 import typing
 from dataclasses import dataclass
-from typing import Any, Callable, Literal, NamedTuple, Optional
+from typing import Annotated, Any, Callable, Literal, NamedTuple, Optional
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,12 +28,29 @@ class ConfigError(ValueError):
     """Invalid machine or scenario configuration."""
 
 
+#: Range types, ``Annotated[base, description, test]``: a field declared with
+#: one holds a value of its base type that passes its test. The tests are
+#: chained comparisons, so NaN fails them.
+Positive = Annotated[float, "a number > 0 and finite", lambda x: 0.0 < x < math.inf]
+NonNegative = Annotated[float, "a number >= 0 and finite", lambda x: 0.0 <= x < math.inf]
+Finite = Annotated[float, "a finite number", lambda x: -math.inf < x < math.inf]
+Rate = Annotated[float, "a number in (0, 1]", lambda x: 0.0 < x <= 1.0]
+Count = Annotated[int, "an integer >= 1", lambda x: x >= 1]
+
+
+def in_range(value: Any, tp: Any) -> bool:
+    """Whether number ``value`` passes the test of range type ``tp``."""
+    return typing.get_args(tp)[2](value)
+
+
 def check_fields(obj: Any, error: type[ConfigError] = ConfigError) -> None:
     """Raise ``error`` unless every field of dataclass ``obj`` holds a value
     of its declared type: for a float a number but not a bool (an int is
-    stored as its float), for an int an int but not a bool, for a
-    ``Literal`` a listed value, for an ``Optional`` also None, for a list or
-    a fixed-length tuple a list or tuple of such values (stored as the
+    stored as its float), for an int an int but not a bool, for a range
+    type (``Positive``, ``NonNegative``, ``Finite``, ``Rate``, ``Count``
+    above) a value of its base type that passes its test, for a ``Literal``
+    a listed value, for an ``Optional`` also None, for a list or a
+    fixed-length tuple a list or tuple of such values (stored as the
     declared container), for any other class an instance of it."""
     for name, conform, what in _field_rules(type(obj)):
         value = getattr(obj, name)
@@ -48,7 +65,7 @@ def check_fields(obj: Any, error: type[ConfigError] = ConfigError) -> None:
 @functools.cache
 def _field_types(cls: type) -> dict[str, Any]:
     """The declared type of each field of dataclass ``cls``, resolved once."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
@@ -93,6 +110,9 @@ def _conformer(tp: Any) -> tuple[Callable[[Any], Any], str]:
     """(conform, description) of type ``tp``: conform returns its argument as
     a ``tp`` or raises TypeError."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Annotated:  # a range type
+        (conform, _), (what, test) = _conformer(args[0]), args[1:]
+        return (lambda v: c if test(c := conform(v)) else _mismatch(v)), what
     if origin is typing.Union:  # Optional[X]
         conform, what = _conformer(next(a for a in args if a is not type(None)))
         return (lambda v: v if v is None else conform(v)), f"{what} or null"
@@ -128,20 +148,16 @@ class DqVector(NamedTuple):
 class BaseQuantities:
     """Per-unit base set for one machine."""
 
-    u_base: float
-    i_base: float
-    z_base: float
-    psi_base: float
-    omega_n: float
-    torque_base: float
-    pole_pairs: int
+    u_base: Positive
+    i_base: Positive
+    z_base: Positive
+    psi_base: Positive
+    omega_n: Positive
+    torque_base: Positive
+    pole_pairs: Count
 
     def __post_init__(self) -> None:
-        for name in ("u_base", "i_base", "z_base", "psi_base", "omega_n", "torque_base"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"base quantity {name} must be positive")
-        if self.pole_pairs < 1:
-            raise ConfigError("pole_pairs must be a positive integer")
+        check_fields(self)
         if not math.isclose(self.z_base, self.u_base / self.i_base, rel_tol=1e-9):
             raise ConfigError("inconsistent base set: z_base != u_base / i_base")
         if not math.isclose(self.psi_base, self.u_base / self.omega_n, rel_tol=1e-9):
@@ -184,14 +200,13 @@ class MachineParams:
 class SiMachineData:
     """SI-unit electrical data as found on a datasheet."""
 
-    rs_ohm: float
-    ld_H: float
-    lq_H: float
-    psi_m_Wb: float
+    rs_ohm: NonNegative
+    ld_H: NonNegative
+    lq_H: NonNegative
+    psi_m_Wb: NonNegative
 
     def __post_init__(self) -> None:
-        if self.rs_ohm < 0.0 or self.ld_H < 0.0 or self.lq_H < 0.0 or self.psi_m_Wb < 0.0:
-            raise ConfigError("SI machine data must be non-negative")
+        check_fields(self)
 
 
 def make_base(
@@ -203,8 +218,6 @@ def make_base(
     """Build a consistent per-unit base from nameplate ratings."""
     if rated_voltage_ll <= 0.0 or rated_current <= 0.0 or rated_frequency <= 0.0:
         raise ConfigError("ratings must be positive")
-    if int(pole_pairs) != pole_pairs or pole_pairs < 1:
-        raise ConfigError("pole_pairs must be a positive integer")
     u_base = math.sqrt(2.0 / 3.0) * rated_voltage_ll
     i_base = math.sqrt(2.0) * rated_current
     omega_n = TWO_PI * rated_frequency
@@ -218,7 +231,7 @@ def make_base(
         psi_base=psi_base,
         omega_n=omega_n,
         torque_base=torque_base,
-        pole_pairs=int(pole_pairs),
+        pole_pairs=pole_pairs,
     )
 
 
@@ -237,10 +250,10 @@ class MachineConfig:
     """The machine section of a scenario: the ratings, then either the full
     SI set or the full pu set. Direct pu values win over SI-derived ones."""
 
-    rated_voltage_ll_V: float
-    rated_current_A: float
-    rated_speed_rpm: float
-    pole_pairs: int
+    rated_voltage_ll_V: Positive
+    rated_current_A: Positive
+    rated_speed_rpm: Positive
+    pole_pairs: Count
     Rs_ohm: Optional[float] = None
     Ld_H: Optional[float] = None
     Lq_H: Optional[float] = None

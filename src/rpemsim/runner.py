@@ -62,7 +62,7 @@ class ConvergenceReport:
 
     converged: bool
     convergence_time: Optional[float]
-    steady_state_error: float
+    steady_state_error: Optional[float]
     overshoot: float
     band: float
 
@@ -106,7 +106,7 @@ def convergence_metrics(
 
     convergence_time: first instant (measured from t0) after which the
     trajectory stays inside +-band*|reference| until the end.
-    steady_state_error: mean relative error over the final 10 percent.
+    steady_state_error: mean relative error over the final 10 percent, None at reference 0.
     overshoot: largest excursion past the reference, in the direction of
     travel, relative to the step size.
     """
@@ -129,7 +129,7 @@ def convergence_metrics(
         conv_time = None
 
     tail = max(1, int(0.1 * len(trajectory)))
-    sse = float(np.mean(trajectory[-tail:] - reference) / reference)
+    sse = float(np.mean(trajectory[-tail:] - reference) / reference) if reference else None
 
     if step_size is None:
         step_size = abs(traj[0] - reference)

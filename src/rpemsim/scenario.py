@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Literal, Optional
+from typing import Annotated, Any, Literal, Optional
 
 from .estimator import (
     GainConfig,
@@ -26,9 +26,14 @@ from .pu import (
     TABLE_MACHINE_CONFIG,
     BaseQuantities,
     ConfigError,
+    Count,
+    Finite,
     MachineParams,
+    NonNegative,
+    Positive,
     check_fields,
     from_json,
+    in_range,
     machine_from_config,
 )
 
@@ -41,7 +46,8 @@ class ScenarioError(ConfigError):
     """Scenario file fails validation."""
 
 
-Schedule = list[tuple[float, float]]  # (time_s, value) steps, piecewise const
+Schedule = list[tuple[Finite, Finite]]  # (time_s, value) steps, piecewise const
+Seed = Annotated[int, "an integer >= 0", lambda x: x >= 0]  # noise seeds must be >= 0
 
 
 class ScheduleCursor:
@@ -74,8 +80,6 @@ def schedule_value(schedule: Schedule, t: float) -> float:
 
 
 def _check_schedule(schedule: Schedule, name: str) -> None:
-    if not all(-math.inf < x < math.inf for entry in schedule for x in entry):
-        raise ScenarioError(f"{name} schedule times and values must be finite")
     if not schedule:
         raise ScenarioError(f"{name} schedule must not be empty")
     times = [t for t, _ in schedule]
@@ -101,23 +105,14 @@ def merge_events_into_schedule(
 
 @dataclass(frozen=True)
 class PlantSection:
-    noise_sigma_pu: float = 0.0
+    noise_sigma_pu: NonNegative = 0.0
     speed_mode: Literal["prescribed", "dynamic"] = "prescribed"
-    inertia_H_s: float = 0.5
-    load_torque_pu: float = 0.0
-    substeps: int = 1
+    inertia_H_s: float = 0.5  # Positive where used; Scenario checks that
+    load_torque_pu: Finite = 0.0
+    substeps: Count = 1
 
     def __post_init__(self) -> None:
         check_fields(self, ScenarioError)
-        # range checks are chained comparisons, so that NaN and inf fail too
-        if not 0.0 <= self.noise_sigma_pu < math.inf:
-            raise ScenarioError(
-                f"noise_sigma_pu must be >= 0 and finite, got {self.noise_sigma_pu}"
-            )
-        if not -math.inf < self.load_torque_pu < math.inf:
-            raise ScenarioError(f"load_torque_pu must be finite, got {self.load_torque_pu}")
-        if self.substeps < 1:
-            raise ScenarioError("substeps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -125,28 +120,24 @@ class ControlSection:
     mode: Literal["torque", "speed"] = "torque"
     tau_ref: Schedule = field(default_factory=lambda: [(0.0, 0.0)])
     speed_ref: Schedule = field(default_factory=lambda: [(0.0, 0.0)])
-    i_max_pu: float = 1.5
-    u_max_pu: float = 1.2
-    tau_max_pu: float = 1.2
-    kp_d: Optional[float] = None
-    ti_d: Optional[float] = None
-    kp_q: Optional[float] = None
-    ti_q: Optional[float] = None
+    i_max_pu: Positive = 1.5
+    u_max_pu: Positive = 1.2
+    tau_max_pu: Positive = 1.2
+    kp_d: Optional[Positive] = None
+    ti_d: Optional[Positive] = None
+    kp_q: Optional[Positive] = None
+    ti_q: Optional[Positive] = None
 
     def __post_init__(self) -> None:
         check_fields(self, ScenarioError)
         _check_schedule(self.tau_ref, "tau_ref")
         _check_schedule(self.speed_ref, "speed_ref")
-        for name in ("i_max_pu", "u_max_pu", "tau_max_pu", "kp_d", "ti_d", "kp_q", "ti_q"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ScenarioError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
 class EstimatorSection(GainSettings):
-    n_lim1_pu: float = GainConfig.n_lim1
-    n_lim2_pu: float = GainConfig.n_lim2
+    n_lim1_pu: Finite = GainConfig.n_lim1
+    n_lim2_pu: Finite = GainConfig.n_lim2
     box_fraction: float = 0.3
     box_psi_m_min: Optional[float] = None  # explicit bounds win over fraction
     box_psi_m_max: Optional[float] = None
@@ -168,15 +159,15 @@ class Scenario:
     """One closed-loop experiment, fully data-driven."""
 
     name: str
-    duration_s: float
+    duration_s: Positive
     machine: dict = field(default_factory=lambda: dict(TABLE_MACHINE_CONFIG))
     plant: PlantSection = field(default_factory=PlantSection)
     control: ControlSection = field(default_factory=ControlSection)
     estimator: EstimatorSection = field(default_factory=EstimatorSection)
     events: list[StepEvent] = field(default_factory=list)
-    seed: int = 1
-    t_samp_s: float = 125e-6
-    log_decimation: int = 8
+    seed: Seed = 1
+    t_samp_s: Positive = 125e-6
+    log_decimation: Count = 8
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -184,22 +175,13 @@ class Scenario:
         # the CLI writes <name>.csv and <name>_report.json into its output directory
         if any(c in self.name for c in "/\\\0"):
             raise ScenarioError(f"name must not hold a path separator or NUL, got {self.name!r}")
-        # chained comparisons, so that NaN and inf fail too
-        if not 0.0 < self.duration_s < math.inf:
-            raise ScenarioError(f"duration must be positive and finite, got {self.duration_s}")
-        if not 0.0 < self.t_samp_s < math.inf:
-            raise ScenarioError(f"t_samp_s must be positive and finite, got {self.t_samp_s}")
         samples = self.duration_s / self.t_samp_s  # round() raises on inf: skip it past the cap
         steps = round(samples) * self.plant.substeps if samples < MAX_PLANT_STEPS + 1 else samples
         if not 1 <= steps <= MAX_PLANT_STEPS:
             raise ScenarioError(f"the run takes {steps} plant steps, not 1 to {MAX_PLANT_STEPS}")
-        if self.log_decimation < 1:
-            raise ScenarioError("log_decimation must be >= 1")
-        if self.seed < 0:  # the noise generator takes only non-negative seeds
-            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         # the dynamic plant integrates with it, and the speed PI is tuned from it
         uses_inertia = self.plant.speed_mode == "dynamic" or self.control.mode == "speed"
-        if uses_inertia and not 0.0 < self.plant.inertia_H_s < math.inf:
+        if uses_inertia and not in_range(self.plant.inertia_H_s, Positive):
             raise ScenarioError(
                 "dynamic speed mode and speed control need a finite inertia_H_s > 0, "
                 f"got {self.plant.inertia_H_s}"
@@ -210,9 +192,10 @@ class Scenario:
         """Full validation; returns the resolved machine."""
         base, params = machine_from_config(self.machine)
         validate_events(self.events, params)
-        for ev in self.events:
-            if ev.time_s > self.duration_s:
-                raise ScenarioError(f"event at t={ev.time_s}s lies beyond the run duration")
+        last = (round(self.duration_s / self.t_samp_s) - 1) * self.t_samp_s  # as run() steps
+        late = [ev.time_s for ev in self.events if ev.time_s > last]
+        if late:
+            raise ScenarioError(f"event at t={late[0]}s lies after the last sample, {last:.9g}s")
         self.estimator.gain_config()  # raises on bad gains
         self.parameter_box(params)
         self.initial_model(params)

@@ -47,9 +47,19 @@ def test_zero_duration_rejected():
         _quick(duration=0.0)
 
 
-def test_event_beyond_duration_rejected():
+def test_event_beyond_duration_rejected(tmp_path, capsys):
     with pytest.raises(ScenarioError):
         _quick(events=[StepEvent(time_s=2.0, target="psi_m", factor=0.9)])
+    # the last sample of a 0.02 s run is at 159 * 125 us = 0.019875 s; an
+    # event after it used to pass and end the run's metrics in an IndexError
+    for time_s in (0.02, 0.0199):
+        with pytest.raises(ScenarioError, match="after the last sample"):
+            _quick(duration=0.02, events=[StepEvent(time_s=time_s, target="psi_m", factor=0.9)])
+    event = {"time_s": 0.0199, "target": "psi_m", "factor": 0.9}
+    _assert_validate_rejects({"name": "x", "duration_s": 0.02, "events": [event]},
+                             tmp_path, capsys)
+    last = _quick(duration=0.02, events=[StepEvent(time_s=0.019875, target="psi_m", factor=0.9)])
+    assert run(last).psi_m_true[-1] == pytest.approx(0.9 * 0.895, rel=1e-12)
 
 
 def test_event_producing_invalid_params_rejected():
@@ -455,6 +465,76 @@ def _assert_validate_rejects(d, tmp_path, capsys, error=ScenarioError):
     assert cli_main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
+# a valid 0.01 s scenario with both kinds of event: a factor (events[0])
+# and a value step (events[1])
+_SHORT = {
+    "name": "x", "duration_s": 0.01, "machine": dict(TABLE_MACHINE_CONFIG),
+    "plant": {}, "control": {"tau_ref": [[0.0, 0.2]], "speed_ref": [[0.0, 0.0]]},
+    "estimator": {},
+    "events": [{"time_s": 0.005, "target": "r_s", "factor": 0.92},
+               {"time_s": 0.005, "target": "load_torque", "value": 0.1}],
+}
+
+
+def _number_paths():
+    """Path into ``_SHORT`` of every number: each number field of the
+    scenario, its sections and the machine, each entry of a schedule, and
+    the numbers each event holds."""
+    out = []
+    for path, tp in _declared_fields():
+        if get_origin(tp) is Union:  # Optional[X]
+            (tp,) = (a for a in get_args(tp) if a is not type(None))
+        if path[0] == "events":
+            out += [("events", i, path[-1]) for i, ev in enumerate(_SHORT["events"])
+                    if path[-1] in ev and tp is float]
+        elif tp in (float, int):
+            out.append(path)
+        elif get_origin(tp) is list and path[0] == "control":  # a schedule
+            out += [(*path, 0, 0), (*path, 0, 1)]
+    return out
+
+
+# the inputs that run although they are not finite: an inertia nothing
+# uses, and a parameter box open upwards
+_ACCEPTED_NON_FINITE = {
+    *{(("plant", "inertia_H_s"), x) for x in (math.nan, math.inf, -math.inf)},
+    (("estimator", "box_psi_m_max"), math.inf),
+    (("estimator", "box_r_s_max"), math.inf),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("path", _number_paths(), ids=lambda p: ".".join(map(str, p)))
+def test_validate_rejects_each_non_finite_number(tmp_path, capsys, path, value):
+    d = copy.deepcopy(_SHORT)
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    if (path, value) in _ACCEPTED_NON_FINITE:
+        assert Scenario.from_dict(d).name == "x"
+    else:
+        _assert_validate_rejects(d, tmp_path, capsys)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", ["psi_m", "r_s"])
+def test_report_of_a_zero_reference_is_valid_json(tmp_path, target):
+    # the relative steady-state error of a zero reference used to be
+    # written as Infinity, which is not JSON, with a numpy RuntimeWarning
+    path = tmp_path / "zero.json"
+    event = {"time_s": 0.005, "target": target, "value": 0.0}
+    path.write_text(json.dumps({"name": "zero", "duration_s": 0.01, "events": [event]}))
+    assert cli_main(["--out", str(tmp_path / "o"), "sim", str(path)]) == 0
+
+    def no_constant(name):
+        raise ValueError(name)
+
+    text = (tmp_path / "o" / "zero_report.json").read_text()
+    report = json.loads(text, parse_constant=no_constant)
+    assert report["reports"][target]["steady_state_error"] is None
 
 
 @pytest.mark.parametrize("name", ["../x", "a\\b", "a\0b"])

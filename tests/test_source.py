@@ -30,3 +30,21 @@ def test_estimator_step_does_not_branch_on_the_configuration():
         if key in source
     ]
     assert found == []
+
+
+def test_checked_dataclasses_declare_ranges_in_their_field_types():
+    # a range belongs in the field's annotation (pu.Positive, Finite, ...),
+    # where check_fields enforces it; __post_init__ keeps cross-field rules
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        for cls in ast.walk(ast.parse(source, str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+                    continue
+                text = ast.get_source_segment(source, fn)
+                if "check_fields" in text and ("math.inf" in text or "isfinite" in text):
+                    found.append(f"{path.name}:{cls.name}")
+    assert found == []
