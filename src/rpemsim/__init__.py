@@ -28,12 +28,7 @@ from .estimator import (
     pseudoinverse_2x2,
     sga_update,
 )
-from .plant import (
-    PlantState,
-    StepEvent,
-    integrate_electrical,
-    torque,
-)
+from .plant import PlantState, integrate_electrical, torque
 from .pu import (
     BaseQuantities,
     ConfigError,
@@ -46,6 +41,13 @@ from .pu import (
     to_per_unit,
 )
 from .runner import ConvergenceReport, RunResult, SimulationDiverged, convergence_metrics, run
-from .scenario import Scenario, ScenarioError, load_scenario, preset_library, save_scenario
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    StepEvent,
+    load_scenario,
+    preset_library,
+    save_scenario,
+)
 
 __version__ = "0.1.0"

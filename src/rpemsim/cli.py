@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -57,10 +57,9 @@ def _report_dict(result) -> dict:
     }
 
 
-def _run_one(ref: str, out_dir: str, seed: int | None) -> dict:
-    scenario = _resolve_scenario(ref)
+def _run_one(scenario: Scenario, out_dir: str, seed: int | None) -> dict:
     if seed is not None:
-        scenario = Scenario.from_dict({**scenario.to_dict(), "seed": seed})
+        scenario = replace(scenario, seed=seed)  # __post_init__ validates the copy
     result = run(scenario)
     os.makedirs(out_dir, exist_ok=True)
     result.write_csv(os.path.join(out_dir, f"{scenario.name}.csv"))
@@ -71,25 +70,24 @@ def _run_one(ref: str, out_dir: str, seed: int | None) -> dict:
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
-    report = _run_one(args.scenario, args.out, args.seed)
+    report = _run_one(_resolve_scenario(args.scenario), args.out, args.seed)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    names = sorted(
-        name for name in preset_library() if fnmatch.fnmatch(name, args.pattern)
-    )
-    if not names:
+    presets = preset_library()
+    scenarios = [presets[name] for name in sorted(fnmatch.filter(presets, args.pattern))]
+    if not scenarios:
         raise ConfigError(f"no presets match {args.pattern!r}")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(
-                pool.map(_run_one, names, [args.out] * len(names),
-                         [args.seed] * len(names))
+                pool.map(_run_one, scenarios, [args.out] * len(scenarios),
+                         [args.seed] * len(scenarios))
             )
     else:
-        reports = [_run_one(name, args.out, args.seed) for name in names]
+        reports = [_run_one(scenario, args.out, args.seed) for scenario in scenarios]
     for rep in reports:
         print(f"{rep['scenario']}: {json.dumps(rep['reports'])}")
     return EXIT_OK

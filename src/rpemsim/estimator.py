@@ -49,7 +49,7 @@ class ParameterBox:
     """Admissible parameter region; estimates are clamped into it after
     every update."""
 
-    psi_m_min: NonNegative
+    psi_m_min: Positive  # MTPA needs a positive flux estimate
     psi_m_max: float
     r_s_min: NonNegative
     r_s_max: float

@@ -1,4 +1,4 @@
-"""Continuous-time IPMSM electrical model, torque, speed step and step events.
+"""Continuous-time IPMSM electrical model, torque and speed step.
 
 The electrical part in rotor coordinates, per-unit:
 
@@ -12,10 +12,10 @@ For fixed (n, u) this is linear in i, so the trapezoidal step is an exact
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Literal, Optional
+from dataclasses import dataclass
+from typing import Literal
 
-from .pu import ConfigError, DqVector, Finite, MachineParams, NonNegative, check_fields
+from .pu import DqVector, MachineParams
 
 IntegrationMethod = Literal["trapezoidal"]
 
@@ -30,22 +30,6 @@ class PlantState:
 
     def __post_init__(self) -> None:
         self.theta = self.theta % (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class StepEvent:
-    """Scheduled step change of a true plant quantity; the estimator is
-    never informed."""
-
-    time_s: NonNegative
-    target: Literal["psi_m", "r_s", "x_d", "x_q", "load_torque", "speed_ref"]
-    factor: Optional[Finite] = None
-    value: Optional[Finite] = None
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if (self.factor is None) == (self.value is None):
-            raise ConfigError("event needs exactly one of factor / value")
 
 
 def electromagnetic_torque(
@@ -220,29 +204,3 @@ def steady_state_voltage(
         d=params.r_s * i.d - n * params.x_q * i.q,
         q=params.r_s * i.q + n * (params.x_d * i.d + params.psi_m),
     )
-
-
-def apply_param_event(params: MachineParams, event: StepEvent) -> MachineParams:
-    """Apply one parameter step event; raises ConfigError if the result is
-    invalid."""
-    if event.target not in ("psi_m", "r_s", "x_d", "x_q"):
-        raise ValueError(f"{event.target!r} is not a machine parameter target")
-    current = getattr(params, event.target)
-    new = current * event.factor if event.factor is not None else event.value
-    return replace(params, **{event.target: new})
-
-
-def validate_events(events: list[StepEvent], params0: MachineParams) -> None:
-    """Reject event lists that would ever produce invalid parameters."""
-    times = [ev.time_s for ev in events]
-    if times != sorted(times):
-        raise ConfigError("events must be sorted by time")
-    params = params0
-    for ev in events:
-        if ev.target in ("psi_m", "r_s", "x_d", "x_q"):
-            try:
-                params = apply_param_event(params, ev)
-            except ConfigError as exc:
-                raise ConfigError(
-                    f"event at t={ev.time_s}s produces invalid parameters: {exc}"
-                ) from exc

@@ -28,13 +28,7 @@ from .control import (
     tune_speed_loop,
 )
 from .estimator import RpemEstimator
-from .plant import (
-    Trapezoid,
-    apply_param_event,
-    electromagnetic_torque,
-    speed_step,
-    steady_state_voltage,
-)
+from .plant import Trapezoid, electromagnetic_torque, speed_step, steady_state_voltage
 from .pu import DqVector
 from .scenario import Scenario, ScheduleCursor, schedule_value
 
@@ -208,24 +202,13 @@ def run(scenario: Scenario) -> RunResult:
     )
 
     pi_d, pi_q = tune_current_loops(theta0_params, omega_n, dt, ctl.u_max_pu)
-    if ctl.kp_d is not None or ctl.ti_d is not None:
-        pi_d = PiState(
-            kp=ctl.kp_d if ctl.kp_d is not None else pi_d.kp,
-            ti=ctl.ti_d if ctl.ti_d is not None else pi_d.ti,
-            output_limit=pi_d.output_limit,
-        )
-    if ctl.kp_q is not None or ctl.ti_q is not None:
-        pi_q = PiState(
-            kp=ctl.kp_q if ctl.kp_q is not None else pi_q.kp,
-            ti=ctl.ti_q if ctl.ti_q is not None else pi_q.ti,
-            output_limit=pi_q.output_limit,
-        )
-    # preload integrators so the loop starts in steady state
+    # preload integrators so the loop starts in steady state; a set PI
+    # override is Positive, so `or` takes it over the tuned value
     ff_d0 = -n0 * theta0_params.x_q * i0.q
     ff_q0 = n0 * (theta0_params.x_d * i0.d + theta0_params.psi_m)
     loops = CurrentLoops(
-        PiState(pi_d.kp, pi_d.ti, u0.d - ff_d0, pi_d.output_limit),
-        PiState(pi_q.kp, pi_q.ti, u0.q - ff_q0, pi_q.output_limit),
+        PiState(ctl.kp_d or pi_d.kp, ctl.ti_d or pi_d.ti, u0.d - ff_d0, pi_d.output_limit),
+        PiState(ctl.kp_q or pi_q.kp, ctl.ti_q or pi_q.ti, u0.q - ff_q0, pi_q.output_limit),
         theta0_params.x_d, theta0_params.x_q, dt, ctl.u_max_pu,
     )
     pi_n = tune_speed_loop(inertia_H, ctl.tau_max_pu)
@@ -239,12 +222,6 @@ def run(scenario: Scenario) -> RunResult:
         memoryview(rng.standard_normal((n_steps, 2)) * sigma).cast("B").cast("d")
         if sigma > 0.0 else None
     )
-
-    events = sorted(scenario.parameter_events(), key=lambda e: e.time_s)
-    event_times = [ev.time_s for ev in events] + [math.inf]
-    ev_idx = 0
-    plant_params = params0
-    p_psi, p_rs, p_xd, p_xq = params0.psi_m, params0.r_s, params0.x_d, params0.x_q
 
     dec = scenario.log_decimation
     n_log = (n_steps + dec - 1) // dec
@@ -263,6 +240,9 @@ def run(scenario: Scenario) -> RunResult:
     speed_at = ScheduleCursor(speed_sched).at
     tau_at = ScheduleCursor(tau_sched).at
     load_at = ScheduleCursor(load_sched).at
+    plant_params_at = ScheduleCursor([
+        (t, (p.psi_m, p.r_s, p.x_d, p.x_q)) for t, p in scenario.plant_schedule(params0)
+    ]).at
     estimator_step = estimator.step
     loops_step = loops.step
     plant = Trapezoid(omega_n, dt / substeps)
@@ -281,11 +261,7 @@ def run(scenario: Scenario) -> RunResult:
     try:
         for k in range(n_steps):
             t = k * dt
-            while event_times[ev_idx] <= t:
-                plant_params = apply_param_event(plant_params, events[ev_idx])
-                p_psi, p_rs = plant_params.psi_m, plant_params.r_s
-                p_xd, p_xq = plant_params.x_d, plant_params.x_q
-                ev_idx += 1
+            p_psi, p_rs, p_xd, p_xq = plant_params_at(t)
 
             if prescribed:
                 n_plant = speed_at(t)
@@ -360,13 +336,13 @@ def run(scenario: Scenario) -> RunResult:
         ("psi_m", psi_hat_full, psi_true_full),
         ("r_s", rs_hat_full, rs_true_full),
     ):
-        ev_times = [
-            ev.time_s for ev in scenario.parameter_events() if ev.target == target
-        ]
+        ev_times = [ev.time_s for ev in scenario.events if ev.target == target]
         t0 = max(ev_times) if ev_times else 0.0
         reference = float(true[-1])
         if ev_times:
-            before = float(true[np.searchsorted(t_full, t0) - 1]) if t0 > 0 else float(true[0])
+            # the last sample before the step applies, by ScheduleCursor's timing rule
+            k0 = np.searchsorted(t_full, t0 - 1e-12)
+            before = float(true[k0 - 1]) if k0 > 0 else float(true[0])
             step_size = abs(reference - before)
         else:
             step_size = None

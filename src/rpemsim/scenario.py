@@ -21,7 +21,6 @@ from .estimator import (
     ParameterVector,
     box_bounds_around,
 )
-from .plant import StepEvent, validate_events
 from .pu import (
     TABLE_MACHINE_CONFIG,
     BaseQuantities,
@@ -48,6 +47,22 @@ class ScenarioError(ConfigError):
 
 Schedule = list[tuple[Finite, Finite]]  # (time_s, value) steps, piecewise const
 Seed = Annotated[int, "an integer >= 0", lambda x: x >= 0]  # noise seeds must be >= 0
+
+
+@dataclass(frozen=True)
+class StepEvent:
+    """Scheduled step change of a true plant quantity; the estimator is
+    never informed."""
+
+    time_s: NonNegative
+    target: Literal["psi_m", "r_s", "x_d", "x_q", "load_torque", "speed_ref"]
+    factor: Optional[Finite] = None
+    value: Optional[Finite] = None
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if (self.factor is None) == (self.value is None):
+            raise ConfigError("event needs exactly one of factor / value")
 
 
 class ScheduleCursor:
@@ -191,9 +206,12 @@ class Scenario:
     def validate(self) -> tuple[BaseQuantities, MachineParams]:
         """Full validation; returns the resolved machine."""
         base, params = machine_from_config(self.machine)
-        validate_events(self.events, params)
+        times = [ev.time_s for ev in self.events]
+        if times != sorted(times):
+            raise ScenarioError("events must be sorted by time")
+        self.plant_schedule(params)
         last = (round(self.duration_s / self.t_samp_s) - 1) * self.t_samp_s  # as run() steps
-        late = [ev.time_s for ev in self.events if ev.time_s > last]
+        late = [t for t in times if t > last + 1e-12]  # ScheduleCursor's tolerance
         if late:
             raise ScenarioError(f"event at t={late[0]}s lies after the last sample, {last:.9g}s")
         self.estimator.gain_config()  # raises on bad gains
@@ -209,8 +227,21 @@ class Scenario:
     def speed_ref_schedule(self) -> Schedule:
         return merge_events_into_schedule(self.control.speed_ref, self.events, "speed_ref")
 
-    def parameter_events(self) -> list[StepEvent]:
-        return [ev for ev in self.events if ev.target in ("psi_m", "r_s", "x_d", "x_q")]
+    def plant_schedule(self, params0: MachineParams) -> list[tuple[float, MachineParams]]:
+        """The true machine parameters at t = 0 and at each parameter event
+        time, after every event at that time."""
+        columns = {
+            name: merge_events_into_schedule([(0.0, getattr(params0, name))], self.events, name)
+            for name in (f.name for f in fields(MachineParams))
+        }
+        cursors = {name: ScheduleCursor(column) for name, column in columns.items()}
+        schedule = []
+        for t in sorted({t for column in columns.values() for t, _ in column}):
+            try:
+                schedule.append((t, MachineParams(**{n: c.at(t) for n, c in cursors.items()})))
+            except ConfigError as exc:
+                raise ScenarioError(f"event at t={t}s produces invalid parameters: {exc}") from exc
+        return schedule
 
     def initial_theta(self, true_params: MachineParams) -> ParameterVector:
         est = self.estimator

@@ -7,20 +7,17 @@ from hypothesis import strategies as st
 
 from rpemsim.plant import (
     PlantState,
-    StepEvent,
     Trapezoid,
-    apply_param_event,
     integrate_electrical,
     speed_step,
     steady_state_current,
     steady_state_voltage,
     torque,
     trapezoid_matrices,
-    validate_events,
 )
 from rpemsim.pu import ConfigError, DqVector
 from rpemsim.runner import run
-from rpemsim.scenario import ControlSection, PlantSection, Scenario
+from rpemsim.scenario import ControlSection, PlantSection, Scenario, StepEvent
 
 DT = 125e-6
 
@@ -150,28 +147,6 @@ def test_trapezoidal_bounded_at_rated_speed(params, omega_n):
     for _ in range(int(10.0 / DT / 10)):  # 1 s is plenty to reveal growth
         state = integrate_electrical(state, u, DT, "trapezoidal", omega_n)
         assert abs(state.i.d) < 10.0 and abs(state.i.q) < 10.0
-
-
-def test_apply_step_events_flux_factor(params):
-    out = apply_param_event(params, StepEvent(time_s=1.0, target="psi_m", factor=0.92))
-    assert out.psi_m == pytest.approx(0.92 * params.psi_m, rel=1e-12)
-    # the other parameters are untouched
-    assert (out.r_s, out.x_d, out.x_q) == (params.r_s, params.x_d, params.x_q)
-
-
-def test_validate_events_rejects_invalid_result(params):
-    ev = [StepEvent(time_s=1.0, target="psi_m", factor=-2.0)]
-    with pytest.raises(ConfigError):
-        validate_events(ev, params)
-
-
-def test_validate_events_rejects_unsorted(params):
-    ev = [
-        StepEvent(time_s=2.0, target="psi_m", factor=0.9),
-        StepEvent(time_s=1.0, target="r_s", factor=0.9),
-    ]
-    with pytest.raises(ConfigError, match="sorted"):
-        validate_events(ev, params)
 
 
 def test_event_needs_exactly_one_of_factor_value():

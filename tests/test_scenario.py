@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpemsim.cli import main as cli_main
-from rpemsim.plant import StepEvent
 from rpemsim.pu import TABLE_MACHINE_CONFIG, ConfigError, MachineConfig
 from rpemsim.runner import SimulationDiverged, convergence_metrics, run
 from rpemsim.scenario import (
@@ -19,6 +18,7 @@ from rpemsim.scenario import (
     PlantSection,
     Scenario,
     ScenarioError,
+    StepEvent,
     load_scenario,
     preset_library,
     save_scenario,
@@ -63,8 +63,56 @@ def test_event_beyond_duration_rejected(tmp_path, capsys):
 
 
 def test_event_producing_invalid_params_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(ScenarioError, match="t=1.0s produces invalid parameters"):
         _quick(duration=3.0, events=[StepEvent(time_s=1.0, target="psi_m", factor=-1.0)])
+
+
+def test_plant_schedule_applies_a_flux_factor(params):
+    sc = _quick(duration=3.0, events=[StepEvent(time_s=1.0, target="psi_m", factor=0.92)])
+    (t0, before), (t1, after) = sc.plant_schedule(params)
+    assert (t0, before) == (0.0, params)
+    assert t1 == 1.0
+    assert after.psi_m == pytest.approx(0.92 * params.psi_m, rel=1e-12)
+    # the other parameters are untouched
+    assert (after.r_s, after.x_d, after.x_q) == (params.r_s, params.x_d, params.x_q)
+
+
+def test_unsorted_events_rejected():
+    events = [
+        StepEvent(time_s=2.0, target="psi_m", factor=0.9),
+        StepEvent(time_s=1.0, target="r_s", factor=0.9),
+    ]
+    with pytest.raises(ScenarioError, match="sorted"):
+        _quick(duration=3.0, events=events)
+
+
+def test_reactance_steps_at_one_instant_are_checked_together(params):
+    # x_d = 2.0 alone would break x_q >= x_d; the run applies every event of
+    # an instant before it steps, so only the state after both is checked
+    events = [
+        StepEvent(time_s=0.01, target="x_d", value=2.0),
+        StepEvent(time_s=0.01, target="x_q", value=2.5),
+    ]
+    sc = _quick(duration=0.02, events=events)
+    assert [(t, p.x_d, p.x_q) for t, p in sc.plant_schedule(params)] == [
+        (0.0, params.x_d, params.x_q), (0.01, 2.0, 2.5),
+    ]
+    run(sc)
+
+
+def test_parameter_event_follows_the_schedule_timing_rule():
+    # an event applies from the first sample t with time_s <= t + 1e-12,
+    # whatever its target
+    time_s = 40 * 125e-6 + 5e-13
+    sc = _quick(duration=0.01, events=[
+        StepEvent(time_s=time_s, target="psi_m", factor=0.9),
+        StepEvent(time_s=time_s, target="speed_ref", value=0.1),
+    ])
+    res = run(sc)
+    assert res.psi_m_true[39] == 0.895
+    assert res.psi_m_true[40] == pytest.approx(0.9 * 0.895, rel=1e-12)
+    # the prescribed speed is logged every 8th sample: rows 4 and 5 are samples 32 and 40
+    assert (res.log["n"][4], res.log["n"][5]) == (0.0, 0.1)
 
 
 def test_unknown_scenario_key_rejected():
@@ -284,6 +332,8 @@ def test_cli_validate_bad_file(tmp_path):
     {"box_fraction": 1.5},          # default box reaches below zero
     {"box_r_s_min": -0.01},
     {"box_psi_m_min": -0.1},
+    {"box_psi_m_min": 0.0},         # MTPA needs a positive flux estimate
+    {"box_fraction": 1.0},          # default box reaches zero flux
     {"theta0_psi_m": -1.0},
     {"theta0_psi_m": 0.0},          # MTPA needs a positive flux estimate
     {"theta0_r_s": -0.02},

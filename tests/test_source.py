@@ -48,3 +48,18 @@ def test_checked_dataclasses_declare_ranges_in_their_field_types():
                 if "check_fields" in text and ("math.inf" in text or "isfinite" in text):
                     found.append(f"{path.name}:{cls.name}")
     assert found == []
+
+
+def test_machine_parameter_targets_are_not_listed_by_hand():
+    # the machine parameters are the fields of MachineParams, and their
+    # events reach the plant through Scenario.plant_schedule
+    targets = {"psi_m", "r_s", "x_d", "x_q"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == len(targets)
+        and {getattr(e, "value", None) for e in node.elts} == targets
+    ]
+    assert found == []
