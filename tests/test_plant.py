@@ -149,6 +149,21 @@ def test_trapezoidal_bounded_at_rated_speed(params, omega_n):
         assert abs(state.i.d) < 10.0 and abs(state.i.q) < 10.0
 
 
+def test_validate_events_rejects_invalid_result():
+    # the events are folded into the plant's parameter schedule, and a step
+    # whose result fails the MachineParams check is rejected with it as cause
+    ev = [StepEvent(time_s=1.0, target="psi_m", factor=-2.0)]
+    with pytest.raises(ConfigError) as exc:
+        Scenario(
+            name="bad-flux",
+            duration_s=3.0,
+            control=ControlSection(tau_ref=[(0.0, 0.3)]),
+            events=ev,
+        )
+    assert isinstance(exc.value.__cause__, ConfigError)
+    assert "magnet flux linkage" in str(exc.value.__cause__)
+
+
 def test_event_needs_exactly_one_of_factor_value():
     with pytest.raises(ConfigError):
         StepEvent(time_s=1.0, target="psi_m")
