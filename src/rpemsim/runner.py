@@ -30,7 +30,7 @@ from .control import (
 from .estimator import RpemEstimator
 from .plant import Trapezoid, electromagnetic_torque, speed_step, steady_state_voltage
 from .pu import DqVector
-from .scenario import Scenario, ScheduleCursor, schedule_value
+from .scenario import EVENT_TOL_S, Scenario, ScheduleCursor, schedule_value
 
 # Entry points of the control and plant layers that the loop below reaches
 # through their float kernels instead. They stay attributes of this module
@@ -108,7 +108,9 @@ def convergence_metrics(
         raise ValueError("empty trajectory")
     if band <= 0.0:
         raise ValueError("band must be positive")
-    mask = t >= t0
+    mask = t >= t0 - EVENT_TOL_S  # the samples a step at t0 applies to
+    if not mask.any():
+        raise ValueError(f"no sample at or after t0 = {t0}")
     tt = t[mask]
     traj = trajectory[mask]
     tol = band * abs(reference)
@@ -117,7 +119,7 @@ def convergence_metrics(
         last_out = np.where(~inside)[0]
         first_idx = 0 if len(last_out) == 0 else last_out[-1] + 1
         converged = True
-        conv_time = float(tt[first_idx] - t0)
+        conv_time = max(0.0, float(tt[first_idx] - t0))
     else:
         converged = False
         conv_time = None
@@ -160,7 +162,8 @@ def _diverged(
 
 def run(scenario: Scenario) -> RunResult:
     """Execute one scenario; deterministic for a given seed."""
-    base, params0 = scenario.validate()
+    base, plant_sched = scenario.validate()
+    params0 = plant_sched[0][1]
     omega_n = base.omega_n
     dt = scenario.t_samp_s
     n_steps = int(round(scenario.duration_s / dt))
@@ -241,7 +244,7 @@ def run(scenario: Scenario) -> RunResult:
     tau_at = ScheduleCursor(tau_sched).at
     load_at = ScheduleCursor(load_sched).at
     plant_params_at = ScheduleCursor([
-        (t, (p.psi_m, p.r_s, p.x_d, p.x_q)) for t, p in scenario.plant_schedule(params0)
+        (t, (p.psi_m, p.r_s, p.x_d, p.x_q)) for t, p in plant_sched
     ]).at
     estimator_step = estimator.step
     loops_step = loops.step
@@ -341,7 +344,7 @@ def run(scenario: Scenario) -> RunResult:
         reference = float(true[-1])
         if ev_times:
             # the last sample before the step applies, by ScheduleCursor's timing rule
-            k0 = np.searchsorted(t_full, t0 - 1e-12)
+            k0 = np.searchsorted(t_full, t0 - EVENT_TOL_S)
             before = float(true[k0 - 1]) if k0 > 0 else float(true[0])
             step_size = abs(reference - before)
         else:

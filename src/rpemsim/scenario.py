@@ -48,6 +48,9 @@ class ScenarioError(ConfigError):
 Schedule = list[tuple[Finite, Finite]]  # (time_s, value) steps, piecewise const
 Seed = Annotated[int, "an integer >= 0", lambda x: x >= 0]  # noise seeds must be >= 0
 
+#: An event or schedule entry applies from the first sample t with time_s <= t + EVENT_TOL_S.
+EVENT_TOL_S = 1e-12
+
 
 @dataclass(frozen=True)
 class StepEvent:
@@ -68,7 +71,7 @@ class StepEvent:
 class ScheduleCursor:
     """Reads a schedule at non-decreasing times.
 
-    An entry applies from its time on, with a 1e-12 s tolerance; each entry
+    An entry applies from its time on, with an EVENT_TOL_S tolerance; each entry
     is passed over once, so a run reads its schedules in O(1) per step.
     """
 
@@ -83,7 +86,7 @@ class ScheduleCursor:
 
     def at(self, t: float) -> float:
         """The schedule value at t; t must not be below the previous call's."""
-        while not t + 1e-12 < self._next:
+        while not t + EVENT_TOL_S < self._next:
             self._idx += 1
             self.value = self._values[self._idx]
             self._next = self._times[self._idx + 1]
@@ -203,21 +206,22 @@ class Scenario:
             )
         self.validate()
 
-    def validate(self) -> tuple[BaseQuantities, MachineParams]:
-        """Full validation; returns the resolved machine."""
+    def validate(self) -> tuple[BaseQuantities, list[tuple[float, MachineParams]]]:
+        """Full validation; returns the base quantities and the plant
+        schedule, whose first entry holds the machine at t = 0."""
         base, params = machine_from_config(self.machine)
         times = [ev.time_s for ev in self.events]
         if times != sorted(times):
             raise ScenarioError("events must be sorted by time")
-        self.plant_schedule(params)
+        schedule = self.plant_schedule(params)
         last = (round(self.duration_s / self.t_samp_s) - 1) * self.t_samp_s  # as run() steps
-        late = [t for t in times if t > last + 1e-12]  # ScheduleCursor's tolerance
+        late = [t for t in times if t > last + EVENT_TOL_S]
         if late:
             raise ScenarioError(f"event at t={late[0]}s lies after the last sample, {last:.9g}s")
         self.estimator.gain_config()  # raises on bad gains
         self.parameter_box(params)
         self.initial_model(params)
-        return base, params
+        return base, schedule
 
     def load_torque_schedule(self) -> Schedule:
         return merge_events_into_schedule(

@@ -58,8 +58,12 @@ def test_event_beyond_duration_rejected(tmp_path, capsys):
     event = {"time_s": 0.0199, "target": "psi_m", "factor": 0.9}
     _assert_validate_rejects({"name": "x", "duration_s": 0.02, "events": [event]},
                              tmp_path, capsys)
-    last = _quick(duration=0.02, events=[StepEvent(time_s=0.019875, target="psi_m", factor=0.9)])
-    assert run(last).psi_m_true[-1] == pytest.approx(0.9 * 0.895, rel=1e-12)
+    # an event at, or within EVENT_TOL_S after, the last sample applies there
+    for time_s in (159 * 125e-6, 159 * 125e-6 + 5e-13):
+        last = _quick(duration=0.02, events=[StepEvent(time_s=time_s, target="psi_m", factor=0.9)])
+        res = run(last)
+        assert res.psi_m_true[-2] == 0.895
+        assert res.psi_m_true[-1] == pytest.approx(0.9 * 0.895, rel=1e-12)
 
 
 def test_event_producing_invalid_params_rejected():
@@ -304,6 +308,19 @@ def test_metrics_overshoot_and_band():
     traj[500] = 0.94          # 6 percent of the step beyond the reference
     rep = convergence_metrics(t, traj, ref, t0=0.0, step_size=1.0)
     assert rep.overshoot == pytest.approx(0.06, rel=1e-9)
+
+
+def test_metrics_start_at_the_first_sample_a_step_applies_to():
+    # a step at 40 dt + 5e-13 s applies from sample 40 (ScheduleCursor's
+    # tolerance); a trajectory in the band from there on converges at once
+    dt = 125e-6
+    t = np.arange(80) * dt
+    traj = np.ones(80)
+    traj[39] = 2.0
+    rep = convergence_metrics(t, traj, 1.0, t0=40 * dt + 5e-13)
+    assert rep.converged and rep.convergence_time == 0.0
+    with pytest.raises(ValueError, match="no sample"):
+        convergence_metrics(t, traj, 1.0, t0=80 * dt)
 
 
 def test_metrics_never_converged():
