@@ -75,6 +75,15 @@ def cmd_sim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sweep_one(scenario: Scenario, out_dir: str, seed: int | None) -> tuple[str, bool]:
+    """A preset's status line and whether it diverged; the batch goes on."""
+    try:
+        report = _run_one(scenario, out_dir, seed)
+    except SimulationDiverged as exc:
+        return f"{scenario.name}: diverged: {exc}", True
+    return f"{scenario.name}: ok {json.dumps(report['reports'])}", False
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     presets = preset_library()
     scenarios = [presets[name] for name in sorted(fnmatch.filter(presets, args.pattern))]
@@ -82,15 +91,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"no presets match {args.pattern!r}")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(
-                pool.map(_run_one, scenarios, [args.out] * len(scenarios),
+            outcomes = list(
+                pool.map(_sweep_one, scenarios, [args.out] * len(scenarios),
                          [args.seed] * len(scenarios))
             )
     else:
-        reports = [_run_one(scenario, args.out, args.seed) for scenario in scenarios]
-    for rep in reports:
-        print(f"{rep['scenario']}: {json.dumps(rep['reports'])}")
-    return EXIT_OK
+        outcomes = [_sweep_one(scenario, args.out, args.seed) for scenario in scenarios]
+    for line, _ in outcomes:
+        print(line)
+    return EXIT_DIVERGED if any(diverged for _, diverged in outcomes) else EXIT_OK
 
 
 def _axis(bounds: tuple[float, float], points: int, option: str) -> np.ndarray:

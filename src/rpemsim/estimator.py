@@ -650,7 +650,7 @@ class RpemEstimator:
         "cfg", "box", "known_x", "omega_n", "t_samp", "_kernel", "_x_d", "_x_q",
         "_dyn_psi", "_dyn_rs", "_psi", "_rs", "_ih_d", "_ih_q",
         "_gp_d", "_gp_q", "_gr_d", "_gr_q", "_gain",
-        "_row1_was_on", "_row2_was_on", "_row1_off_time", "_row2_off_time",
+        "_row1_off_time", "_row2_off_time",
     )
 
     def __init__(
@@ -685,7 +685,6 @@ class RpemEstimator:
             )
         self._gp_d, self._gp_q, self._gr_d, self._gr_q = g0
         self._gain = None
-        self._row1_was_on, self._row2_was_on = scheduler_rows(n0, cfg)
         self._row1_off_time = 0.0
         self._row2_off_time = 0.0
 
@@ -709,8 +708,8 @@ class RpemEstimator:
         r = max(self._rs, 1e-6)
         reseed_after = 10.0 * max(self._x_d, self._x_q) / (r * self.omega_n)
         if (
-            (row1_on and not self._row1_was_on and self._row1_off_time > reseed_after)
-            or (row2_on and not self._row2_was_on and self._row2_off_time > reseed_after)
+            (row1_on and self._row1_off_time > reseed_after)
+            or (row2_on and self._row2_off_time > reseed_after)
         ):
             theta = self.theta
             i_ss = predictor_steady_state(theta, self.known_x, n, DqVector(u_d, u_q))
@@ -725,13 +724,12 @@ class RpemEstimator:
         cfg = self.cfg
         u_d, u_q = u
         row1_on, row2_on = scheduler_rows(n, cfg)
-        if (row1_on and not self._row1_was_on) or (row2_on and not self._row2_was_on):
+        # a row's off-time is > 0 exactly when it was off on the previous sample
+        if (row1_on and self._row1_off_time) or (row2_on and self._row2_off_time):
             self._reseed_on_edge(n, u_d, u_q, row1_on, row2_on)
         dt = self.t_samp
         self._row1_off_time = 0.0 if row1_on else self._row1_off_time + dt
         self._row2_off_time = 0.0 if row2_on else self._row2_off_time + dt
-        self._row1_was_on = row1_on
-        self._row2_was_on = row2_on
 
         ih_d, ih_q = self._ih_d, self._ih_q
         gain = self._gain

@@ -17,27 +17,18 @@ from typing import Optional
 import numpy as np
 
 from .analysis import write_csv_table
-from .control import (
-    CurrentLoops,
-    PiState,
-    limit_current,
-    mtpa_currents,
-    mtpa_reference,
-    pi_update,
-    tune_current_loops,
-    tune_speed_loop,
-)
-from .estimator import RpemEstimator
-from .plant import Trapezoid, electromagnetic_torque, speed_step, steady_state_voltage
-from .pu import DqVector
-from .scenario import EVENT_TOL_S, Scenario, ScheduleCursor, schedule_value
+from .control import limit_current, mtpa_currents, pi_update
+from .plant import Trapezoid, electromagnetic_torque, speed_step
+from .scenario import EVENT_TOL_S, Scenario, ScheduleCursor
 
-# Entry points of the control and plant layers that the loop below reaches
-# through their float kernels instead. They stay attributes of this module
+# Entry points of the control, plant and scenario layers that the loop below
+# reaches through their float kernels instead, or that Scenario.validate
+# calls while it builds the run's start. They stay attributes of this module
 # because the benchmark's tracer (perfbench/tracing.py) wraps them here by
 # name.
-from .control import current_controller, speed_controller  # noqa: F401
+from .control import current_controller, mtpa_reference, speed_controller  # noqa: F401
 from .plant import integrate_electrical, torque  # noqa: F401
+from .scenario import schedule_value  # noqa: F401
 
 
 class SimulationDiverged(RuntimeError):
@@ -162,60 +153,18 @@ def _diverged(
 
 def run(scenario: Scenario) -> RunResult:
     """Execute one scenario; deterministic for a given seed."""
-    base, plant_sched = scenario.validate()
-    params0 = plant_sched[0][1]
-    omega_n = base.omega_n
+    start = scenario.validate()
     dt = scenario.t_samp_s
     n_steps = int(round(scenario.duration_s / dt))
-    cfg = scenario.estimator.gain_config()
     ctl = scenario.control
-
-    tau_sched = ctl.tau_ref
-    speed_sched = scenario.speed_ref_schedule()
-    load_sched = scenario.load_torque_schedule()
     inertia_H = scenario.plant.inertia_H_s
     prescribed = scenario.plant.speed_mode == "prescribed"
     torque_mode = ctl.mode == "torque"
     substeps = scenario.plant.substeps
-
-    # initial operating point: settled at the t=0 references
-    n0 = schedule_value(speed_sched, 0.0)
-    tau0 = (
-        schedule_value(tau_sched, 0.0)
-        if torque_mode
-        else schedule_value(load_sched, 0.0)
-    )
-    theta0 = scenario.initial_theta(params0)
-    box = scenario.parameter_box(params0)
-    x_d, x_q = known_x = (params0.x_d, params0.x_q)
-    theta0_params = scenario.initial_model(params0)
-    id0, iq0 = limit_current(*mtpa_reference(tau0, theta0_params), ctl.i_max_pu)
-    i0 = DqVector(id0, iq0)
-    u0 = steady_state_voltage(params0, i0, n0)
-
-    estimator = RpemEstimator(
-        cfg=cfg,
-        theta0=theta0,
-        box=box,
-        known_x=known_x,
-        omega_n=omega_n,
-        t_samp=dt,
-        i_hat0=i0,
-        n0=n0,
-    )
-
-    pi_d, pi_q = tune_current_loops(theta0_params, omega_n, dt, ctl.u_max_pu)
-    # preload integrators so the loop starts in steady state; a set PI
-    # override is Positive, so `or` takes it over the tuned value
-    ff_d0 = -n0 * theta0_params.x_q * i0.q
-    ff_q0 = n0 * (theta0_params.x_d * i0.d + theta0_params.psi_m)
-    loops = CurrentLoops(
-        PiState(ctl.kp_d or pi_d.kp, ctl.ti_d or pi_d.ti, u0.d - ff_d0, pi_d.output_limit),
-        PiState(ctl.kp_q or pi_q.kp, ctl.ti_q or pi_q.ti, u0.q - ff_q0, pi_q.output_limit),
-        theta0_params.x_d, theta0_params.x_q, dt, ctl.u_max_pu,
-    )
-    pi_n = tune_speed_loop(inertia_H, ctl.tau_max_pu)
-    kp_n, ti_n, lim_n, integ_n = pi_n.kp, pi_n.ti, pi_n.output_limit, tau0
+    x_d, x_q = start.estimator.known_x
+    speed_pi = start.speed_pi
+    kp_n, ti_n, lim_n = speed_pi.kp, speed_pi.ti, speed_pi.output_limit
+    integ_n = speed_pi.integrator
 
     rng = np.random.default_rng(scenario.seed)
     sigma = scenario.plant.noise_sigma_pu
@@ -240,24 +189,24 @@ def run(scenario: Scenario) -> RunResult:
         memoryview(a) for a in (psi_hat_full, rs_hat_full, psi_true_full, rs_true_full)
     )
 
-    speed_at = ScheduleCursor(speed_sched).at
-    tau_at = ScheduleCursor(tau_sched).at
-    load_at = ScheduleCursor(load_sched).at
+    speed_at = ScheduleCursor(start.speed_schedule).at
+    tau_at = ScheduleCursor(ctl.tau_ref).at
+    load_at = ScheduleCursor(start.load_schedule).at
     plant_params_at = ScheduleCursor([
-        (t, (p.psi_m, p.r_s, p.x_d, p.x_q)) for t, p in plant_sched
+        (t, (p.psi_m, p.r_s, p.x_d, p.x_q)) for t, p in start.plant_schedule
     ]).at
-    estimator_step = estimator.step
-    loops_step = loops.step
-    plant = Trapezoid(omega_n, dt / substeps)
+    estimator_step = start.estimator.step
+    loops_step = start.loops.step
+    plant = Trapezoid(start.omega_n, dt / substeps)
     plant_set = plant.set
     plant_drive = plant.drive
     isfinite = math.isfinite
     i_max = ctl.i_max_pu
 
-    u_applied = (u0.d, u0.q)
-    n_applied = n0
-    n_plant = n0
-    i_d, i_q = i0
+    u_applied = start.u0
+    n_applied = start.n0
+    n_plant = start.n0
+    i_d, i_q = start.i0
     mpp_steps = 0
     log_row = 0
     k = 0

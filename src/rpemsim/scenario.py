@@ -12,20 +12,31 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Annotated, Any, Literal, Optional
+from typing import Annotated, Any, Literal, NamedTuple, Optional
 
+from .control import (
+    ControlError,
+    CurrentLoops,
+    PiState,
+    limit_current,
+    mtpa_reference,
+    tune_current_loops,
+    tune_speed_loop,
+)
 from .estimator import (
     GainConfig,
     GainSettings,
     ParameterBox,
     ParameterVector,
+    RpemEstimator,
     box_bounds_around,
 )
+from .plant import steady_state_voltage
 from .pu import (
     TABLE_MACHINE_CONFIG,
-    BaseQuantities,
     ConfigError,
     Count,
+    DqVector,
     Finite,
     MachineParams,
     NonNegative,
@@ -121,6 +132,22 @@ def merge_events_into_schedule(
     return merged
 
 
+class RunStart(NamedTuple):
+    """Everything a run starts from, settled at the t = 0 references; built
+    by :meth:`Scenario.validate`."""
+
+    omega_n: float
+    plant_schedule: list[tuple[float, MachineParams]]  # see Scenario.plant_schedule
+    speed_schedule: Schedule  # speed_ref with its events merged in
+    load_schedule: Schedule  # load_torque_pu with its events merged in
+    estimator: RpemEstimator
+    loops: CurrentLoops  # tuned, overrides applied, integrators preloaded
+    speed_pi: PiState  # tuned speed PI; its integrator holds tau0
+    i0: DqVector
+    u0: DqVector
+    n0: float
+
+
 @dataclass(frozen=True)
 class PlantSection:
     noise_sigma_pu: NonNegative = 0.0
@@ -206,30 +233,85 @@ class Scenario:
             )
         self.validate()
 
-    def validate(self) -> tuple[BaseQuantities, list[tuple[float, MachineParams]]]:
-        """Full validation; returns the base quantities and the plant
-        schedule, whose first entry holds the machine at t = 0."""
+    def validate(self) -> RunStart:
+        """Full validation: builds everything a run starts from, settled at
+        the t = 0 references, or raises a ConfigError."""
         base, params = machine_from_config(self.machine)
         times = [ev.time_s for ev in self.events]
         if times != sorted(times):
             raise ScenarioError("events must be sorted by time")
-        schedule = self.plant_schedule(params)
+        plant_sched = self.plant_schedule(params)
         last = (round(self.duration_s / self.t_samp_s) - 1) * self.t_samp_s  # as run() steps
         late = [t for t in times if t > last + EVENT_TOL_S]
         if late:
             raise ScenarioError(f"event at t={late[0]}s lies after the last sample, {last:.9g}s")
-        self.estimator.gain_config()  # raises on bad gains
-        self.parameter_box(params)
-        self.initial_model(params)
-        return base, schedule
-
-    def load_torque_schedule(self) -> Schedule:
-        return merge_events_into_schedule(
+        ctl, est = self.control, self.estimator
+        speed_sched = merge_events_into_schedule(ctl.speed_ref, self.events, "speed_ref")
+        load_sched = merge_events_into_schedule(
             [(0.0, self.plant.load_torque_pu)], self.events, "load_torque"
         )
+        cfg = est.gain_config()  # raises on bad gains
 
-    def speed_ref_schedule(self) -> Schedule:
-        return merge_events_into_schedule(self.control.speed_ref, self.events, "speed_ref")
+        # the estimator's box: explicit bounds win over +-box_fraction
+        # around the true initial values
+        nominal = ParameterVector(params.psi_m, params.r_s)
+        default = box_bounds_around(nominal, est.box_fraction)
+        explicit = (est.box_psi_m_min, est.box_psi_m_max, est.box_r_s_min, est.box_r_s_max)
+        try:
+            box = ParameterBox(*(d if e is None else e for e, d in zip(explicit, default)))
+        except ConfigError as exc:
+            raise ScenarioError(
+                f"estimator parameter box (box_fraction={est.box_fraction}): {exc}"
+            ) from exc
+
+        theta0 = ParameterVector(  # default: the true initial values
+            psi_m=params.psi_m if est.theta0_psi_m is None else est.theta0_psi_m,
+            r_s=params.r_s if est.theta0_r_s is None else est.theta0_r_s,
+        )
+        n0 = schedule_value(speed_sched, 0.0)
+        tau0 = schedule_value(ctl.tau_ref if ctl.mode == "torque" else load_sched, 0.0)
+        dt = self.t_samp_s
+        try:
+            # the controller's model at t = 0: known reactances with theta0
+            model = MachineParams(
+                x_d=params.x_d, x_q=params.x_q, r_s=theta0.r_s, psi_m=theta0.psi_m,
+            )
+            i0 = DqVector(*limit_current(*mtpa_reference(tau0, model), ctl.i_max_pu))
+            u0 = steady_state_voltage(params, i0, n0)
+            if not math.isfinite(i0.d + i0.q + u0.d + u0.q):
+                raise ControlError(f"i0 = {tuple(i0)} and u0 = {tuple(u0)} are not all finite")
+            pi_d, pi_q = tune_current_loops(model, base.omega_n, dt, ctl.u_max_pu)
+        except (ConfigError, ControlError, OverflowError, ZeroDivisionError) as exc:
+            raise ScenarioError(
+                f"cannot build the run's start (theta0 = {tuple(theta0)}, t = 0 references "
+                f"tau = {tau0}, n = {n0}): {type(exc).__name__}: {exc}"
+            ) from exc
+        # preload integrators so the loop starts in steady state; a set PI
+        # override is Positive, so `or` takes it over the tuned value
+        ff_d0 = -n0 * model.x_q * i0.q
+        ff_q0 = n0 * (model.x_d * i0.d + model.psi_m)
+        loops = CurrentLoops(
+            PiState(ctl.kp_d or pi_d.kp, ctl.ti_d or pi_d.ti, u0.d - ff_d0, pi_d.output_limit),
+            PiState(ctl.kp_q or pi_q.kp, ctl.ti_q or pi_q.ti, u0.q - ff_q0, pi_q.output_limit),
+            model.x_d, model.x_q, dt, ctl.u_max_pu,
+        )
+        pi_n = tune_speed_loop(self.plant.inertia_H_s, ctl.tau_max_pu)
+        estimator = RpemEstimator(
+            cfg=cfg, theta0=theta0, box=box, known_x=(params.x_d, params.x_q),
+            omega_n=base.omega_n, t_samp=dt, i_hat0=i0, n0=n0,
+        )
+        return RunStart(
+            omega_n=base.omega_n,
+            plant_schedule=plant_sched,
+            speed_schedule=speed_sched,
+            load_schedule=load_sched,
+            estimator=estimator,
+            loops=loops,
+            speed_pi=PiState(pi_n.kp, pi_n.ti, tau0, pi_n.output_limit),
+            i0=i0,
+            u0=u0,
+            n0=n0,
+        )
 
     def plant_schedule(self, params0: MachineParams) -> list[tuple[float, MachineParams]]:
         """The true machine parameters at t = 0 and at each parameter event
@@ -246,46 +328,6 @@ class Scenario:
             except ConfigError as exc:
                 raise ScenarioError(f"event at t={t}s produces invalid parameters: {exc}") from exc
         return schedule
-
-    def initial_theta(self, true_params: MachineParams) -> ParameterVector:
-        est = self.estimator
-        return ParameterVector(
-            psi_m=true_params.psi_m if est.theta0_psi_m is None else est.theta0_psi_m,
-            r_s=true_params.r_s if est.theta0_r_s is None else est.theta0_r_s,
-        )
-
-    def initial_model(self, true_params: MachineParams) -> MachineParams:
-        """The controller's model at t = 0: known reactances with the
-        initial estimate theta0."""
-        theta0 = self.initial_theta(true_params)
-        try:
-            model = MachineParams(
-                x_d=true_params.x_d, x_q=true_params.x_q,
-                r_s=theta0.r_s, psi_m=theta0.psi_m,
-            )
-        except ConfigError as exc:
-            raise ScenarioError(f"initial estimate theta0 is invalid: {exc}") from exc
-        if not model.psi_m > 0.0:
-            raise ScenarioError(
-                f"initial estimate theta0_psi_m must be positive, got {model.psi_m}"
-            )
-        return model
-
-    def parameter_box(self, true_params: MachineParams) -> ParameterBox:
-        """The estimator's box: explicit bounds win over +-box_fraction
-        around the true initial values."""
-        est = self.estimator
-        nominal = ParameterVector(true_params.psi_m, true_params.r_s)
-        default = box_bounds_around(nominal, est.box_fraction)
-        explicit = (est.box_psi_m_min, est.box_psi_m_max, est.box_r_s_min, est.box_r_s_max)
-        try:
-            return ParameterBox(*(
-                d if e is None else e for e, d in zip(explicit, default)
-            ))
-        except ConfigError as exc:
-            raise ScenarioError(
-                f"estimator parameter box (box_fraction={est.box_fraction}): {exc}"
-            ) from exc
 
     # -- serialization ----------------------------------------------------
 

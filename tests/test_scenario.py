@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -144,7 +145,7 @@ def test_preset_count_and_contents():
     fig_presets = [n for n in presets if n.startswith("fig")]
     assert len(fig_presets) == 16  # four panels for each of the four figures
     fig8c = presets["fig8c"]
-    assert schedule_value(fig8c.speed_ref_schedule(), 0.0) == 0.0
+    assert schedule_value(fig8c.validate().speed_schedule, 0.0) == 0.0
     assert schedule_value(fig8c.control.tau_ref, 0.0) == 0.6
 
 
@@ -176,12 +177,27 @@ def test_cli_sweep_parallel(tmp_path):
     assert (out / "fig7a.csv").exists() and (out / "fig7b.csv").exists()
 
 
+def test_cli_sweep_finishes_the_batch_past_a_diverged_preset(tmp_path, capsys, monkeypatch):
+    # one diverged preset used to abort the whole sweep with no further output
+    def run_or_diverge(scenario):
+        if scenario.name == "fig7a":
+            raise SimulationDiverged(0.0, "i_d = nan at step 0")
+        return run(dataclasses.replace(scenario, duration_s=0.01, events=[]))
+
+    monkeypatch.setattr("rpemsim.cli.run", run_or_diverge)
+    out = tmp_path / "sweep"
+    assert cli_main(["--out", str(out), "sweep", "fig7[ab]", "--jobs", "1"]) == 2
+    diverged, ok = capsys.readouterr().out.splitlines()
+    assert diverged.startswith("fig7a: diverged: ") and ok.startswith("fig7b: ok ")
+    assert sorted(p.name for p in out.iterdir()) == ["fig7b.csv", "fig7b_report.json"]
+
+
 def test_explicit_box_bounds_override_fraction(params):
     sc = Scenario.from_dict({
         "name": "boxed", "duration_s": 1.0,
         "estimator": {"box_psi_m_min": 0.85, "box_r_s_max": 0.05},
     })
-    box = sc.parameter_box(params)
+    box = sc.validate().estimator.box
     assert box.psi_m_min == 0.85
     assert box.r_s_max == 0.05
     assert box.psi_m_max == pytest.approx(1.3 * params.psi_m, rel=1e-12)
@@ -345,7 +361,7 @@ def test_cli_validate_bad_file(tmp_path):
     assert cli_main(["validate", str(path)]) == 1
 
 
-@pytest.mark.parametrize("estimator", [
+_BAD_ESTIMATORS = [
     {"box_fraction": 1.5},          # default box reaches below zero
     {"box_r_s_min": -0.01},
     {"box_psi_m_min": -0.1},
@@ -361,10 +377,32 @@ def test_cli_validate_bad_file(tmp_path):
     {"detR_floor": 0.0},
     {"r0": -1.0},
     {"r0": 0.0},
+]
+
+
+@pytest.mark.parametrize("fields", [
+    *(pytest.param({"duration_s": 1.0, "estimator": est}, id=f"estimator{i}")
+      for i, est in enumerate(_BAD_ESTIMATORS)),
+    # the operating point at t = 0 cannot be built; each of these used to
+    # pass validate and end sim in a traceback or in a divergence at step 0
+    pytest.param({"estimator": {"theta0_psi_m": 1e300, "box_psi_m_max": 1e301},
+                  "control": {"tau_ref": [[0.0, 0.2]]}}, id="mtpa_overflows"),
+    pytest.param({"control": {"tau_ref": [[0.0, 1e200]]}}, id="huge_torque_ref"),
+    pytest.param({"control": {"mode": "speed"}, "plant": {"load_torque_pu": 1e300}},
+                 id="huge_load_in_speed_mode"),
+    # omega_n = 3e-323: the current-loop tuning divides by r_s * omega_n = 0
+    pytest.param({"machine": {
+        "rated_voltage_ll_V": 1e-300, "rated_current_A": 1.0, "rated_speed_rpm": 1e-322,
+        "pole_pairs": 3, "r_s_pu": 0.05, "x_d_pu": 0.5, "x_q_pu": 1.0, "psi_m_pu": 0.9,
+    }}, id="tuning_divides_by_zero"),
 ])
-def test_cli_validate_rejects_box_and_theta0_that_run_refuses(tmp_path, capsys, estimator):
-    _assert_validate_rejects({"name": "x", "duration_s": 1.0, "estimator": estimator},
-                             tmp_path, capsys)
+def test_cli_validate_rejects_box_and_theta0_that_run_refuses(tmp_path, capsys, fields):
+    _assert_validate_rejects({"name": "x", "duration_s": 0.01, **fields}, tmp_path, capsys)
+    out = tmp_path / "o"
+    assert cli_main(["--out", str(out), "sim", str(tmp_path / "bad.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fields", [
@@ -586,6 +624,49 @@ def test_validate_rejects_each_non_finite_number(tmp_path, capsys, path, value):
         _assert_validate_rejects(d, tmp_path, capsys)
 
 
+# zero, the ends of the float range and a few ordinary values
+_EXTREMES = [0.0, 1e-300, -1e-300, 0.5, 1.0, -1.0, 2.0, 1e300, -1e300]
+
+
+def _drawn_fields():
+    """(path into ``_SHORT``, strategy) of every number but duration_s and
+    t_samp_s, from ``_EXTREMES`` (an integer from 0, +-1, 2), and of every
+    choice field, with events[0] as the one event."""
+    types = dict(_declared_fields())
+    out = [
+        (path, st.sampled_from([0, 1, -1, 2] if types.get(path) is int else _EXTREMES))
+        for path in _number_paths() if path not in (("duration_s",), ("t_samp_s",))
+    ]
+    out += [(path, st.sampled_from(get_args(tp))) for path, tp in types.items()
+            if get_origin(tp) is Literal]
+    return [(path, values) for path, values in out if path[:2] != ("events", 1)]
+
+
+_DRAWN_FIELDS = _drawn_fields()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_well_typed_scenario_is_rejected_or_runs(data):
+    # validate is total: a scenario it accepts runs to its end or diverges.
+    # A few fields of a valid 0.01 s scenario are drawn at a time; with every
+    # field drawn at once nearly every dict is rejected before it can run
+    d = copy.deepcopy({**_SHORT, "events": _SHORT["events"][:1]})
+    for path, values in data.draw(st.lists(st.sampled_from(_DRAWN_FIELDS), max_size=6)):
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(values, label=".".join(map(str, path)))
+    try:
+        scenario = Scenario.from_dict(d)
+    except ScenarioError:
+        return
+    try:
+        run(scenario)
+    except SimulationDiverged:
+        pass
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("target", ["psi_m", "r_s"])
 def test_report_of_a_zero_reference_is_valid_json(tmp_path, target):
@@ -619,7 +700,7 @@ def test_explicit_bounds_make_a_wide_box_fraction_valid(params):
         "name": "boxed", "duration_s": 1.0,
         "estimator": {"box_fraction": 1.5, "box_psi_m_min": 0.5, "box_r_s_min": 0.0},
     })
-    box = sc.parameter_box(params)
+    box = sc.validate().estimator.box
     assert (box.psi_m_min, box.r_s_min) == (0.5, 0.0)
     assert box.r_s_max == pytest.approx(2.5 * params.r_s, rel=1e-12)
 

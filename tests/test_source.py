@@ -5,6 +5,7 @@ import inspect
 from pathlib import Path
 
 import rpemsim
+from rpemsim import runner
 from rpemsim.estimator import RpemEstimator
 
 PACKAGE = Path(rpemsim.__file__).resolve().parent
@@ -61,5 +62,20 @@ def test_machine_parameter_targets_are_not_listed_by_hand():
         if isinstance(node, ast.Tuple)
         and len(node.elts) == len(targets)
         and {getattr(e, "value", None) for e in node.elts} == targets
+    ]
+    assert found == []
+
+
+def test_run_builds_its_start_only_through_validate():
+    # Scenario.validate builds the estimator, the tuned loops and the t = 0
+    # operating point; a second copy of that set-up in run() could drift
+    # from what validate checks
+    source = inspect.getsource(runner.run)
+    found = [
+        key for key in (
+            "tune_current_loops", "tune_speed_loop", "mtpa_reference", "RpemEstimator(",
+            "CurrentLoops(", "PiState(", "gain_config",
+        )
+        if key in source
     ]
     assert found == []
