@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from .pu import DqVector, MachineParams
 
+SPEED_LOOP_BANDWIDTH_RAD_S = 40.0  # what tune_speed_loop sizes the speed PI for
+
 
 class ControlError(ValueError):
     """Reference or controller configuration cannot be realized."""
@@ -33,10 +35,8 @@ class PiState:
 
 @dataclass(frozen=True)
 class References:
-    torque_ref: float = 0.0
     id_ref: float = 0.0
     iq_ref: float = 0.0
-    speed_ref: float = 0.0
 
 
 def mtpa_currents(
@@ -204,10 +204,8 @@ def tune_current_loops(
     )
 
 
-def tune_speed_loop(
-    inertia_H: float, tau_limit: float, bandwidth_rad_s: float = 40.0
-) -> PiState:
+def tune_speed_loop(inertia_H: float, tau_limit: float) -> PiState:
     """Speed PI sized from the inertia constant; ti a decade below kp action."""
-    kp = 2.0 * inertia_H * bandwidth_rad_s
-    ti = 10.0 / bandwidth_rad_s
+    kp = 2.0 * inertia_H * SPEED_LOOP_BANDWIDTH_RAD_S
+    ti = 10.0 / SPEED_LOOP_BANDWIDTH_RAD_S
     return PiState(kp=kp, ti=ti, output_limit=tau_limit)

@@ -289,13 +289,12 @@ def gradient_dynamic_step(
 
 
 def steady_state_gradients(
-    r_s: float, x_d: float, x_q: float, n: float, i_d: float, i_q: float,
-    denom_floor: float = SS_DENOM_FLOOR,
+    r_s: float, x_d: float, x_q: float, n: float, i_d: float, i_q: float
 ) -> tuple[float, float, float, float]:
     """(psi_d, psi_q, rs_d, rs_q) of :func:`gradient_steady_state`."""
     r = r_s
     D = r * r + n * n * x_d * x_q
-    if D < denom_floor:
+    if D < SS_DENOM_FLOOR:
         return 0.0, 0.0, 0.0, 0.0
     return (
         -n * n * x_q / D,
@@ -310,7 +309,6 @@ def gradient_steady_state(
     known_x: tuple[float, float],
     n: float,
     i_hat: DqVector,
-    denom_floor: float = SS_DENOM_FLOOR,
 ) -> GradientSet:
     """Closed-form steady-state prediction gradients.
 
@@ -319,7 +317,7 @@ def gradient_steady_state(
     the gradients are suppressed to zero so downstream gains vanish.
     """
     return GradientSet(*steady_state_gradients(
-        theta_hat.r_s, known_x[0], known_x[1], n, i_hat.d, i_hat.q, denom_floor
+        theta_hat.r_s, known_x[0], known_x[1], n, i_hat.d, i_hat.q
     ))
 
 
@@ -417,11 +415,11 @@ class SgaPerGradient:
 
 
 def pseudoinverse_2x2(
-    R: tuple[tuple[float, float], tuple[float, float]], tol: float = MPP_TOL
+    R: tuple[tuple[float, float], tuple[float, float]]
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Moore-Penrose pseudoinverse of a symmetric 2x2 matrix.
 
-    Eigendecomposition based: eigenvalues below tol times the dominant one
+    Eigendecomposition based: eigenvalues below MPP_TOL times the dominant one
     are inverted to zero. Satisfies the four Penrose conditions.
     """
     a, b = R[0][0], R[0][1]
@@ -449,8 +447,8 @@ def pseudoinverse_2x2(
     v1d, v1q = v1d / norm, v1q / norm
     v2d, v2q = -v1q, v1d
     # the 1e-300 guard keeps subnormal eigenvalues from overflowing
-    inv1 = 1.0 / lam1 if abs(lam1) > max(tol * lam_max, 1e-300) else 0.0
-    inv2 = 1.0 / lam2 if abs(lam2) > max(tol * lam_max, 1e-300) else 0.0
+    inv1 = 1.0 / lam1 if abs(lam1) > max(MPP_TOL * lam_max, 1e-300) else 0.0
+    inv2 = 1.0 / lam2 if abs(lam2) > max(MPP_TOL * lam_max, 1e-300) else 0.0
     p11 = inv1 * v1d * v1d + inv2 * v2d * v2d
     p12 = inv1 * v1d * v1q + inv2 * v2d * v2q
     p22 = inv1 * v1q * v1q + inv2 * v2q * v2q

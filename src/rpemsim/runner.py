@@ -189,12 +189,7 @@ def run(scenario: Scenario) -> RunResult:
         memoryview(a) for a in (psi_hat_full, rs_hat_full, psi_true_full, rs_true_full)
     )
 
-    speed_at = ScheduleCursor(start.speed_schedule).at
-    tau_at = ScheduleCursor(ctl.tau_ref).at
-    load_at = ScheduleCursor(start.load_schedule).at
-    plant_params_at = ScheduleCursor([
-        (t, (p.psi_m, p.r_s, p.x_d, p.x_q)) for t, p in start.plant_schedule
-    ]).at
+    inputs_at = ScheduleCursor(start.schedule).at
     estimator_step = start.estimator.step
     loops_step = start.loops.step
     plant = Trapezoid(start.omega_n, dt / substeps)
@@ -213,10 +208,11 @@ def run(scenario: Scenario) -> RunResult:
     try:
         for k in range(n_steps):
             t = k * dt
-            p_psi, p_rs, p_xd, p_xq = plant_params_at(t)
+            # one row of scenario.INPUTS: the true machine, references, load
+            p_xd, p_xq, p_rs, p_psi, n_ref, tau_ref, load = inputs_at(t)
 
             if prescribed:
-                n_plant = speed_at(t)
+                n_plant = n_ref
             n_now = n_plant
 
             if noise is not None:
@@ -230,11 +226,9 @@ def run(scenario: Scenario) -> RunResult:
                 mpp_steps += 1
 
             if torque_mode:
-                tau_cmd = tau_at(t)
+                tau_cmd = tau_ref
             else:
-                tau_cmd, integ_n = pi_update(
-                    speed_at(t), n_now, kp_n, ti_n, integ_n, lim_n, dt
-                )
+                tau_cmd, integ_n = pi_update(n_ref, n_now, kp_n, ti_n, integ_n, lim_n, dt)
             id_ref, iq_ref = limit_current(*mtpa_currents(tau_cmd, psi, x_d, x_q), i_max)
             u_cmd = loops_step(id_ref, iq_ref, im_d, im_q, n_now, psi)
             u_d, u_q = u_cmd
@@ -246,7 +240,7 @@ def run(scenario: Scenario) -> RunResult:
             if not prescribed:
                 n_plant = speed_step(
                     n_plant, electromagnetic_torque(p_psi, p_xd, p_xq, nd, nq),
-                    load_at(t), inertia_H, dt,
+                    load, inertia_H, dt,
                 )
 
             if not isfinite(nd + nq + n_plant + psi + rs + u_d + u_q):

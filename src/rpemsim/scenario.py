@@ -9,9 +9,11 @@ section dataclasses; unknown keys anywhere are rejected.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from operator import itemgetter
 from typing import Annotated, Any, Literal, NamedTuple, Optional
 
 from .control import (
@@ -30,6 +32,7 @@ from .estimator import (
     ParameterVector,
     RpemEstimator,
     box_bounds_around,
+    clamp_to_box,
 )
 from .plant import steady_state_voltage
 from .pu import (
@@ -62,6 +65,10 @@ Seed = Annotated[int, "an integer >= 0", lambda x: x >= 0]  # noise seeds must b
 #: An event or schedule entry applies from the first sample t with time_s <= t + EVENT_TOL_S.
 EVENT_TOL_S = 1e-12
 
+#: The columns of a row of a run's input schedule: the true machine
+#: parameters in MachineParams order, then the references and the load.
+INPUTS = (*(f.name for f in fields(MachineParams)), "speed_ref", "tau_ref", "load_torque")
+
 
 @dataclass(frozen=True)
 class StepEvent:
@@ -88,14 +95,14 @@ class ScheduleCursor:
 
     __slots__ = ("_times", "_values", "_idx", "_next", "value")
 
-    def __init__(self, schedule: Schedule) -> None:
+    def __init__(self, schedule: list[tuple[float, Any]]) -> None:
         self._times = [t for t, _ in schedule] + [math.inf]
         self._values = [v for _, v in schedule]
         self._idx = 0
         self._next = self._times[1]
         self.value = self._values[0]
 
-    def at(self, t: float) -> float:
+    def at(self, t: float) -> Any:
         """The schedule value at t; t must not be below the previous call's."""
         while not t + EVENT_TOL_S < self._next:
             self._idx += 1
@@ -118,18 +125,9 @@ def _check_schedule(schedule: Schedule, name: str) -> None:
         raise ScenarioError(f"{name} schedule must cover t = 0")
 
 
-def merge_events_into_schedule(
-    base: Schedule, events: list[StepEvent], target: str
-) -> Schedule:
-    """Fold step events for one schedule-valued target into the schedule."""
-    merged = list(base)
-    for ev in sorted(events, key=lambda e: e.time_s):
-        if ev.target != target:
-            continue
-        v = ev.value if ev.value is not None else schedule_value(merged, ev.time_s) * ev.factor
-        merged.append((ev.time_s, v))
-        merged.sort(key=lambda p: p[0])
-    return merged
+def _value_at(column: list[tuple[float, Any]], t: float) -> Any:
+    """The value of a column's last entry at or before t, with no tolerance."""
+    return column[bisect.bisect_right(column, t, key=itemgetter(0)) - 1][1]
 
 
 class RunStart(NamedTuple):
@@ -137,9 +135,7 @@ class RunStart(NamedTuple):
     by :meth:`Scenario.validate`."""
 
     omega_n: float
-    plant_schedule: list[tuple[float, MachineParams]]  # see Scenario.plant_schedule
-    speed_schedule: Schedule  # speed_ref with its events merged in
-    load_schedule: Schedule  # load_torque_pu with its events merged in
+    schedule: list[tuple[float, tuple[float, ...]]]  # (time_s, row of INPUTS); see validate
     estimator: RpemEstimator
     loops: CurrentLoops  # tuned, overrides applied, integrators preloaded
     speed_pi: PiState  # tuned speed PI; its integrator holds tau0
@@ -240,16 +236,12 @@ class Scenario:
         times = [ev.time_s for ev in self.events]
         if times != sorted(times):
             raise ScenarioError("events must be sorted by time")
-        plant_sched = self.plant_schedule(params)
+        schedule = self._input_schedule(params)
         last = (round(self.duration_s / self.t_samp_s) - 1) * self.t_samp_s  # as run() steps
         late = [t for t in times if t > last + EVENT_TOL_S]
         if late:
             raise ScenarioError(f"event at t={late[0]}s lies after the last sample, {last:.9g}s")
         ctl, est = self.control, self.estimator
-        speed_sched = merge_events_into_schedule(ctl.speed_ref, self.events, "speed_ref")
-        load_sched = merge_events_into_schedule(
-            [(0.0, self.plant.load_torque_pu)], self.events, "load_torque"
-        )
         cfg = est.gain_config()  # raises on bad gains
 
         # the estimator's box: explicit bounds win over +-box_fraction
@@ -268,8 +260,16 @@ class Scenario:
             psi_m=params.psi_m if est.theta0_psi_m is None else est.theta0_psi_m,
             r_s=params.r_s if est.theta0_r_s is None else est.theta0_r_s,
         )
-        n0 = schedule_value(speed_sched, 0.0)
-        tau0 = schedule_value(ctl.tau_ref if ctl.mode == "torque" else load_sched, 0.0)
+        # the estimator starts clamped into the box, the controller's model
+        # and operating point below from theta0 itself: they must agree
+        if clamp_to_box(*theta0, box) != tuple(theta0):
+            raise ScenarioError(
+                f"estimator theta0 = {tuple(theta0)} lies outside the parameter box {box}"
+            )
+        # the inputs the run reads at its first sample
+        inputs0 = dict(zip(INPUTS, ScheduleCursor(schedule).at(0.0)))
+        n0 = inputs0["speed_ref"]
+        tau0 = inputs0["tau_ref" if ctl.mode == "torque" else "load_torque"]
         dt = self.t_samp_s
         try:
             # the controller's model at t = 0: known reactances with theta0
@@ -302,9 +302,7 @@ class Scenario:
         )
         return RunStart(
             omega_n=base.omega_n,
-            plant_schedule=plant_sched,
-            speed_schedule=speed_sched,
-            load_schedule=load_sched,
+            schedule=schedule,
             estimator=estimator,
             loops=loops,
             speed_pi=PiState(pi_n.kp, pi_n.ti, tau0, pi_n.output_limit),
@@ -313,20 +311,31 @@ class Scenario:
             n0=n0,
         )
 
-    def plant_schedule(self, params0: MachineParams) -> list[tuple[float, MachineParams]]:
-        """The true machine parameters at t = 0 and at each parameter event
-        time, after every event at that time."""
-        columns = {
-            name: merge_events_into_schedule([(0.0, getattr(params0, name))], self.events, name)
-            for name in (f.name for f in fields(MachineParams))
-        }
-        cursors = {name: ScheduleCursor(column) for name, column in columns.items()}
+    def _input_schedule(self, params0: MachineParams) -> list[tuple[float, tuple[float, ...]]]:
+        """The run's inputs (a row of INPUTS) at t = 0 and at each time one
+        of them steps; a row holds every entry and event at or before its
+        time. Each event folds into its input's column, in the order of
+        self.events, which validate has checked is sorted by time."""
+        machine = [[(0.0, getattr(params0, f.name))] for f in fields(MachineParams)]
+        columns = machine + [
+            # an entry before t = 0 applies from t = 0
+            [(max(t, 0.0), v) for t, v in self.control.speed_ref],
+            [(max(t, 0.0), v) for t, v in self.control.tau_ref],
+            [(0.0, self.plant.load_torque_pu)],
+        ]
+        by_target = dict(zip(INPUTS, columns))
+        for ev in self.events:
+            column = by_target[ev.target]
+            v = ev.value if ev.value is not None else _value_at(column, ev.time_s) * ev.factor
+            bisect.insort(column, (ev.time_s, v), key=itemgetter(0))
         schedule = []
-        for t in sorted({t for column in columns.values() for t, _ in column}):
+        for t in sorted({t for column in columns for t, _ in column}):
+            row = tuple(_value_at(column, t) for column in columns)
             try:
-                schedule.append((t, MachineParams(**{n: c.at(t) for n, c in cursors.items()})))
+                MachineParams(*row[:len(machine)])
             except ConfigError as exc:
                 raise ScenarioError(f"event at t={t}s produces invalid parameters: {exc}") from exc
+            schedule.append((t, row))
         return schedule
 
     # -- serialization ----------------------------------------------------

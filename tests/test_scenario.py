@@ -7,13 +7,15 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpemsim.cli import main as cli_main
 from rpemsim.pu import TABLE_MACHINE_CONFIG, ConfigError, MachineConfig
 from rpemsim.runner import SimulationDiverged, convergence_metrics, run
 from rpemsim.scenario import (
+    EVENT_TOL_S,
+    INPUTS,
     ControlSection,
     EstimatorSection,
     PlantSection,
@@ -74,12 +76,16 @@ def test_event_producing_invalid_params_rejected():
 
 def test_plant_schedule_applies_a_flux_factor(params):
     sc = _quick(duration=3.0, events=[StepEvent(time_s=1.0, target="psi_m", factor=0.92)])
-    (t0, before), (t1, after) = sc.plant_schedule(params)
-    assert (t0, before) == (0.0, params)
+    (t0, before), (t1, after) = sc.validate().schedule
+    assert (t0, before) == (0.0, (*dataclasses.astuple(params), 0.0, 0.3, 0.0))
     assert t1 == 1.0
-    assert after.psi_m == pytest.approx(0.92 * params.psi_m, rel=1e-12)
-    # the other parameters are untouched
-    assert (after.r_s, after.x_d, after.x_q) == (params.r_s, params.x_d, params.x_q)
+    after = dict(zip(INPUTS, after))
+    assert after["psi_m"] == pytest.approx(0.92 * params.psi_m, rel=1e-12)
+    # the other inputs are untouched
+    assert {k: v for k, v in after.items() if k != "psi_m"} == {
+        "x_d": params.x_d, "x_q": params.x_q, "r_s": params.r_s,
+        "speed_ref": 0.0, "tau_ref": 0.3, "load_torque": 0.0,
+    }
 
 
 def test_unsorted_events_rejected():
@@ -99,7 +105,7 @@ def test_reactance_steps_at_one_instant_are_checked_together(params):
         StepEvent(time_s=0.01, target="x_q", value=2.5),
     ]
     sc = _quick(duration=0.02, events=events)
-    assert [(t, p.x_d, p.x_q) for t, p in sc.plant_schedule(params)] == [
+    assert [(t, x_d, x_q) for t, (x_d, x_q, *_) in sc.validate().schedule] == [
         (0.0, params.x_d, params.x_q), (0.01, 2.0, 2.5),
     ]
     run(sc)
@@ -118,6 +124,62 @@ def test_parameter_event_follows_the_schedule_timing_rule():
     assert res.psi_m_true[40] == pytest.approx(0.9 * 0.895, rel=1e-12)
     # the prescribed speed is logged every 8th sample: rows 4 and 5 are samples 32 and 40
     assert (res.log["n"][4], res.log["n"][5]) == (0.0, 0.1)
+
+
+def test_each_input_steps_at_the_sample_its_own_schedule_names():
+    # the factor step at 40 dt + 0.6e-12 s applies from sample 40; the value
+    # step at 40 dt + 1.5e-12 s is past sample 40's tolerance, so it applies
+    # from sample 41 and not already at sample 40
+    dt = 125e-6
+    res = run(_quick(duration=0.01, events=[
+        StepEvent(time_s=40 * dt + 0.6e-12, target="psi_m", factor=0.9),
+        StepEvent(time_s=40 * dt + 1.5e-12, target="psi_m", value=0.5),
+    ]))
+    assert res.psi_m_true[39] == 0.895
+    assert res.psi_m_true[40] == 0.9 * 0.895
+    assert res.psi_m_true[41] == 0.5
+
+
+def test_schedule_entries_before_t0_apply_from_t0(params):
+    sc = _quick(control=ControlSection(tau_ref=[(-1.0, 0.1), (0.0, 0.3)], speed_ref=[(-2.0, 0.2)]))
+    assert sc.validate().schedule == [(0.0, (*dataclasses.astuple(params), 0.2, 0.3, 0.0))]
+
+
+_NEAR_SAMPLE = st.one_of(
+    st.sampled_from([-2e-12, -1e-12, -0.6e-12, 0.0, 0.6e-12, 1e-12, 1.5e-12, 2e-12]),
+    st.floats(-2e-12, 2e-12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=st.lists(
+    st.tuples(  # (target, sample, offset from the sample, value)
+        st.sampled_from(["psi_m", "speed_ref"]), st.integers(0, 2), _NEAR_SAMPLE,
+        st.floats(0.5, 1.2),
+    ),
+    min_size=2, max_size=6,
+))
+# a later step within the tolerance of an earlier one must not move it forward
+@example(events=[("psi_m", 2, 0.6e-12, 0.9), ("psi_m", 2, 1.5e-12, 0.5)])
+def test_value_events_apply_from_the_first_sample_within_the_tolerance(events):
+    dt = 125e-6
+    steps = sorted(
+        (max(0.0, k * dt + offset), target, value) for target, k, offset, value in events
+    )
+    sc = _quick(duration=4 * dt, log_decimation=1, events=[
+        StepEvent(time_s=time_s, target=target, value=value) for time_s, target, value in steps
+    ])
+
+    def inputs(k):  # (psi_m, speed_ref) after the last step at or before sample k
+        now = {"psi_m": 0.895, "speed_ref": 0.0}
+        now.update((target, value) for time_s, target, value in steps
+                   if time_s <= k * dt + EVENT_TOL_S)
+        return now["psi_m"], now["speed_ref"]
+
+    res = run(sc)
+    logged = list(zip(res.psi_m_true.tolist(), res.log["n"].tolist()))
+    assert logged == [inputs(k) for k in range(4)]
+    assert sc.validate().n0 == inputs(0)[1]
 
 
 def test_unknown_scenario_key_rejected():
@@ -145,8 +207,11 @@ def test_preset_count_and_contents():
     fig_presets = [n for n in presets if n.startswith("fig")]
     assert len(fig_presets) == 16  # four panels for each of the four figures
     fig8c = presets["fig8c"]
-    assert schedule_value(fig8c.validate().speed_schedule, 0.0) == 0.0
-    assert schedule_value(fig8c.control.tau_ref, 0.0) == 0.6
+    (t0, inputs0), (t1, inputs1) = fig8c.validate().schedule
+    inputs0, inputs1 = dict(zip(INPUTS, inputs0)), dict(zip(INPUTS, inputs1))
+    assert (t0, inputs0["speed_ref"], inputs0["tau_ref"]) == (0.0, 0.0, 0.6)
+    # the resistance step at 1 s is the only other row
+    assert t1 == 1.0 and inputs1 == {**inputs0, "r_s": 0.92 * inputs0["r_s"]}
 
 
 def test_presets_round_trip_losslessly(tmp_path):
@@ -377,6 +442,11 @@ _BAD_ESTIMATORS = [
     {"detR_floor": 0.0},
     {"r0": -1.0},
     {"r0": 0.0},
+    # a theta0 outside the box: the estimator would start clamped, the
+    # controller's model and operating point from the unclamped value
+    {"theta0_psi_m": 2.0},
+    {"theta0_r_s": 0.1},            # above the default box top, 1.3 * 0.048
+    {"box_psi_m_min": 1.0},         # the default theta0 (the true 0.895) lies below
 ]
 
 

@@ -53,7 +53,7 @@ def test_checked_dataclasses_declare_ranges_in_their_field_types():
 
 def test_machine_parameter_targets_are_not_listed_by_hand():
     # the machine parameters are the fields of MachineParams, and their
-    # events reach the plant through Scenario.plant_schedule
+    # events reach the plant through the run's one input schedule
     targets = {"psi_m", "r_s", "x_d", "x_q"}
     found = [
         f"{path.name}:{node.lineno}"
@@ -79,3 +79,11 @@ def test_run_builds_its_start_only_through_validate():
         if key in source
     ]
     assert found == []
+
+
+def test_run_reads_its_inputs_through_one_cursor():
+    # every time-varying input is a column of validate()'s one schedule;
+    # a second cursor or a schedule_value lookup would be a second timeline
+    source = inspect.getsource(runner.run)
+    assert source.count("ScheduleCursor(") == 1
+    assert "schedule_value" not in source
