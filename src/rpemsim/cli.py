@@ -1,11 +1,13 @@
 """Command line entry points.
 
 Subcommands:
-  sim <scenario-file|preset>   run one scenario, write log CSV + report JSON
-  sweep <preset-glob>          run matching presets in parallel
-  map <surface>                analytical surfaces over the speed-torque grid
-  eig                          eigenvalue trajectory against speed
-  validate <scenario-file>     validate without running
+  sim <scenario-file|preset>       run one scenario, write log CSV + report JSON
+  sweep <preset-glob>              run matching presets in parallel
+  map <surface>                    analytical surfaces over the speed-torque grid
+  eig                              eigenvalue trajectory against speed
+  validate <scenario-file|preset>  validate without running
+
+A preset name wins over a scenario file of the same name.
 
 Exit codes: 0 success, 1 validation failure or a command-line usage error,
 2 numerical divergence.
@@ -29,7 +31,7 @@ from .analysis import MAP_COLUMNS, OperatingGrid, eigen_sweep, evaluate_maps, wr
 from .estimator import ParameterVector
 from .pu import ConfigError, default_machine
 from .runner import SimulationDiverged, run
-from .scenario import Scenario, load_scenario, preset_library
+from .scenario import PRESETS, Scenario, load_scenario, preset, preset_library
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -40,9 +42,10 @@ RANGE_HELP = "lower and upper bound; write a negative bound in decimal form (-0.
 
 
 def _resolve_scenario(ref: str) -> Scenario:
-    presets = preset_library()
-    if ref in presets:
-        return presets[ref]
+    """The preset named ``ref``, else the scenario file at ``ref``; a preset
+    name wins over a file of the same name. Builds at most one scenario."""
+    if ref in PRESETS:
+        return preset(ref)
     if os.path.exists(ref):
         return load_scenario(ref)
     raise ConfigError(f"{ref!r} is neither a preset name nor a scenario file")
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=121)
     sp.set_defaults(func=cmd_eig)
 
-    sp = sub.add_parser("validate", help="validate a scenario file")
+    sp = sub.add_parser("validate", help="validate a scenario file or preset")
     sp.add_argument("scenario")
     sp.set_defaults(func=cmd_validate)
     return p

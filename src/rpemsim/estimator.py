@@ -31,7 +31,7 @@ from typing import Literal, NamedTuple, Optional
 
 # step_matrices is not called here; it stays a module attribute because
 # the benchmark's tracer (perfbench/tracing.py) wraps it by this name
-from .plant import Trapezoid, steady_state_current, step_matrices  # noqa: F401
+from .plant import Trapezoid, shared_trapezoid, steady_state_current, step_matrices  # noqa: F401
 from .pu import (
     ConfigError, DqVector, Finite, MachineParams, NonNegative, Positive, Rate, check_fields,
 )
@@ -209,12 +209,19 @@ def _model_params(theta: ParameterVector, x_d: float, x_q: float) -> MachinePara
     return MachineParams(x_d=x_d, x_q=x_q, r_s=theta.r_s, psi_m=theta.psi_m)
 
 
+_valid_model: tuple = ()  # (psi_m, r_s, x_d, x_q) of the last parameter set found valid
+
+
 def _kernel(
     theta_hat: ParameterVector, known_x: tuple[float, float], n: float,
     omega_n: float, dt: float,
 ) -> Trapezoid:
-    _model_params(theta_hat, *known_x)  # rejects an invalid parameter set
-    kernel = Trapezoid(omega_n, dt)
+    global _valid_model
+    model = (theta_hat.psi_m, theta_hat.r_s, *known_x)
+    if model != _valid_model:
+        _model_params(theta_hat, *known_x)  # rejects an invalid parameter set
+        _valid_model = model
+    kernel = shared_trapezoid(omega_n, dt)
     kernel.set(theta_hat.r_s, known_x[0], known_x[1], n)
     return kernel
 
@@ -236,9 +243,7 @@ def predictor_step(
     kernel = _kernel(theta_hat, known_x, n, omega_n, dt)
     i_d, i_q = state.i_hat
     i_hat = kernel.drive(i_d, i_q, u.d, u.q, theta_hat.psi_m)
-    return PredictorState(
-        i_hat=DqVector(*i_hat), grad_psi=state.grad_psi, grad_rs=state.grad_rs
-    )
+    return PredictorState(DqVector(*i_hat), state.grad_psi, state.grad_rs)
 
 
 def advance_gradients(
@@ -283,9 +288,7 @@ def gradient_dynamic_step(
     gp_d, gp_q, gr_d, gr_q = advance_gradients(
         kernel, *state.grad_psi, *state.grad_rs, *i_old, *i_new
     )
-    return PredictorState(
-        i_hat=state.i_hat, grad_psi=DqVector(gp_d, gp_q), grad_rs=DqVector(gr_d, gr_q)
-    )
+    return PredictorState(state.i_hat, DqVector(gp_d, gp_q), DqVector(gr_d, gr_q))
 
 
 def steady_state_gradients(

@@ -11,6 +11,7 @@ For fixed (n, u) this is linear in i, so the trapezoidal step is an exact
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -155,6 +156,13 @@ class Trapezoid:
         return self.step(i_d, i_q, self.w_d * u_d, self.w_q * (u_q - self.n * psi_m))
 
 
+@functools.lru_cache(maxsize=8)
+def shared_trapezoid(omega_n: float, dt: float) -> Trapezoid:
+    """One :class:`Trapezoid` per (omega_n, dt) for the one-step functions;
+    its :meth:`~Trapezoid.set` recomputes only on changed inputs."""
+    return Trapezoid(omega_n, dt)
+
+
 def integrate_electrical(
     state: PlantState,
     u: DqVector,
@@ -167,7 +175,7 @@ def integrate_electrical(
     if method != "trapezoidal":
         raise ValueError(f"unknown integration method {method!r}")
     p = state.params
-    kernel = Trapezoid(omega_n, dt)
+    kernel = shared_trapezoid(omega_n, dt)
     kernel.set(p.r_s, p.x_d, p.x_q, state.n)
     i_new = DqVector(*kernel.drive(state.i.d, state.i.q, u.d, u.q, p.psi_m))
     return PlantState(i=i_new, n=state.n, theta=state.theta, params=state.params)

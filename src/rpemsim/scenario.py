@@ -423,7 +423,7 @@ def _scenario(
     description: str = "",
     seed: int = 7,
 ) -> Scenario:
-    speed_ref = speed_schedule if speed_schedule is not None else [(0.0, speed or 0.0)]
+    speed_ref = list(speed_schedule) if speed_schedule is not None else [(0.0, speed or 0.0)]
     return Scenario(
         name=name,
         duration_s=duration,
@@ -456,18 +456,18 @@ def _rs_est(algorithm: str, effective: bool = False, **kw) -> dict:
     return {"gamma_L_rs": gamma_L_rs, "gamma_r": gamma_r, "gamma_L_psi": GAMMA_L_PSI, **kw}
 
 
-def preset_library() -> dict[str, Scenario]:
-    """Named scenarios: one per sub-panel of the four step-change figures
-    (fig7/fig8 real-time simulator runs, fig9/fig10 laboratory runs) plus
-    the convergence-summary grid (bench_*)."""
-    presets: dict[str, Scenario] = {}
+def _preset_table() -> dict[str, dict[str, Any]]:
+    """Preset name -> the :func:`_scenario` arguments after the name: one
+    per sub-panel of the four step-change figures (fig7/fig8 real-time
+    simulator runs, fig9/fig10 laboratory runs) plus the
+    convergence-summary grid (bench_*)."""
+    presets: dict[str, dict[str, Any]] = {}
 
     # flux step experiments, real-time simulator panel set
     fig7 = {"a": (-0.2, 0.0), "b": (-0.4, 0.2), "c": (0.4, 0.2), "d": (0.8, 0.4)}
     for panel, (n, tau) in fig7.items():
-        presets[f"fig7{panel}"] = _scenario(
-            f"fig7{panel}",
-            8.0,
+        presets[f"fig7{panel}"] = dict(
+            duration=8.0,
             speed=n,
             tau=tau,
             events=[PSI_STEP],
@@ -481,9 +481,8 @@ def preset_library() -> dict[str, Scenario]:
     fig8 = {"a": (-0.05, 0.2), "b": (0.0, 0.2), "c": (0.0, 0.6), "d": (0.05, 0.6)}
     for panel, (n, tau) in fig8.items():
         wide = {"n_lim2_pu": 0.06} if abs(n) > 0.01 else {}
-        presets[f"fig8{panel}"] = _scenario(
-            f"fig8{panel}",
-            24.0,
+        presets[f"fig8{panel}"] = dict(
+            duration=24.0,
             speed=n,
             tau=tau,
             events=[RS_STEP],
@@ -492,25 +491,25 @@ def preset_library() -> dict[str, Scenario]:
         )
 
     # resistance step experiments, laboratory panel set
-    presets["fig9a"] = _scenario(
-        "fig9a", 24.0, speed=0.0, tau=0.4, events=[RS_STEP],
+    presets["fig9a"] = dict(
+        duration=24.0, speed=0.0, tau=0.4, events=[RS_STEP],
         est_kwargs=_rs_est("sga"),
         description="resistance -8% step at standstill, tau=0.4 pu",
     )
-    presets["fig9b"] = _scenario(
-        "fig9b", 24.0, speed=0.005, tau=0.4, events=[RS_STEP],
+    presets["fig9b"] = dict(
+        duration=24.0, speed=0.005, tau=0.4, events=[RS_STEP],
         est_kwargs=_rs_est("sga"),
         description="resistance -8% step at n=0.005 pu, tau=0.4 pu",
     )
-    presets["fig9c"] = _scenario(
-        "fig9c", 24.0, mode="speed",
+    presets["fig9c"] = dict(
+        duration=24.0, mode="speed",
         speed_schedule=[(0.0, 0.001), (12.0, 0.005)],
         load=0.4, events=[RS_STEP],
         est_kwargs=_rs_est("sga"),
         description="resistance step, speed reference step 0.001 -> 0.005 pu",
     )
-    presets["fig9d"] = _scenario(
-        "fig9d", 24.0, mode="speed", speed_schedule=[(0.0, 0.0)], load=0.4,
+    presets["fig9d"] = dict(
+        duration=24.0, mode="speed", speed_schedule=[(0.0, 0.0)], load=0.4,
         events=[RS_STEP,
                 {"time_s": 12.0, "target": "load_torque", "value": 0.6}],
         est_kwargs=_rs_est("sga"),
@@ -518,25 +517,25 @@ def preset_library() -> dict[str, Scenario]:
     )
 
     # flux step experiments, laboratory panel set
-    presets["fig10a"] = _scenario(
-        "fig10a", 8.0, speed=0.3, tau=IDLE_TORQUE, events=[PSI_STEP],
+    presets["fig10a"] = dict(
+        duration=8.0, speed=0.3, tau=IDLE_TORQUE, events=[PSI_STEP],
         est_kwargs=_psi_est(),
         description="flux -8% step, no load (friction-level torque), n=0.3 pu",
     )
-    presets["fig10b"] = _scenario(
-        "fig10b", 8.0, speed=0.3, tau=0.4, events=[PSI_STEP],
+    presets["fig10b"] = dict(
+        duration=8.0, speed=0.3, tau=0.4, events=[PSI_STEP],
         est_kwargs=_psi_est(),
         description="flux -8% step at 0.4 pu load, n=0.3 pu",
     )
-    presets["fig10c"] = _scenario(
-        "fig10c", 12.0, mode="speed",
+    presets["fig10c"] = dict(
+        duration=12.0, mode="speed",
         speed_schedule=[(0.0, -0.3), (6.0, 0.3)],
         load=0.4, events=[PSI_STEP],
         est_kwargs=_psi_est(),
         description="flux step, speed reference step -0.3 -> 0.3 pu",
     )
-    presets["fig10d"] = _scenario(
-        "fig10d", 12.0, mode="speed", speed_schedule=[(0.0, 0.3)], load=-0.4,
+    presets["fig10d"] = dict(
+        duration=12.0, mode="speed", speed_schedule=[(0.0, 0.3)], load=-0.4,
         events=[PSI_STEP,
                 {"time_s": 6.0, "target": "load_torque", "value": 0.4}],
         est_kwargs=_psi_est(),
@@ -546,29 +545,43 @@ def preset_library() -> dict[str, Scenario]:
     # convergence-summary grid
     for alg in ("sga", "gna"):
         cap = {"gain_cap": GNA_NOLOAD_GAIN_CAP} if alg == "gna" else {}
-        presets[f"bench_psim_{alg}_noload"] = _scenario(
-            f"bench_psim_{alg}_noload", 8.0, speed=0.3, tau=NOLOAD_IDLE,
+        presets[f"bench_psim_{alg}_noload"] = dict(
+            duration=8.0, speed=0.3, tau=NOLOAD_IDLE,
             algorithm=alg, events=[PSI_STEP], noise=NOLOAD_NOISE,
             seed=NOLOAD_SEED, est_kwargs=_psi_est(**cap),
             description=f"{alg} flux step, no load, n=0.3 pu",
         )
-        presets[f"bench_psim_{alg}_load"] = _scenario(
-            f"bench_psim_{alg}_load", 8.0, speed=0.3, tau=0.4,
+        presets[f"bench_psim_{alg}_load"] = dict(
+            duration=8.0, speed=0.3, tau=0.4,
             algorithm=alg, events=[PSI_STEP], est_kwargs=_psi_est(),
             description=f"{alg} flux step, tau=0.4 pu, n=0.3 pu",
         )
     for alg in ("sga", "gna", "phyint"):
-        presets[f"bench_rs_{alg}_n0"] = _scenario(
-            f"bench_rs_{alg}_n0", 24.0, speed=0.0, tau=0.4,
+        presets[f"bench_rs_{alg}_n0"] = dict(
+            duration=24.0, speed=0.0, tau=0.4,
             algorithm=alg, events=[RS_STEP],
             est_kwargs=_rs_est(alg, effective=True),
             description=f"{alg} resistance step at standstill, tau=0.4 pu",
         )
-        presets[f"bench_rs_{alg}_n005"] = _scenario(
-            f"bench_rs_{alg}_n005", 24.0, speed=0.005, tau=0.4,
+        presets[f"bench_rs_{alg}_n005"] = dict(
+            duration=24.0, speed=0.005, tau=0.4,
             algorithm=alg, events=[RS_STEP],
             est_kwargs=_rs_est(alg, effective=True),
             description=f"{alg} resistance step at n=0.005 pu, tau=0.4 pu",
         )
 
     return presets
+
+
+#: The preset names, each mapped to the arguments that build its scenario.
+PRESETS = _preset_table()
+
+
+def preset(name: str) -> Scenario:
+    """The named preset, built and validated; only that one is built."""
+    return _scenario(name, **PRESETS[name])
+
+
+def preset_library() -> dict[str, Scenario]:
+    """Every preset, built and validated."""
+    return {name: preset(name) for name in PRESETS}

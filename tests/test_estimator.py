@@ -18,6 +18,7 @@ from rpemsim.estimator import (
     RpemEstimator,
     SgaPerGradient,
     SgaTrace,
+    advance_gradients,
     clamp_to_box,
     gain_schedule,
     gna_update,
@@ -31,7 +32,7 @@ from rpemsim.estimator import (
     pseudoinverse_2x2,
     sga_update,
 )
-from rpemsim.plant import steady_state_current, steady_state_voltage
+from rpemsim.plant import Trapezoid, steady_state_current, steady_state_voltage
 from rpemsim.pu import ConfigError, DqVector, MachineParams
 
 DT = 125e-6
@@ -115,6 +116,62 @@ def test_high_speed_error_limit(params, known_x, omega_n):
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
+
+
+def _hex(values):
+    return [v.hex() for v in values]  # bit for bit, signed zeros included
+
+
+def test_oracle_steps_equal_a_fresh_kernel_bitwise(theta_nominal, known_x, omega_n):
+    # the oracle steps share one kernel per (omega_n, dt): interleaved
+    # parameter sets, speeds (signed zeros too) and steps must leave
+    # nothing behind from one call to the next
+    other = ParameterVector(0.9 * theta_nominal.psi_m, 1.1 * theta_nominal.r_s)
+    u = DqVector(0.05, 0.4)
+    states = (
+        PredictorState(i_hat=DqVector(0.0, 0.0)),
+        PredictorState(DqVector(0.1, -0.2), DqVector(0.01, 0.02), DqVector(-0.03, 0.04)),
+    )
+    cases = [
+        (theta_nominal, 0.3, DT), (other, 0.3, DT), (other, -0.0, DT),
+        (other, 0.0, DT), (theta_nominal, 0.0, 2 * DT), (theta_nominal, 0.3, DT),
+    ]
+    for state in states:
+        for theta, n, dt in cases:
+            fresh = Trapezoid(omega_n, dt)
+            fresh.set(theta.r_s, *known_x, n)
+            got = predictor_step(state, u, n, theta, known_x, omega_n, dt)
+            assert _hex(got.i_hat) == _hex(fresh.drive(*state.i_hat, *u, theta.psi_m))
+            prev = DqVector(0.0, 0.1)
+            got = gradient_dynamic_step(state, n, theta, known_x, omega_n, dt, i_hat_prev=prev)
+            want = advance_gradients(fresh, *state.grad_psi, *state.grad_rs, *prev, *state.i_hat)
+            assert _hex((*got.grad_psi, *got.grad_rs)) == _hex(want)
+
+
+def test_oracle_steps_reject_an_invalid_parameter_set_on_every_call(
+    theta_nominal, known_x, omega_n
+):
+    # only a parameter set found valid is remembered as checked
+    state = PredictorState(i_hat=DqVector(0.0, 0.0))
+    u = DqVector(0.0, 0.3)
+    invalid = [
+        (ParameterVector(theta_nominal.psi_m, -0.01), known_x),
+        (ParameterVector(math.nan, theta_nominal.r_s), known_x),
+        (theta_nominal, (0.0, known_x[1])),
+    ]
+    for theta, xs in invalid:
+        predictor_step(state, u, 0.3, theta_nominal, known_x, omega_n, DT)
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                predictor_step(state, u, 0.3, theta, xs, omega_n, DT)
+            with pytest.raises(ConfigError):
+                gradient_dynamic_step(state, 0.3, theta, xs, omega_n, DT)
+    # a container changed in place after a valid call is checked again
+    xs = list(known_x)
+    predictor_step(state, u, 0.3, theta_nominal, xs, omega_n, DT)
+    xs[0] = -1.0
+    with pytest.raises(ConfigError):
+        predictor_step(state, u, 0.3, theta_nominal, xs, omega_n, DT)
 
 
 def test_flux_gradient_needs_speed(theta_nominal, known_x, omega_n):

@@ -186,6 +186,19 @@ def test_step_matrices_rejects_nan_resistance(params):
         trapezoid_matrices(math.nan, params.x_d, params.x_q, 0.3, 2 * math.pi * 50.0, DT)
 
 
+def test_integrate_electrical_equals_a_fresh_kernel_bitwise(params, omega_n):
+    # integrate_electrical shares one kernel per (omega_n, dt); interleaved
+    # speeds (signed zeros too) and steps must leave nothing behind
+    u = DqVector(0.0, 0.0)
+    for i0 in (DqVector(0.0, 0.0), DqVector(0.1, -0.2)):
+        for n, dt in [(0.3, DT), (0.3, 2 * DT), (-0.0, DT), (0.0, DT), (-0.0, 2 * DT)]:
+            fresh = Trapezoid(omega_n, dt)
+            fresh.set(params.r_s, params.x_d, params.x_q, n)
+            got = integrate_electrical(_state(params, i=i0, n=n), u, dt, "trapezoidal", omega_n)
+            want = fresh.drive(*i0, *u, params.psi_m)
+            assert [v.hex() for v in got.i] == [v.hex() for v in want]
+
+
 def test_trapezoid_caches_matrices_until_an_input_changes(params, omega_n):
     k = Trapezoid(omega_n, DT)
     p = (params.r_s, params.x_d, params.x_q)

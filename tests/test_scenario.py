@@ -16,6 +16,7 @@ from rpemsim.runner import SimulationDiverged, convergence_metrics, run
 from rpemsim.scenario import (
     EVENT_TOL_S,
     INPUTS,
+    PRESETS,
     ControlSection,
     EstimatorSection,
     PlantSection,
@@ -23,6 +24,7 @@ from rpemsim.scenario import (
     ScenarioError,
     StepEvent,
     load_scenario,
+    preset,
     preset_library,
     save_scenario,
     schedule_value,
@@ -272,6 +274,52 @@ def test_preset_events_default_step():
     presets = preset_library()
     ev = presets["fig7a"].events[0]
     assert ev.target == "psi_m" and ev.factor == 0.92 and ev.time_s == 1.0
+
+
+def test_preset_table_names_every_preset_once():
+    assert len(PRESETS) == 26
+    assert sorted(PRESETS) == sorted(preset_library())
+
+
+def test_one_preset_builds_as_in_the_library():
+    library = preset_library()
+    for name in PRESETS:
+        assert preset(name).to_dict() == library[name].to_dict(), name
+
+
+def test_a_built_preset_shares_no_list_with_the_table():
+    preset("fig9c").control.speed_ref.append((20.0, 1.0))
+    assert preset("fig9c").control.speed_ref == [(0.0, 0.001), (12.0, 0.005)]
+
+
+def _count_scenarios(monkeypatch) -> list:
+    built = []
+    post_init = Scenario.__post_init__
+
+    def counting(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counting)
+    return built
+
+
+def test_cli_validate_builds_only_the_scenario_it_names(tmp_path, monkeypatch):
+    path = tmp_path / "quick.json"
+    save_scenario(_quick(), str(path))
+    built = _count_scenarios(monkeypatch)
+    assert cli_main(["validate", str(path)]) == 0
+    assert built == ["quick"]
+    built.clear()
+    assert cli_main(["validate", "fig9d"]) == 0
+    assert built == ["fig9d"]
+
+
+def test_a_preset_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):
+    save_scenario(_quick(name="not_fig9d"), str(tmp_path / "fig9d"))
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["validate", "fig9d"]) == 0
+    assert capsys.readouterr().out == "fig9d: valid\n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import rpemsim
-from rpemsim import runner
+from rpemsim import cli, runner
 from rpemsim.estimator import RpemEstimator
 
 PACKAGE = Path(rpemsim.__file__).resolve().parent
@@ -87,3 +87,9 @@ def test_run_reads_its_inputs_through_one_cursor():
     source = inspect.getsource(runner.run)
     assert source.count("ScheduleCursor(") == 1
     assert "schedule_value" not in source
+
+
+def test_cli_resolves_a_name_without_building_every_preset():
+    # a sim or validate call builds the one scenario it names; the
+    # preset table answers whether a name is a preset
+    assert "preset_library" not in inspect.getsource(cli._resolve_scenario)
