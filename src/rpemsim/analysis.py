@@ -63,23 +63,6 @@ def eigenvalues(
     return EigenPair(complex(-a, s), complex(-a, -s))
 
 
-def system_matrix(
-    theta_hat: ParameterVector,
-    known_x: tuple[float, float],
-    n: float,
-    omega_n: float,
-) -> np.ndarray:
-    """State matrix of the current dynamics, for numeric cross-checks."""
-    x_d, x_q = known_x
-    r = theta_hat.r_s
-    return np.array(
-        [
-            [-r * omega_n / x_d, n * omega_n * x_q / x_d],
-            [-n * omega_n * x_d / x_q, -r * omega_n / x_q],
-        ]
-    )
-
-
 def discrete_stability(
     lam: complex, dt: float, method: str
 ) -> tuple[complex, bool]:

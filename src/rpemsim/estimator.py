@@ -19,6 +19,8 @@ same per-sample call; :func:`make_gain` picks one from the configuration:
           pseudoinverse fallback where it is singular (standstill)
   PhyInt  fixed gains solving the steady-state error relations directly
 
+Each row reads its closed steady-state gradient or its dynamic recursion, by
+its gradient mode; the :func:`make_gradients` source computes only those.
 A speed scheduler zeroes the flux row at low speed and the resistance row
 away from standstill, decoupling the two estimates.
 """
@@ -246,26 +248,6 @@ def predictor_step(
     return PredictorState(DqVector(*i_hat), state.grad_psi, state.grad_rs)
 
 
-def advance_gradients(
-    kernel: Trapezoid,
-    gp_d: float, gp_q: float, gr_d: float, gr_q: float,
-    i_old_d: float, i_old_q: float, i_new_d: float, i_new_q: float,
-) -> tuple[float, float, float, float]:
-    """Dynamic prediction gradients (flux gp, resistance gr) one step on.
-
-    The gradient dynamics share the predictor's state matrix, which
-    ``kernel`` holds; the flux gradient is forced by -n in the q row, the
-    resistance gradient by the negative predicted current averaged over
-    the interval ends i_old and i_new.
-    """
-    w = kernel.omega_n
-    gp_d, gp_q = kernel.step(gp_d, gp_q, -0.0, -w * kernel.n / kernel.x_q)
-    f_d = -0.5 * w * (i_old_d + i_new_d) / kernel.x_d
-    f_q = -0.5 * w * (i_old_q + i_new_q) / kernel.x_q
-    gr_d, gr_q = kernel.step(gr_d, gr_q, f_d, f_q)
-    return gp_d, gp_q, gr_d, gr_q
-
-
 def gradient_dynamic_step(
     state: PredictorState,
     n: float,
@@ -277,7 +259,7 @@ def gradient_dynamic_step(
 ) -> PredictorState:
     """Advance the dynamic prediction-gradient states one trapezoidal step.
 
-    See :func:`advance_gradients`. When ``i_hat_prev`` is given the
+    See :class:`DynamicGradients`. When ``i_hat_prev`` is given the
     resistance forcing is averaged over both interval ends, which makes the
     recursion the exact parameter-derivative of the discrete predictor
     step; without it both ends are the current ``state.i_hat``.
@@ -285,8 +267,8 @@ def gradient_dynamic_step(
     kernel = _kernel(theta_hat, known_x, n, omega_n, dt)
     i_new = state.i_hat
     i_old = i_hat_prev if i_hat_prev is not None else i_new
-    gp_d, gp_q, gr_d, gr_q = advance_gradients(
-        kernel, *state.grad_psi, *state.grad_rs, *i_old, *i_new
+    gp_d, gp_q, gr_d, gr_q = DynamicGradients((*state.grad_psi, *state.grad_rs), *known_x).step(
+        kernel, theta_hat.r_s, n, *i_old, *i_new
     )
     return PredictorState(state.i_hat, DqVector(gp_d, gp_q), DqVector(gr_d, gr_q))
 
@@ -322,6 +304,65 @@ def gradient_steady_state(
     return GradientSet(*steady_state_gradients(
         theta_hat.r_s, known_x[0], known_x[1], n, i_hat.d, i_hat.q
     ))
+
+
+# A gradient source's step() takes the predictor's Trapezoid kernel (None on
+# the first sample, where no predictor step runs), r_s, n and the predicted
+# current before (i_old) and after (i) that step; it returns and keeps as g
+# the gradients (psi_d, psi_q, rs_d, rs_q), a tuple of floats.
+@dataclass(slots=True)
+class SteadyStateGradients:
+    """Both rows by :func:`steady_state_gradients`; no recursion runs."""
+
+    g: tuple
+    x_d: float
+    x_q: float
+
+    def step(self, kernel, r_s, n, i_old_d, i_old_q, i_d, i_q) -> tuple:
+        g = self.g = steady_state_gradients(r_s, self.x_d, self.x_q, n, i_d, i_q)
+        return g
+
+
+@dataclass(slots=True)
+class DynamicGradients(SteadyStateGradients):
+    """Both rows by their recursions, which share the predictor's state
+    matrix in ``kernel``: the flux gradient (gp) is forced by -n in the q row,
+    the resistance gradient (gr) by minus the mean predicted current. The
+    fields are those of SteadyStateGradients, so MixedGradients runs both."""
+
+    def step(self, kernel, r_s, n, i_old_d, i_old_q, i_d, i_q) -> tuple:
+        if kernel is None:
+            return self.g
+        gp_d, gp_q, gr_d, gr_q = self.g
+        w = kernel.omega_n
+        gp_d, gp_q = kernel.step(gp_d, gp_q, -0.0, -w * kernel.n / kernel.x_q)
+        f_d = -0.5 * w * (i_old_d + i_d) / kernel.x_d
+        f_q = -0.5 * w * (i_old_q + i_q) / kernel.x_q
+        gr_d, gr_q = kernel.step(gr_d, gr_q, f_d, f_q)
+        g = self.g = (gp_d, gp_q, gr_d, gr_q)
+        return g
+
+
+@dataclass(slots=True)
+class MixedGradients(DynamicGradients):
+    """One row by its recursion (flux if psi_dynamic), the other in closed
+    form; both recursions advance, and the closed-form row's goes unread."""
+
+    psi_dynamic: bool
+
+    def step(self, kernel, r_s, n, i_old_d, i_old_q, i_d, i_q) -> tuple:
+        dyn = DynamicGradients.step(self, kernel, r_s, n, i_old_d, i_old_q, i_d, i_q)
+        ss = SteadyStateGradients.step(self, kernel, r_s, n, i_old_d, i_old_q, i_d, i_q)
+        g = self.g = dyn[:2] + ss[2:] if self.psi_dynamic else ss[:2] + dyn[2:]
+        return g
+
+
+def make_gradients(cfg: GainConfig, known_x: tuple[float, float], g0: tuple):
+    """The gradient source of ``cfg``'s two gradient modes, started at ``g0``."""
+    psi_dynamic = cfg.gradient_mode_psi == "dynamic"
+    if psi_dynamic != (cfg.gradient_mode_rs == "dynamic"):
+        return MixedGradients(g0, *known_x, psi_dynamic)
+    return (DynamicGradients if psi_dynamic else SteadyStateGradients)(g0, *known_x)
 
 
 def predictor_steady_state(
@@ -636,12 +677,12 @@ class RpemEstimator:
     """Stateful per-sample estimator combining predictor, gradients, gain
     object, scheduler and projection.
 
-    Per-sample ordering: (reseed on scheduler edges) -> predictor and
-    gradient step -> prediction error -> gradient selection -> gain object
-    step (filter update, then gain) -> schedule -> parameter update ->
-    projection. The error is therefore always evaluated against the
-    previous parameter estimate. The first sample skips the predictor step
-    and builds the gain object (:func:`make_gain`) from its gradients.
+    Per-sample ordering: (reseed on scheduler edges) -> predictor step ->
+    prediction error -> gradient source step -> gain object step (filter
+    update, then gain) -> schedule -> parameter update -> projection. The
+    error is therefore always evaluated against the previous parameter
+    estimate. The first sample skips the predictor step and builds the gain
+    object (:func:`make_gain`) from its gradients.
 
     The state is held as floats; ``theta`` and ``pred`` are read-only
     views built on access.
@@ -649,8 +690,7 @@ class RpemEstimator:
 
     __slots__ = (
         "cfg", "box", "known_x", "omega_n", "t_samp", "_kernel", "_x_d", "_x_q",
-        "_dyn_psi", "_dyn_rs", "_psi", "_rs", "_ih_d", "_ih_q",
-        "_gp_d", "_gp_q", "_gr_d", "_gr_q", "_gain",
+        "_psi", "_rs", "_ih_d", "_ih_q", "_gradients", "_gain",
         "_row1_off_time", "_row2_off_time",
     )
 
@@ -675,16 +715,12 @@ class RpemEstimator:
         self.t_samp = t_samp
         self._kernel = Trapezoid(omega_n, t_samp)
         self._x_d, self._x_q = known_x
-        self._dyn_psi = cfg.gradient_mode_psi == "dynamic"
-        self._dyn_rs = cfg.gradient_mode_rs == "dynamic"
         self._psi, self._rs = clamp_to_box(theta0.psi_m, theta0.r_s, box)
         self._ih_d, self._ih_q = i_hat0
         g0 = (0.0, 0.0, 0.0, 0.0)
         if gradient_init == "steady_state":
-            g0 = steady_state_gradients(
-                self._rs, self._x_d, self._x_q, n0, self._ih_d, self._ih_q
-            )
-        self._gp_d, self._gp_q, self._gr_d, self._gr_q = g0
+            g0 = steady_state_gradients(self._rs, *known_x, n0, *i_hat0)
+        self._gradients = make_gradients(cfg, known_x, g0)
         self._gain = None
         self._row1_off_time = 0.0
         self._row2_off_time = 0.0
@@ -695,11 +731,11 @@ class RpemEstimator:
 
     @property
     def pred(self) -> PredictorState:
-        return PredictorState(
-            i_hat=DqVector(self._ih_d, self._ih_q),
-            grad_psi=DqVector(self._gp_d, self._gp_q),
-            grad_rs=DqVector(self._gr_d, self._gr_q),
-        )
+        """The predicted current and the gradients the last step used, in
+        steady-state mode the closed form at its r_s, n and predicted current
+        (before a step, or after a reseed, the start or reseed values)."""
+        g = self._gradients.g
+        return PredictorState(DqVector(self._ih_d, self._ih_q), DqVector(*g[:2]), DqVector(*g[2:]))
 
     def _reseed_on_edge(
         self, n: float, u_d: float, u_q: float, row1_on: bool, row2_on: bool
@@ -714,9 +750,8 @@ class RpemEstimator:
         ):
             theta = self.theta
             i_ss = predictor_steady_state(theta, self.known_x, n, DqVector(u_d, u_q))
-            g = gradient_steady_state(theta, self.known_x, n, i_ss)
             self._ih_d, self._ih_q = i_ss
-            self._gp_d, self._gp_q, self._gr_d, self._gr_q = g
+            self._gradients.g = gradient_steady_state(theta, self.known_x, n, i_ss)
 
     def step(self, u: DqVector, n: float, i_meas: DqVector) -> StepTelemetry:
         """Consume one sample of applied voltage, speed and measured
@@ -732,32 +767,20 @@ class RpemEstimator:
         self._row1_off_time = 0.0 if row1_on else self._row1_off_time + dt
         self._row2_off_time = 0.0 if row2_on else self._row2_off_time + dt
 
-        ih_d, ih_q = self._ih_d, self._ih_q
+        i_old_d, i_old_q = ih_d, ih_q = self._ih_d, self._ih_q
         gain = self._gain
+        kernel = None
         if gain is not None:
             kernel = self._kernel
             kernel.set(self._rs, self._x_d, self._x_q, n)
-            i_old_d, i_old_q = ih_d, ih_q
-            ih_d, ih_q = kernel.drive(i_old_d, i_old_q, u_d, u_q, self._psi)
-            self._gp_d, self._gp_q, self._gr_d, self._gr_q = advance_gradients(
-                kernel, self._gp_d, self._gp_q, self._gr_d, self._gr_q,
-                i_old_d, i_old_q, ih_d, ih_q,
-            )
-            self._ih_d, self._ih_q = ih_d, ih_q
+            ih_d, ih_q = self._ih_d, self._ih_q = kernel.drive(ih_d, ih_q, u_d, u_q, self._psi)
 
         i_d, i_q = i_meas
         eps_d = i_d - ih_d
         eps_q = i_q - ih_q
-        if self._dyn_psi and self._dyn_rs:
-            psi_d, psi_q, rs_d, rs_q = self._gp_d, self._gp_q, self._gr_d, self._gr_q
-        else:
-            psi_d, psi_q, rs_d, rs_q = steady_state_gradients(
-                self._rs, self._x_d, self._x_q, n, ih_d, ih_q
-            )
-            if self._dyn_psi:
-                psi_d, psi_q = self._gp_d, self._gp_q
-            if self._dyn_rs:
-                rs_d, rs_q = self._gr_d, self._gr_q
+        psi_d, psi_q, rs_d, rs_q = self._gradients.step(
+            kernel, self._rs, n, i_old_d, i_old_q, ih_d, ih_q
+        )
         if gain is None:
             gain = self._gain = make_gain(cfg, self.known_x, psi_d, psi_q, rs_d, rs_q)
 

@@ -15,7 +15,6 @@ from rpemsim.analysis import (
     eigenvalues,
     evaluate_maps,
     steady_state_error,
-    system_matrix,
     time_constants,
     write_maps_csv,
 )
@@ -40,10 +39,15 @@ def test_eigenvalues_standstill_hand_values(theta_nominal, known_x, omega_n):
 
 
 def test_eigenvalues_match_numeric_eigensolve(theta_nominal, known_x, omega_n):
-    # oracle: numpy eigensolve of the state matrix
+    # oracle: numpy eigensolve of the state matrix of the current dynamics
+    x_d, x_q = known_x
+    r = theta_nominal.r_s
     for n in np.linspace(-1.2, 1.2, 49):
         lam = eigenvalues(theta_nominal, known_x, float(n), omega_n)
-        numeric = np.linalg.eigvals(system_matrix(theta_nominal, known_x, float(n), omega_n))
+        numeric = np.linalg.eigvals(np.array([
+            [-r * omega_n / x_d, n * omega_n * x_q / x_d],
+            [-n * omega_n * x_d / x_q, -r * omega_n / x_q],
+        ]))
         got = sorted((lam.lambda1, lam.lambda2), key=lambda z: (z.real, z.imag))
         want = sorted(numeric, key=lambda z: (z.real, z.imag))
         for g, w in zip(got, want):

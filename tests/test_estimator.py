@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpemsim.estimator import (
+    DynamicGradients,
     GainConfig,
     GainMatrix,
     GradientSet,
     Gna,
     HessianState,
+    MixedGradients,
     ParameterBox,
     ParameterVector,
     PhyInt,
@@ -18,11 +20,12 @@ from rpemsim.estimator import (
     RpemEstimator,
     SgaPerGradient,
     SgaTrace,
-    advance_gradients,
+    SteadyStateGradients,
     clamp_to_box,
     gain_schedule,
     gna_update,
     make_gain,
+    make_gradients,
     gradient_dynamic_step,
     gradient_steady_state,
     phyint_update,
@@ -31,6 +34,7 @@ from rpemsim.estimator import (
     predictor_steady_state,
     pseudoinverse_2x2,
     sga_update,
+    steady_state_gradients,
 )
 from rpemsim.plant import Trapezoid, steady_state_current, steady_state_voltage
 from rpemsim.pu import ConfigError, DqVector, MachineParams
@@ -144,7 +148,8 @@ def test_oracle_steps_equal_a_fresh_kernel_bitwise(theta_nominal, known_x, omega
             assert _hex(got.i_hat) == _hex(fresh.drive(*state.i_hat, *u, theta.psi_m))
             prev = DqVector(0.0, 0.1)
             got = gradient_dynamic_step(state, n, theta, known_x, omega_n, dt, i_hat_prev=prev)
-            want = advance_gradients(fresh, *state.grad_psi, *state.grad_rs, *prev, *state.i_hat)
+            source = DynamicGradients((*state.grad_psi, *state.grad_rs), *known_x)
+            want = source.step(fresh, theta.r_s, n, *prev, *state.i_hat)
             assert _hex((*got.grad_psi, *got.grad_rs)) == _hex(want)
 
 
@@ -455,6 +460,19 @@ def test_make_gain_picks_the_configured_object_and_seeds_its_filters(settings, g
     assert make_gain(cfg, (0.5, 0.75), *grads) == want(cfg)
 
 
+@pytest.mark.parametrize("mode_psi,mode_rs,want", [
+    ("steady_state", "steady_state", lambda g: SteadyStateGradients(g, 0.5, 0.75)),
+    ("dynamic", "dynamic", lambda g: DynamicGradients(g, 0.5, 0.75)),
+    ("dynamic", "steady_state", lambda g: MixedGradients(g, 0.5, 0.75, True)),
+    ("steady_state", "dynamic", lambda g: MixedGradients(g, 0.5, 0.75, False)),
+])
+def test_make_gradients_picks_the_source_of_the_two_modes(mode_psi, mode_rs, want):
+    g0 = (1.0, 2.0, 3.0, 4.0)
+    cfg = _cfg(gradient_mode_psi=mode_psi, gradient_mode_rs=mode_rs)
+    got = make_gradients(cfg, (0.5, 0.75), g0)
+    assert type(got) is type(want(g0)) and got == want(g0)
+
+
 # ---------------------------------------------------------------------------
 # scheduling, projection, gain sequence
 # ---------------------------------------------------------------------------
@@ -586,6 +604,51 @@ def test_estimator_reseeds_predictor_after_long_dead_band(
     assert est.pred.i_hat.q == pytest.approx(i_ss.q, abs=1e-3)
     assert est.pred.grad_psi.d == pytest.approx(g_ss.psi_d, abs=1e-2)
     assert est.pred.grad_rs.q == pytest.approx(g_ss.rs_q, abs=1e-2)
+
+
+def _moving_estimator(params, known_x, omega_n, wide_box, **settings):
+    # a flux mismatch at speed, so the flux estimate and the predicted
+    # current move
+    true = MachineParams(
+        x_d=params.x_d, x_q=params.x_q, r_s=params.r_s, psi_m=0.92 * params.psi_m
+    )
+    i_op = DqVector(-0.124, 0.405)
+    est = RpemEstimator(
+        cfg=_cfg(**settings), theta0=ParameterVector(params.psi_m, 1.1 * params.r_s),
+        box=wide_box, known_x=known_x, omega_n=omega_n, t_samp=DT, i_hat0=i_op, n0=0.3,
+    )
+    return est, steady_state_voltage(true, i_op, 0.3), i_op
+
+
+@pytest.mark.parametrize("mode,per_sample", [("steady_state", 1), ("dynamic", 3)])
+def test_estimator_runs_only_the_recursions_its_mode_reads(
+    params, known_x, omega_n, wide_box, monkeypatch, mode, per_sample
+):
+    # the predictor is one trapezoidal step; each dynamic gradient row one more
+    est, u, i_op = _moving_estimator(
+        params, known_x, omega_n, wide_box, gradient_mode_psi=mode, gradient_mode_rs=mode
+    )
+    est.step(u, 0.3, i_op)  # the first sample runs no predictor step
+    calls = []
+    step = Trapezoid.step
+    monkeypatch.setattr(Trapezoid, "step", lambda *a: calls.append(1) or step(*a))
+    for _ in range(50):
+        est.step(u, 0.3, i_op)
+    assert len(calls) == 50 * per_sample
+
+
+def test_steady_state_pred_reports_the_gradients_the_step_used(
+    params, known_x, omega_n, wide_box
+):
+    est, u, i_op = _moving_estimator(params, known_x, omega_n, wide_box)
+    for _ in range(200):
+        r_s = est.theta.r_s  # the step reads the estimate from before its update
+        tele = est.step(u, 0.3, i_op)
+    assert tele.psi_m_hat != params.psi_m
+    pred = est.pred
+    want = steady_state_gradients(r_s, *known_x, 0.3, tele.i_hat_d, tele.i_hat_q)
+    assert _hex((*pred.grad_psi, *pred.grad_rs)) == _hex(want)
+    assert _hex(pred.i_hat) == _hex((tele.i_hat_d, tele.i_hat_q))
 
 
 def test_estimator_mpp_telemetry_at_standstill(params, known_x, omega_n, wide_box):

@@ -242,6 +242,13 @@ def test_cli_sweep_parallel(tmp_path):
     code = cli_main(["--out", str(out), "sweep", "fig7[ab]", "--jobs", "2"])
     assert code == 0
     assert (out / "fig7a.csv").exists() and (out / "fig7b.csv").exists()
+    # worker processes write the same bytes as the sweep in this process
+    serial = tmp_path / "serial"
+    assert cli_main(["--out", str(serial), "sweep", "fig7[ab]", "--jobs", "1"]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["fig7a.csv", "fig7a_report.json", "fig7b.csv", "fig7b_report.json"]
+    assert sorted(p.name for p in serial.iterdir()) == names
+    assert all((out / name).read_bytes() == (serial / name).read_bytes() for name in names)
 
 
 def test_cli_sweep_finishes_the_batch_past_a_diverged_preset(tmp_path, capsys, monkeypatch):
@@ -313,6 +320,19 @@ def test_cli_validate_builds_only_the_scenario_it_names(tmp_path, monkeypatch):
     built.clear()
     assert cli_main(["validate", "fig9d"]) == 0
     assert built == ["fig9d"]
+
+
+@pytest.mark.parametrize("ref", ["file", "fig9d"])
+def test_cli_validate_runs_the_set_up_once(tmp_path, monkeypatch, ref):
+    # building the Scenario validates it; cmd_validate adds no second pass
+    if ref == "file":
+        ref = str(tmp_path / "quick.json")
+        save_scenario(_quick(), ref)
+    calls = []
+    validate = Scenario.validate
+    monkeypatch.setattr(Scenario, "validate", lambda self: calls.append(1) or validate(self))
+    assert cli_main(["validate", ref]) == 0
+    assert len(calls) == 1
 
 
 def test_a_preset_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):

@@ -33,6 +33,18 @@ def test_estimator_step_does_not_branch_on_the_configuration():
     assert found == []
 
 
+def test_estimator_step_reads_its_gradients_from_one_source():
+    # make_gradients picks the gradient source once; the step neither keeps
+    # gradient state of its own nor picks between closed form and recursion
+    source = inspect.getsource(RpemEstimator.step)
+    found = [
+        key for key in ("_dyn_", "_gp_", "_gr_", "steady_state_gradients", "advance_gradients")
+        if key in source
+    ]
+    assert found == []
+    assert source.count("self._gradients.step(") == 1
+
+
 def test_checked_dataclasses_declare_ranges_in_their_field_types():
     # a range belongs in the field's annotation (pu.Positive, Finite, ...),
     # where check_fields enforces it; __post_init__ keeps cross-field rules
