@@ -268,15 +268,27 @@ _CSV_BLOCK_ROWS = 256
 
 
 def write_csv_table(path: str, header: Sequence[str], table: np.ndarray) -> None:
-    """A CSV file of the header and one line per row of the 2-D float
+    """A CSV file of the header and one line per row of the 2-D float64
     ``table``, each value as ``%.10g``. Lines end in CRLF, as :mod:`csv`
-    writes them."""
-    line = ",".join(["%.10g"] * len(header)) + "\r\n"
+    writes them.
+
+    The rows go out in blocks of ``_CSV_BLOCK_ROWS``. A column whose values
+    are bitwise equal down a block (compared as ``uint64``, so ``-0.0`` and
+    ``0.0`` stay apart and a NaN matches only its own bit pattern) is
+    formatted once, by the same ``%.10g``, into that block's line template;
+    the text is the same as formatting every value. A formatted float holds
+    no ``%``, so the template needs no escaping."""
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
             rows = table[start:start + _CSV_BLOCK_ROWS]
-            f.write(line * len(rows) % tuple(rows.ravel().tolist()))
+            bits = rows.view(np.uint64)
+            constant = (bits == bits[0]).all(axis=0)
+            line = ",".join(
+                "%.10g" % v if c else "%.10g"
+                for v, c in zip(rows[0].tolist(), constant.tolist())
+            ) + "\r\n"
+            f.write(line * len(rows) % tuple(rows[:, ~constant].ravel().tolist()))
 
 
 def eigen_sweep(

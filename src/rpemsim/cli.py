@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import fnmatch
+import functools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -41,13 +42,14 @@ EXIT_DIVERGED = 2
 RANGE_HELP = "lower and upper bound; write a negative bound in decimal form (-0.001, not -1e-3)"
 
 
-def _resolve_scenario(ref: str) -> Scenario:
+def _resolve_scenario(ref: str, seed: int | None = None) -> Scenario:
     """The preset named ``ref``, else the scenario file at ``ref``; a preset
-    name wins over a file of the same name. Builds at most one scenario."""
+    name wins over a file of the same name. A ``seed`` given here replaces
+    the scenario's in its data, so one scenario is built and validated once."""
     if ref in PRESETS:
-        return preset(ref)
+        return preset(ref, seed)
     if os.path.exists(ref):
-        return load_scenario(ref)
+        return load_scenario(ref, seed)
     raise ConfigError(f"{ref!r} is neither a preset name nor a scenario file")
 
 
@@ -60,46 +62,44 @@ def _report_dict(result) -> dict:
     }
 
 
-def _run_one(scenario: Scenario, out_dir: str, seed: int | None) -> dict:
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)  # __post_init__ validates the copy
+def _run_one(scenario: Scenario, out_dir: str) -> tuple[dict, str]:
+    """Runs ``scenario`` and writes its log CSV and report JSON into
+    ``out_dir``; returns the report and the JSON text written."""
     result = run(scenario)
     os.makedirs(out_dir, exist_ok=True)
     result.write_csv(os.path.join(out_dir, f"{scenario.name}.csv"))
     report = _report_dict(result)
+    text = json.dumps(report, indent=2)
     with open(os.path.join(out_dir, f"{scenario.name}_report.json"), "w") as f:
-        json.dump(report, f, indent=2)
-    return report
+        f.write(text)
+    return report, text
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
-    report = _run_one(_resolve_scenario(args.scenario), args.out, args.seed)
-    print(json.dumps(report, indent=2))
+    _, text = _run_one(_resolve_scenario(args.scenario, args.seed), args.out)
+    print(text)
     return EXIT_OK
 
 
-def _sweep_one(scenario: Scenario, out_dir: str, seed: int | None) -> tuple[str, bool]:
+def _sweep_one(scenario: Scenario, out_dir: str) -> tuple[str, bool]:
     """A preset's status line and whether it diverged; the batch goes on."""
     try:
-        report = _run_one(scenario, out_dir, seed)
+        report, _ = _run_one(scenario, out_dir)
     except SimulationDiverged as exc:
         return f"{scenario.name}: diverged: {exc}", True
     return f"{scenario.name}: ok {json.dumps(report['reports'])}", False
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    presets = preset_library()
+    presets = preset_library(args.seed)
     scenarios = [presets[name] for name in sorted(fnmatch.filter(presets, args.pattern))]
     if not scenarios:
         raise ConfigError(f"no presets match {args.pattern!r}")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(
-                pool.map(_sweep_one, scenarios, [args.out] * len(scenarios),
-                         [args.seed] * len(scenarios))
-            )
+            outcomes = list(pool.map(_sweep_one, scenarios, [args.out] * len(scenarios)))
     else:
-        outcomes = [_sweep_one(scenario, args.out, args.seed) for scenario in scenarios]
+        outcomes = [_sweep_one(scenario, args.out) for scenario in scenarios]
     for line, _ in outcomes:
         print(line)
     return EXIT_DIVERGED if any(diverged for _, diverged in outcomes) else EXIT_OK
@@ -159,7 +159,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at its first call and kept for the
+    process: each ``parse_args`` returns a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="rpemsim",
         description="IPMSM drive simulation with online parameter identification",

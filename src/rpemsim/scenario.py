@@ -354,12 +354,16 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str, seed: int | None = None) -> Scenario:
+    """The scenario of the JSON file at ``path``; a ``seed`` given here
+    replaces the file's before the scenario is built."""
     try:
         with open(path) as f:
             d = json.load(f)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    if seed is not None and isinstance(d, dict):  # from_dict rejects a non-object
+        d = {**d, "seed": seed}
     return Scenario.from_dict(d)
 
 
@@ -577,11 +581,13 @@ def _preset_table() -> dict[str, dict[str, Any]]:
 PRESETS = _preset_table()
 
 
-def preset(name: str) -> Scenario:
-    """The named preset, built and validated; only that one is built."""
-    return _scenario(name, **PRESETS[name])
+def preset(name: str, seed: int | None = None) -> Scenario:
+    """The named preset, built and validated; only that one is built. A
+    ``seed`` given here replaces the preset's before it is built."""
+    args = PRESETS[name] if seed is None else {**PRESETS[name], "seed": seed}
+    return _scenario(name, **args)
 
 
-def preset_library() -> dict[str, Scenario]:
-    """Every preset, built and validated."""
-    return {name: preset(name) for name in PRESETS}
+def preset_library(seed: int | None = None) -> dict[str, Scenario]:
+    """Every preset, built and validated, with ``seed`` as in :func:`preset`."""
+    return {name: preset(name, seed) for name in PRESETS}

@@ -1,8 +1,13 @@
+import argparse
 import copy
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rpemsim
 from rpemsim.cli import main as cli_main
 from rpemsim.pu import TABLE_MACHINE_CONFIG, ConfigError, MachineConfig
 from rpemsim.runner import SimulationDiverged, convergence_metrics, run
@@ -333,6 +339,49 @@ def test_cli_validate_runs_the_set_up_once(tmp_path, monkeypatch, ref):
     monkeypatch.setattr(Scenario, "validate", lambda self: calls.append(1) or validate(self))
     assert cli_main(["validate", ref]) == 0
     assert len(calls) == 1
+
+
+def _sim_outputs(out, name: str) -> tuple[bytes, bytes]:
+    return (out / f"{name}.csv").read_bytes(), (out / f"{name}_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("ref", ["file", "fig9d"])
+def test_cli_sim_seed_builds_the_scenario_once(tmp_path, monkeypatch, ref):
+    # --seed goes into the scenario's data: the Scenario validates when it
+    # is built, and run() once more for the fresh start it steps
+    if ref == "file":
+        noisy = dict(duration=0.01, plant=PlantSection(noise_sigma_pu=0.002))
+        ref = str(tmp_path / "quick.json")
+        save_scenario(_quick(**noisy), ref)
+        reference = str(tmp_path / "seeded.json")
+        save_scenario(_quick(**noisy, seed=7), reference)
+        name = "quick"
+    else:
+        monkeypatch.setitem(PRESETS, "fig9d", {**PRESETS["fig9d"], "duration": 0.01, "events": []})
+        reference = name = "fig9d"
+    assert cli_main(["--out", str(tmp_path / "reference"), "sim", reference]) == 0
+    calls = []
+    validate = Scenario.validate
+    monkeypatch.setattr(Scenario, "validate", lambda self: calls.append(1) or validate(self))
+    assert cli_main(["--out", str(tmp_path / "seeded"), "--seed", "7", "sim", ref]) == 0
+    assert len(calls) == 2
+    assert _sim_outputs(tmp_path / "seeded", name) == _sim_outputs(tmp_path / "reference", name)
+    # and the seed reaches the run: another seed draws other noise
+    assert cli_main(["--out", str(tmp_path / "other"), "--seed", "3", "sim", ref]) == 0
+    assert _sim_outputs(tmp_path / "other", name)[0] != _sim_outputs(tmp_path / "seeded", name)[0]
+
+
+def test_cli_sweep_seed_builds_each_preset_once(tmp_path, monkeypatch, capsys):
+    seeds = []
+
+    def record(scenario):
+        seeds.append(scenario.seed)
+        raise SimulationDiverged(0.0, "not run")
+
+    monkeypatch.setattr("rpemsim.cli.run", record)
+    built = _count_scenarios(monkeypatch)
+    assert cli_main(["--out", str(tmp_path), "--seed", "3", "sweep", "fig7a", "--jobs", "1"]) == 2
+    assert sorted(built) == sorted(PRESETS) and seeds == [3]
 
 
 def test_a_preset_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):
@@ -852,6 +901,59 @@ def test_cli_sim_writes_outputs(tmp_path):
     assert (out / "quick.csv").exists()
     report = json.loads((out / "quick_report.json").read_text())
     assert "psi_m" in report["reports"]
+
+
+def test_cli_builds_its_parser_once_per_process(monkeypatch):
+    # one build makes 6 parsers: the main one and one per subcommand
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    assert cli_main(["validate", "fig9d"]) == 0
+    assert len(built) <= 6
+    built.clear()
+    assert cli_main(["validate", "fig9d"]) == 0
+    assert built == []
+
+
+def test_cli_calls_share_no_arguments(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "sc.json"
+    save_scenario(_quick(duration=0.01), str(path))
+    seeds = []
+    monkeypatch.setattr("rpemsim.cli.run", lambda sc: seeds.append(sc.seed) or run(sc))
+    out = str(tmp_path / "out")
+    assert cli_main(["--out", out, "--seed", "5", "sim", str(path)]) == 0
+    assert cli_main(["--out", out, "sim", str(path)]) == 0
+    assert seeds == [5, 1]
+    # a usage error leaves nothing behind for the next call
+    assert cli_main(["sim"]) == 1
+    assert cli_main(["--out", out, "sim", str(path)]) == 0
+    assert seeds == [5, 1, 1]
+
+
+def test_cli_sim_prints_the_report_it_writes(tmp_path, capsys):
+    path = tmp_path / "sc.json"
+    save_scenario(_quick(duration=0.01), str(path))
+    out = tmp_path / "out"
+    assert cli_main(["--out", str(out), "sim", str(path)]) == 0
+    assert capsys.readouterr().out == (out / "quick_report.json").read_text() + "\n"
+
+
+def test_cli_sim_writes_the_same_bytes_in_every_process(tmp_path):
+    path = tmp_path / "sc.json"
+    save_scenario(_quick(duration=0.05, plant=PlantSection(noise_sigma_pu=0.002)), str(path))
+    src = str(Path(rpemsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    procs = [
+        subprocess.Popen([sys.executable, "-m", "rpemsim.cli", "--out", str(tmp_path / f"p{i}"),
+                          "sim", str(path)], env=env, stdout=subprocess.DEVNULL)
+        for i in range(2)
+    ]
+    assert cli_main(["--out", str(tmp_path / "here"), "sim", str(path)]) == 0
+    assert [p.wait(timeout=60) for p in procs] == [0, 0]
+    here = _sim_outputs(tmp_path / "here", "quick")
+    assert _sim_outputs(tmp_path / "p0", "quick") == here
+    assert _sim_outputs(tmp_path / "p1", "quick") == here
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
