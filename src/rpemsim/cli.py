@@ -154,7 +154,7 @@ def cmd_eig(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _resolve_scenario(args.scenario)  # a Scenario validates when built
+    scenario = _resolve_scenario(args.scenario, args.seed)  # a Scenario validates when built
     print(f"{scenario.name}: valid")
     return EXIT_OK
 

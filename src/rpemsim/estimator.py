@@ -154,9 +154,6 @@ class HessianState:
     r22: float = 0.0
     mpp_last: bool = False
 
-    def det(self) -> float:
-        return self.r11 * self.r22 - self.r12 * self.r12
-
 
 SS_DENOM_FLOOR = 1e-9  # steady-state gradient denominators below it count as 0
 MPP_TOL = 1e-9  # the pseudoinverse drops eigenvalues below MPP_TOL * the largest
@@ -207,10 +204,6 @@ def prediction_error(i_meas: DqVector, i_hat: DqVector) -> DqVector:
     return DqVector(i_meas.d - i_hat.d, i_meas.q - i_hat.q)
 
 
-def _model_params(theta: ParameterVector, x_d: float, x_q: float) -> MachineParams:
-    return MachineParams(x_d=x_d, x_q=x_q, r_s=theta.r_s, psi_m=theta.psi_m)
-
-
 _valid_model: tuple = ()  # (psi_m, r_s, x_d, x_q) of the last parameter set found valid
 
 
@@ -221,7 +214,7 @@ def _kernel(
     global _valid_model
     model = (theta_hat.psi_m, theta_hat.r_s, *known_x)
     if model != _valid_model:
-        _model_params(theta_hat, *known_x)  # rejects an invalid parameter set
+        MachineParams(*known_x, theta_hat.r_s, theta_hat.psi_m)  # rejects an invalid parameter set
         _valid_model = model
     kernel = shared_trapezoid(omega_n, dt)
     kernel.set(theta_hat.r_s, known_x[0], known_x[1], n)
@@ -363,17 +356,6 @@ def make_gradients(cfg: GainConfig, known_x: tuple[float, float], g0: tuple):
     if psi_dynamic != (cfg.gradient_mode_rs == "dynamic"):
         return MixedGradients(g0, *known_x, psi_dynamic)
     return (DynamicGradients if psi_dynamic else SteadyStateGradients)(g0, *known_x)
-
-
-def predictor_steady_state(
-    theta_hat: ParameterVector,
-    known_x: tuple[float, float],
-    n: float,
-    u: DqVector,
-) -> DqVector:
-    """Fixed point of the predictor at constant voltage and speed."""
-    model = _model_params(theta_hat, known_x[0], known_x[1])
-    return steady_state_current(model, u, n)
 
 
 def scheduler_rows(n: float, cfg: GainConfig) -> tuple[bool, bool]:
@@ -748,10 +730,9 @@ class RpemEstimator:
             (row1_on and self._row1_off_time > reseed_after)
             or (row2_on and self._row2_off_time > reseed_after)
         ):
-            theta = self.theta
-            i_ss = predictor_steady_state(theta, self.known_x, n, DqVector(u_d, u_q))
-            self._ih_d, self._ih_q = i_ss
-            self._gradients.g = gradient_steady_state(theta, self.known_x, n, i_ss)
+            model = MachineParams(self._x_d, self._x_q, self._rs, self._psi)
+            i_d, i_q = self._ih_d, self._ih_q = steady_state_current(model, DqVector(u_d, u_q), n)
+            self._gradients.g = steady_state_gradients(self._rs, self._x_d, self._x_q, n, i_d, i_q)
 
     def step(self, u: DqVector, n: float, i_meas: DqVector) -> StepTelemetry:
         """Consume one sample of applied voltage, speed and measured

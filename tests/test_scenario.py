@@ -341,6 +341,20 @@ def test_cli_validate_runs_the_set_up_once(tmp_path, monkeypatch, ref):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("ref", ["file", "fig7a"])
+def test_cli_validate_takes_the_seed_as_sim_does(tmp_path, capsys, ref):
+    if ref == "file":
+        ref = str(tmp_path / "quick.json")
+        save_scenario(_quick(), ref)
+    for command in ("validate", "sim"):
+        assert cli_main(["--out", str(tmp_path / "out"), "--seed", "-1", command, ref]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    assert cli_main(["--seed", "3", "validate", ref]) == 0
+    assert capsys.readouterr().out.endswith(": valid\n")
+
+
 def _sim_outputs(out, name: str) -> tuple[bytes, bytes]:
     return (out / f"{name}.csv").read_bytes(), (out / f"{name}_report.json").read_bytes()
 

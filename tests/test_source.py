@@ -105,3 +105,48 @@ def test_cli_resolves_a_name_without_building_every_preset():
     # a sim or validate call builds the one scenario it names; the
     # preset table answers whether a name is a preset
     assert "preset_library" not in inspect.getsource(cli._resolve_scenario)
+
+
+def test_estimator_run_path_calls_only_its_own_kernels():
+    # the object-level helpers are the reference the tests check the loop
+    # against, so a loop method calling one would check it against itself;
+    # the read-only views (theta, pred) are properties and build objects
+    names = (
+        "predictor_steady_state", "gradient_steady_state", "predictor_step",
+        "gradient_dynamic_step", "ParameterVector(", "self.theta", "GradientSet",
+    )
+    found = [
+        f"{attr}: {name}"
+        for attr, member in vars(RpemEstimator).items()
+        if inspect.isfunction(member)
+        for name in names
+        if name in inspect.getsource(member)
+    ]
+    assert found == []
+
+
+# (module, name) of the imports on the `# noqa: F401` lines, which keep names
+# the step loop no longer calls as module attributes for the benchmark's
+# tracer (perfbench/tracing.py); the set may shrink, never grow
+TRACER_IMPORTS = {
+    ("runner.py", name) for name in (
+        "current_controller", "mtpa_reference", "speed_controller",
+        "integrate_electrical", "torque", "schedule_value",
+    )
+} | {
+    ("estimator.py", name) for name in (
+        "Trapezoid", "shared_trapezoid", "steady_state_current", "step_matrices",
+    )
+}
+
+
+def test_unused_imports_are_only_those_the_tracer_wraps():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]
+            ):
+                found |= {(path.name, alias.asname or alias.name) for alias in node.names}
+    assert found <= TRACER_IMPORTS
