@@ -7,7 +7,8 @@ MTPA reference, current magnitude or steady-state voltage is infeasible
 are marked NaN (absent, not zero). The grid is evaluated one speed row
 at a time: the scalar kernels take torque-axis arrays at a float speed.
 The CSV writer, which also writes the run logs, formats a block of rows
-per ``%`` operation.
+per ``%`` operation. The caller sizes the block: 256 rows for a run log,
+one speed row for a map, so a speed-only column is formatted once a row.
 """
 
 from __future__ import annotations
@@ -254,25 +255,25 @@ MAP_COLUMNS["all"] = tuple(chain(*MAP_COLUMNS.values()))
 
 def write_maps_csv(tables: MapTables, path: str, surface: str = "all") -> None:
     """One row per (n, tau) cell with the surface's values; NaN for absent
-    cells."""
+    cells. Each speed row is one block of the writer."""
     speeds, torques = tables.grid.speed_axis, tables.grid.torque_axis
     columns = MAP_COLUMNS[surface]
     table = np.column_stack(
         [np.repeat(speeds, len(torques)), np.tile(torques, len(speeds))]
         + [getattr(tables, name).ravel() for name in columns]
     )
-    write_csv_table(path, ["n_pu", "tau_pu", *columns], table)
+    write_csv_table(path, ["n_pu", "tau_pu", *columns], table, len(torques))
 
 
-_CSV_BLOCK_ROWS = 256
-
-
-def write_csv_table(path: str, header: Sequence[str], table: np.ndarray) -> None:
+def write_csv_table(
+    path: str, header: Sequence[str], table: np.ndarray, block_rows: int = 256
+) -> None:
     """A CSV file of the header and one line per row of the 2-D float64
     ``table``, each value as ``%.10g``. Lines end in CRLF, as :mod:`csv`
     writes them.
 
-    The rows go out in blocks of ``_CSV_BLOCK_ROWS``. A column whose values
+    The rows go out in blocks of ``block_rows``, which the caller picks:
+    256 rows for a run log, one speed row for a map. A column whose values
     are bitwise equal down a block (compared as ``uint64``, so ``-0.0`` and
     ``0.0`` stay apart and a NaN matches only its own bit pattern) is
     formatted once, by the same ``%.10g``, into that block's line template;
@@ -280,8 +281,8 @@ def write_csv_table(path: str, header: Sequence[str], table: np.ndarray) -> None
     no ``%``, so the template needs no escaping."""
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            rows = table[start:start + _CSV_BLOCK_ROWS]
+        for start in range(0, len(table), block_rows):
+            rows = table[start:start + block_rows]
             bits = rows.view(np.uint64)
             constant = (bits == bits[0]).all(axis=0)
             line = ",".join(

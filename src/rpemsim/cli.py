@@ -91,6 +91,8 @@ def _sweep_one(scenario: Scenario, out_dir: str) -> tuple[str, bool]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     presets = preset_library(args.seed)
     scenarios = [presets[name] for name in sorted(fnmatch.filter(presets, args.pattern))]
     if not scenarios:

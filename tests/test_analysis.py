@@ -295,36 +295,47 @@ def test_csv_export_header_and_shape(tmp_path, params, base):
     assert len(rows) == 1 + 25
 
 
-def _csv_table(rows: int) -> np.ndarray:
-    """Columns that are constant in every 256-row block, in some blocks
-    only, or never, with signed zeros, NaNs of two bit patterns and
+def _csv_table(rows: int, block: int) -> np.ndarray:
+    """Columns that are constant in every ``block``-row block, in some
+    blocks only, or never, with signed zeros, NaNs of two bit patterns and
     infinities."""
     k = np.arange(rows)
     other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
     return np.column_stack([
         k * 1.25e-4,                                  # never constant
         np.full(rows, 0.1234567890123),               # constant in every block
-        np.where(k < 256, 0.92, k * 1e-3),            # constant in the first block only
+        (k // block) * 0.3,                           # a new constant in each block
+        np.where(k % block == 0, 0.5, 0.25),          # differs in each block's first row
+        np.where(k % block == block - 1, 0.5, 0.25),  # and in its last row
+        np.where(k < block, 0.92, k * 1e-3),          # constant in the first block only
         np.where(k % 2, -0.0, 0.0),                   # 0.0 beside -0.0
         np.full(rows, -0.0),
         np.full(rows, np.nan),
         np.where(k < 300, np.nan, other_nan),         # NaN, two bit patterns
         np.where(k % 3, np.inf, -np.inf),
         np.full(rows, np.inf),
-        np.where(k < 256, 1e300, -1e-300),
+        np.where(k < block, 1e300, -1e-300),
     ])
 
 
-@pytest.mark.parametrize("rows", [1, 256, 257, 513])
-def test_write_csv_table_equals_one_format_per_value(tmp_path, rows):
+# block lengths: one row, a map's speed row, the default (bare row-count id),
+# and one longer than any table
+@pytest.mark.parametrize("rows, block", [
+    pytest.param(rows, block, id=str(rows) if block == 256 else f"{rows}-block{block}")
+    for rows in (1, 256, 257, 513) for block in (1, 101, 256, 1000)
+])
+def test_write_csv_table_equals_one_format_per_value(tmp_path, rows, block):
     # the plain writer: every value through its own %.10g, CRLF line ends
-    header = [f"c{j}" for j in range(10)]
-    table = _csv_table(rows)
+    header = [f"c{j}" for j in range(13)]
+    table = _csv_table(rows, block)
     expected = ",".join(header) + "\r\n" + "".join(
         ",".join("%.10g" % v for v in row) + "\r\n" for row in table.tolist()
     )
     path = tmp_path / "t.csv"
-    write_csv_table(str(path), header, table)
+    if block == 256:
+        write_csv_table(str(path), header, table)
+    else:
+        write_csv_table(str(path), header, table, block)
     assert path.read_bytes() == expected.encode()
 
 

@@ -5,8 +5,9 @@ Each case evaluates ``evaluate_maps`` on one grid and hashes every
 ``MapTables`` array together with the bytes ``write_maps_csv`` writes. The
 cases cover the feasible square grid with mismatch deltas, current- and
 voltage-infeasible cells (NaN branches), an off-centre grid without a zero
-speed and with unequal axis lengths, and the smallest grid. The ``eig`` CSV
-is hashed too. A change that is meant to move numbers rewrites
+speed and with unequal axis lengths, the smallest grid, and speed rows
+longer than 256 cells with NaN cells in some of them. The ``eig`` CSV is
+hashed too. A change that is meant to move numbers rewrites
 ``golden_maps.json`` on purpose:
 
     PYTHONPATH=src python tests/test_golden_maps.py --write
@@ -40,6 +41,11 @@ MAP_CASES = {
     ),
     "grid_2x2": (np.linspace(-1.0, 1.0, 2), np.linspace(-1.0, 1.0, 2),
                  (-0.1, 0.0, 0.0, 0.0), {}),
+    # speed rows longer than 256 cells: 194, 0 and 72 of 300 voltage-infeasible
+    "long_rows_3x300": (
+        np.array([-1.0, 0.25, 0.8]), np.linspace(-1.2, 1.2, 300),
+        (-0.1, 0.2, 0.05, -0.05), {"u_max": 1.0},
+    ),
 }
 EIG_CASES = {
     "eig_default": [],

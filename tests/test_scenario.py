@@ -1019,6 +1019,20 @@ def test_cli_map_and_eig_reject_bad_grid_input(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    # --jobs below 1 used to run the sweep serially without a word
+    def no_run(*_):
+        raise AssertionError("a preset ran")
+
+    monkeypatch.setattr("rpemsim.cli._sweep_one", no_run)
+    out = tmp_path / "o"
+    assert cli_main(["--out", str(out), "sweep", "fig7a", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err == f"validation error: --jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_cli_map_surface_writes_its_columns_of_map_all(tmp_path):
     out = tmp_path / "maps"
     assert cli_main(["--out", str(out), "map", "all", "--points", "5"]) == 0
