@@ -4,11 +4,12 @@ over the 4-quadrant speed-torque plane.
 
 Grid cells are loaded with MTPA currents at the cell torque; cells whose
 MTPA reference, current magnitude or steady-state voltage is infeasible
-are marked NaN (absent, not zero). The grid is evaluated one speed row
-at a time: the scalar kernels take torque-axis arrays at a float speed.
-The CSV writer, which also writes the run logs, formats a block of rows
-per ``%`` operation. The caller sizes the block: 256 rows for a run log,
-one speed row for a map, so a speed-only column is formatted once a row.
+are marked NaN (absent, not zero). The grid is evaluated whole: the
+speed-only kernels run once per speed, the voltage and the error once per
+grid. The CSV writer, which also writes the run logs, formats a block of
+rows per ``%`` operation. The caller sizes the block: 256 rows for a run
+log, one speed row for a map, so a speed-only column is formatted once a
+row. ``eigen_sweep`` returns one ``EigenRow`` tuple per speed.
 """
 
 from __future__ import annotations
@@ -185,62 +186,54 @@ def evaluate_maps(
     """Evaluate every analytical surface on the grid.
 
     deltas = (delta_psi_m, delta_r_s, delta_x_d, delta_x_q) feed the
-    sensitivity surfaces. The MTPA currents depend on torque only and are
-    built once per torque value. Each speed row then calls the scalar
-    kernels once, with torque-axis arrays and a float speed: their
-    element-wise arithmetic runs in the same order as a per-cell call, so
-    every cell equals its scalar evaluation bitwise.
+    sensitivity surfaces. The MTPA currents are built once per torque value,
+    NaN in an infeasible column. One scalar call per speed gives the
+    speed-only values, and the gradient's denominator floor decides per
+    speed; the voltage and the error take a speed column against the
+    currents, once per grid. The arithmetic runs in a per-cell call's order,
+    so every cell equals its scalar evaluation bitwise.
     """
     theta = ParameterVector(psi_m=params.psi_m, r_s=params.r_s)
     known_x = (params.x_d, params.x_q)
-    shape = (len(grid.speed_axis), len(grid.torque_axis))
-    out = {name: np.full(shape, np.nan) for name in MAP_SURFACES}
     currents = [cell_currents(params, tau, i_max) for tau in grid.torque_axis.tolist()]
-    cols = np.array([ti for ti, c in enumerate(currents) if c is not None], dtype=np.intp)
-    i_cols = DqVector(
-        np.array([currents[ti].d for ti in cols]),
-        np.array([currents[ti].q for ti in cols]),
-    )
-    d_psi, d_rs, d_xd, d_xq = deltas
+    i = DqVector(*np.array([c or (np.nan, np.nan) for c in currents]).T)
+    # the speed loop runs first, so that time_constants refuses r_s <= 0
+    # before the grid arithmetic divides by a zero denominator
+    per_speed, rs = [], np.empty((2, len(grid.speed_axis), len(i.d)))
     for si, n in enumerate(grid.speed_axis.tolist()):
         lam = eigenvalues(theta, known_x, n, omega_n)
-        u = steady_state_voltage(params, i_cols, n)
-        keep = np.array(
-            [not math.hypot(ud, uq) > u_max for ud, uq in zip(u.d.tolist(), u.q.tolist())],
-            dtype=bool,
-        )
-        if not keep.any():
-            continue
-        i = DqVector(i_cols.d[keep], i_cols.q[keep])
-        eps = steady_state_error(theta, known_x, n, i, d_psi, d_rs, d_xd, d_xq)
         g = gradient_steady_state(theta, known_x, n, i)
-        row = {
-            "i_d": i.d, "i_q": i.q, "eps_d": eps.d, "eps_q": eps.q,
-            "psi11": g.psi_d, "psi12": g.psi_q, "psi21": g.rs_d, "psi22": g.rs_q,
-            "r_scalar": g.psi_d**2 + g.psi_q**2 + _squares(g.rs_d, i.d.shape)
-            + _squares(g.rs_q, i.d.shape),
-            "det_R": _squares(g.psi_d * g.rs_q - g.psi_q * g.rs_d, i.d.shape),
-            "re_l1": lam.lambda1.real, "im_l1": lam.lambda1.imag,
-            "re_l2": lam.lambda2.real, "im_l2": lam.lambda2.imag,
-            "z_euler_mag": max(
-                abs(discrete_stability(lam.lambda1, dt, "explicit_euler")[0]),
-                abs(discrete_stability(lam.lambda2, dt, "explicit_euler")[0]),
-            ),
-            "z_trap_mag": max(
-                abs(discrete_stability(lam.lambda1, dt, "trapezoidal")[0]),
-                abs(discrete_stability(lam.lambda2, dt, "trapezoidal")[0]),
-            ),
-        }
-        sel = cols[keep]
-        for name, value in row.items():
-            out[name][si, sel] = value
-    return MapTables(grid=grid, **out)
+        per_speed.append((
+            n, g.psi_d, g.psi_q, g.psi_d**2 + g.psi_q**2,
+            lam.lambda1.real, lam.lambda1.imag, lam.lambda2.real, lam.lambda2.imag,
+            max(abs(discrete_stability(root, dt, "explicit_euler")[0]) for root in lam),
+            max(abs(discrete_stability(root, dt, "trapezoidal")[0]) for root in lam),
+        ))
+        rs[0, si], rs[1, si] = g.rs_d, g.rs_q  # 0.0 below the floor
+    n, psi11, psi12, psi_sq, re_l1, im_l1, re_l2, im_l2, z_euler, z_trap = (
+        np.array(per_speed).T[:, :, None])
+    rs_d, rs_q = rs
+    u = steady_state_voltage(params, i, n)
+    eps = steady_state_error(theta, known_x, n, i, *deltas)
+    # math.hypot, as a per-cell call computes it: np.hypot differs in some last bits
+    u_mag = np.fromiter(map(math.hypot, u.d.ravel().tolist(), u.q.ravel().tolist()), float)
+    feasible = ~(u_mag.reshape(u.d.shape) > u_max) & ~np.isnan(i.d)
+    surfaces = {
+        "i_d": i.d, "i_q": i.q, "eps_d": eps.d, "eps_q": eps.q,
+        "psi11": psi11, "psi12": psi12, "psi21": rs_d, "psi22": rs_q,
+        "r_scalar": psi_sq + _squares(rs_d) + _squares(rs_q),
+        "det_R": _squares(psi11 * rs_q - psi12 * rs_d),
+        "re_l1": re_l1, "im_l1": im_l1, "re_l2": re_l2, "im_l2": im_l2,
+        "z_euler_mag": z_euler, "z_trap_mag": z_trap,
+    }
+    return MapTables(grid, **{k: np.where(feasible, v, np.nan) for k, v in surfaces.items()})
 
 
-def _squares(x, shape: tuple[int, ...]) -> np.ndarray:
-    """Element-wise Python ``x**2`` (libm pow), as a per-cell evaluation
-    computes it; array ``x**2`` is ``x*x`` and differs in the last bit."""
-    return np.array(list(map(pow, np.full(shape, x).tolist(), repeat(2))))
+def _squares(x: np.ndarray) -> np.ndarray:
+    """Element-wise Python ``x**2``, which is libm ``pow(x, 2.0)``, as a
+    per-cell evaluation computes it; array ``x**2`` is ``x*x`` and differs
+    in the last bit."""
+    return np.fromiter(map(pow, x.ravel().tolist(), repeat(2.0)), float, x.size).reshape(x.shape)
 
 
 # the CSV columns of each ``rpemsim map`` surface; "all" writes every one
@@ -292,29 +285,34 @@ def write_csv_table(
             f.write(line * len(rows) % tuple(rows[:, ~constant].ravel().tolist()))
 
 
+class EigenRow(NamedTuple):
+    """One speed of :func:`eigen_sweep`, in the ``rpemsim eig`` CSV columns."""
+
+    n_pu: float
+    re_l1: float
+    im_l1: float
+    re_l2: float
+    im_l2: float
+    z_euler_mag: float
+    z_trap_mag: float
+    trap_stable: bool
+
+
 def eigen_sweep(
     theta_hat: ParameterVector,
     known_x: tuple[float, float],
     omega_n: float,
     speeds: np.ndarray,
     dt: float = 125e-6,
-) -> list[dict]:
+) -> list[EigenRow]:
     """Eigenvalue trajectory against speed, with both discrete maps."""
     rows = []
-    for n in speeds:
-        lam = eigenvalues(theta_hat, known_x, float(n), omega_n)
-        ze1, _ = discrete_stability(lam.lambda1, dt, "explicit_euler")
-        zt1, st1 = discrete_stability(lam.lambda1, dt, "trapezoidal")
-        rows.append(
-            {
-                "n_pu": float(n),
-                "re_l1": lam.lambda1.real,
-                "im_l1": lam.lambda1.imag,
-                "re_l2": lam.lambda2.real,
-                "im_l2": lam.lambda2.imag,
-                "z_euler_mag": abs(ze1),
-                "z_trap_mag": abs(zt1),
-                "trap_stable": st1,
-            }
-        )
+    for n in map(float, speeds):
+        lam = eigenvalues(theta_hat, known_x, n, omega_n)
+        z_euler, _ = discrete_stability(lam.lambda1, dt, "explicit_euler")
+        z_trap, trap_stable = discrete_stability(lam.lambda1, dt, "trapezoidal")
+        rows.append(EigenRow(
+            n, lam.lambda1.real, lam.lambda1.imag, lam.lambda2.real, lam.lambda2.imag,
+            abs(z_euler), abs(z_trap), trap_stable,
+        ))
     return rows

@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 validation failure or a command-line usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import fnmatch
 import functools
 import json
@@ -147,10 +146,10 @@ def cmd_eig(args: argparse.Namespace) -> int:
     rows = eigen_sweep(theta, (params.x_d, params.x_q), base.omega_n, speeds)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "eigenvalues.csv")
+    # the text csv.DictWriter writes: floats as repr, the flag as str, CRLF
     with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+        f.write(",".join(rows[0]._fields) + "\r\n")
+        f.writelines("%r,%r,%r,%r,%r,%r,%r,%s\r\n" % row for row in rows)
     print(f"wrote {path}")
     return EXIT_OK
 

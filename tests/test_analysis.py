@@ -1,10 +1,13 @@
 import csv
 import math
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rpemsim.analysis as analysis
 from rpemsim.analysis import (
     MAP_COLUMNS,
     MAP_SURFACES,
@@ -19,6 +22,7 @@ from rpemsim.analysis import (
     write_csv_table,
     write_maps_csv,
 )
+from rpemsim.cli import main as cli_main
 from rpemsim.control import mtpa_reference
 from rpemsim.estimator import ParameterVector, PredictorState, gradient_steady_state, predictor_step, prediction_error
 from rpemsim.plant import steady_state_voltage
@@ -225,20 +229,29 @@ def test_map_evaluation_deterministic(params, base):
         assert np.array_equal(x, y, equal_nan=True)
 
 
-@pytest.mark.parametrize("r_s", [None, 1e-6])
-def test_row_evaluation_equals_per_cell_scalar_loop(params, base, r_s):
-    # oracle: the per-cell loop over the scalar kernels, in Python floats.
-    # r_s = 1e-6 puts the n = 0 row below the gradient denominator floor,
-    # u_max = 0.6 makes the high-speed corners voltage-infeasible
+# the oracle's grids: torques past i_max = 1.2 give current-infeasible
+# columns; r_s = 1e-6 puts the n = 0 row below the gradient denominator
+# floor; u_max = 0.6 makes the high-speed corners voltage-infeasible, and
+# u_max = 0.9 on the last grid every cell of its rows 0, 4 and 5
+ORACLE_GRIDS = {
+    "nominal": (None, np.linspace(-1, 1, 7), np.linspace(-1.5, 1.5, 9), 0.6),
+    "r_s_1e-06": (1e-6, np.linspace(-1, 1, 7), np.linspace(-1.5, 1.5, 9), 0.6),
+    "infeasible_rows": (None, np.linspace(-1, 1.5, 6), np.array([-1.2, -0.6, 0.3, 0.9]), 0.9),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_GRIDS)
+def test_grid_evaluation_equals_per_cell_scalar_loop(params, base, case):
+    # oracle: the per-cell loop over the scalar kernels, in Python floats
+    r_s, speeds, torques, u_max = ORACLE_GRIDS[case]
     if r_s is not None:
         params = replace(params, r_s=r_s)
-    speeds, torques = np.linspace(-1, 1, 7), np.linspace(-1.5, 1.5, 9)
     deltas = (-0.01, 0.002, 0.01, -0.02)
     t = evaluate_maps(OperatingGrid(speeds, torques), params, base.omega_n,
-                      deltas=deltas, i_max=1.2, u_max=0.6)
+                      deltas=deltas, i_max=1.2, u_max=u_max)
     theta = ParameterVector(psi_m=params.psi_m, r_s=params.r_s)
     known_x = (params.x_d, params.x_q)
-    want = {name: np.full((7, 9), np.nan) for name in MAP_SURFACES}
+    want = {name: np.full((len(speeds), len(torques)), np.nan) for name in MAP_SURFACES}
     for si, n in enumerate(speeds.tolist()):
         lam = eigenvalues(theta, known_x, n, base.omega_n)
         for ti, tau in enumerate(torques.tolist()):
@@ -246,7 +259,7 @@ def test_row_evaluation_equals_per_cell_scalar_loop(params, base, r_s):
             if i is None:
                 continue
             u = steady_state_voltage(params, i, n)
-            if math.hypot(u.d, u.q) > 0.6:
+            if math.hypot(u.d, u.q) > u_max:
                 continue
             eps = steady_state_error(theta, known_x, n, i, *deltas)
             g = gradient_steady_state(theta, known_x, n, i)
@@ -265,8 +278,36 @@ def test_row_evaluation_equals_per_cell_scalar_loop(params, base, r_s):
             for name, value in cell.items():
                 want[name][si, ti] = value
     assert 0 < np.count_nonzero(np.isnan(t.i_d)) < t.i_d.size
+    if case == "infeasible_rows":
+        assert np.isnan(t.i_d).all(axis=1).tolist() == [True, False, False, False, True, True]
     for name in MAP_SURFACES:
         assert np.array_equal(getattr(t, name), want[name], equal_nan=True), name
+
+
+def test_evaluate_maps_calls_each_kernel_once_per_grid_or_axis(params, base, monkeypatch):
+    # the grid-wide kernels run once per grid, the speed-only ones once per
+    # speed, the MTPA reference once per torque value: no per-row loop
+    calls = Counter()
+    for name in ("steady_state_voltage", "steady_state_error", "eigenvalues",
+                 "gradient_steady_state", "mtpa_reference"):
+        def counted(*args, _fn=getattr(analysis, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    _, speeds, torques, u_max = ORACLE_GRIDS["nominal"]
+    evaluate_maps(OperatingGrid(speeds, torques), params, base.omega_n, u_max=u_max)
+    assert calls == {"steady_state_voltage": 1, "steady_state_error": 1, "eigenvalues": 7,
+                     "gradient_steady_state": 7, "mtpa_reference": 9}
+
+
+def test_zero_resistance_map_raises_without_numpy_warnings(params, base):
+    # r_s = 0 has no time constants; the map must refuse it before any grid
+    # arithmetic divides by a zero denominator
+    grid = OperatingGrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="r_s > 0"):
+            evaluate_maps(grid, replace(params, r_s=0.0), base.omega_n)
 
 
 def test_subgrid_values_independent_of_grid(params, base):
@@ -342,7 +383,25 @@ def test_write_csv_table_equals_one_format_per_value(tmp_path, rows, block):
 def test_eigen_sweep_rows(theta_nominal, known_x, omega_n):
     rows = eigen_sweep(theta_nominal, known_x, omega_n, np.linspace(0, 1, 5))
     assert len(rows) == 5
-    assert all(r["trap_stable"] for r in rows)
+    assert all(r.trap_stable for r in rows)
+
+
+def test_eig_csv_equals_dict_writer_reference(tmp_path, theta_nominal, known_x, omega_n):
+    # oracle: csv.DictWriter over eigen_sweep's rows. The range reaches
+    # exponent-form reprs and an unstable trapezoidal map, which the golden
+    # ranges do not
+    out = tmp_path / "out"
+    assert cli_main(["--out", str(out), "eig", "--speed-range", "0.00001", "1e16",
+                     "--points", "5"]) == 0
+    rows = eigen_sweep(theta_nominal, known_x, omega_n, np.linspace(0.00001, 1e16, 5))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=rows[0]._fields)
+        w.writeheader()
+        w.writerows(row._asdict() for row in rows)
+    got = (out / "eigenvalues.csv").read_bytes()
+    assert got == ref.read_bytes()
+    assert b"1e-05," in got and b"1e+16," in got and got.endswith(b",False\r\n")
 
 
 def test_infeasible_cells_marked_absent_not_zero(params, base):
