@@ -186,12 +186,10 @@ def evaluate_maps(
     """Evaluate every analytical surface on the grid.
 
     deltas = (delta_psi_m, delta_r_s, delta_x_d, delta_x_q) feed the
-    sensitivity surfaces. The MTPA currents are built once per torque value,
-    NaN in an infeasible column. One scalar call per speed gives the
-    speed-only values, and the gradient's denominator floor decides per
-    speed; the voltage and the error take a speed column against the
-    currents, once per grid. The arithmetic runs in a per-cell call's order,
-    so every cell equals its scalar evaluation bitwise.
+    sensitivity surfaces. The currents are built once per torque value (NaN
+    where infeasible), the speed-only values by one scalar call per speed,
+    the voltage and the error once per grid. The arithmetic runs in a
+    per-cell call's order, so every cell equals its scalar evaluation bitwise.
     """
     theta = ParameterVector(psi_m=params.psi_m, r_s=params.r_s)
     known_x = (params.x_d, params.x_q)
@@ -199,25 +197,25 @@ def evaluate_maps(
     i = DqVector(*np.array([c or (np.nan, np.nan) for c in currents]).T)
     # the speed loop runs first, so that time_constants refuses r_s <= 0
     # before the grid arithmetic divides by a zero denominator
-    per_speed, rs = [], np.empty((2, len(grid.speed_axis), len(i.d)))
+    per_speed, (rs_d, rs_q) = [], np.empty((2, len(grid.speed_axis), len(i.d)))
     for si, n in enumerate(grid.speed_axis.tolist()):
         lam = eigenvalues(theta, known_x, n, omega_n)
-        g = gradient_steady_state(theta, known_x, n, i)
+        g = gradient_steady_state(theta, known_x, n, i)  # a float n: the floor decides per speed
         per_speed.append((
             n, g.psi_d, g.psi_q, g.psi_d**2 + g.psi_q**2,
             lam.lambda1.real, lam.lambda1.imag, lam.lambda2.real, lam.lambda2.imag,
             max(abs(discrete_stability(root, dt, "explicit_euler")[0]) for root in lam),
             max(abs(discrete_stability(root, dt, "trapezoidal")[0]) for root in lam),
         ))
-        rs[0, si], rs[1, si] = g.rs_d, g.rs_q  # 0.0 below the floor
+        rs_d[si], rs_q[si] = g.rs_d, g.rs_q  # 0.0 below the floor
     n, psi11, psi12, psi_sq, re_l1, im_l1, re_l2, im_l2, z_euler, z_trap = (
         np.array(per_speed).T[:, :, None])
-    rs_d, rs_q = rs
     u = steady_state_voltage(params, i, n)
-    eps = steady_state_error(theta, known_x, n, i, *deltas)
     # math.hypot, as a per-cell call computes it: np.hypot differs in some last bits
     u_mag = np.fromiter(map(math.hypot, u.d.ravel().tolist(), u.q.ravel().tolist()), float)
-    feasible = ~(u_mag.reshape(u.d.shape) > u_max) & ~np.isnan(i.d)
+    infeasible = (u_mag.reshape(u.d.shape) > u_max) | np.isnan(i.d)
+    del u, u_mag  # a map's peak memory is its tables: no grid temporary outlives its use
+    eps = steady_state_error(theta, known_x, n, i, *deltas)
     surfaces = {
         "i_d": i.d, "i_q": i.q, "eps_d": eps.d, "eps_q": eps.q,
         "psi11": psi11, "psi12": psi12, "psi21": rs_d, "psi22": rs_q,
@@ -226,13 +224,17 @@ def evaluate_maps(
         "re_l1": re_l1, "im_l1": im_l1, "re_l2": re_l2, "im_l2": im_l2,
         "z_euler_mag": z_euler, "z_trap_mag": z_trap,
     }
-    return MapTables(grid, **{k: np.where(feasible, v, np.nan) for k, v in surfaces.items()})
+    for name, value in surfaces.items():
+        if value.shape == infeasible.shape:  # a whole grid of its own: masked in place
+            value[infeasible] = np.nan
+        else:
+            surfaces[name] = np.where(infeasible, np.nan, value)
+    return MapTables(grid, **surfaces)
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
-    """Element-wise Python ``x**2``, which is libm ``pow(x, 2.0)``, as a
-    per-cell evaluation computes it; array ``x**2`` is ``x*x`` and differs
-    in the last bit."""
+    """Element-wise Python ``x**2`` (libm pow), as a per-cell evaluation
+    computes it; array ``x**2`` is ``x*x`` and differs in the last bit."""
     return np.fromiter(map(pow, x.ravel().tolist(), repeat(2.0)), float, x.size).reshape(x.shape)
 
 

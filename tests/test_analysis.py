@@ -232,7 +232,7 @@ def test_map_evaluation_deterministic(params, base):
 # the oracle's grids: torques past i_max = 1.2 give current-infeasible
 # columns; r_s = 1e-6 puts the n = 0 row below the gradient denominator
 # floor; u_max = 0.6 makes the high-speed corners voltage-infeasible, and
-# u_max = 0.9 on the last grid every cell of its rows 0, 4 and 5
+# u_max = 0.9 every cell of rows 0, 4 and 5 of the last grid
 ORACLE_GRIDS = {
     "nominal": (None, np.linspace(-1, 1, 7), np.linspace(-1.5, 1.5, 9), 0.6),
     "r_s_1e-06": (1e-6, np.linspace(-1, 1, 7), np.linspace(-1.5, 1.5, 9), 0.6),
