@@ -195,8 +195,7 @@ def evaluate_maps(
     known_x = (params.x_d, params.x_q)
     currents = [cell_currents(params, tau, i_max) for tau in grid.torque_axis.tolist()]
     i = DqVector(*np.array([c or (np.nan, np.nan) for c in currents]).T)
-    # the speed loop runs first, so that time_constants refuses r_s <= 0
-    # before the grid arithmetic divides by a zero denominator
+    # speeds first: time_constants refuses r_s <= 0 before a grid divides by 0
     per_speed, (rs_d, rs_q) = [], np.empty((2, len(grid.speed_axis), len(i.d)))
     for si, n in enumerate(grid.speed_axis.tolist()):
         lam = eigenvalues(theta, known_x, n, omega_n)
@@ -211,8 +210,9 @@ def evaluate_maps(
     n, psi11, psi12, psi_sq, re_l1, im_l1, re_l2, im_l2, z_euler, z_trap = (
         np.array(per_speed).T[:, :, None])
     u = steady_state_voltage(params, i, n)
-    # math.hypot, as a per-cell call computes it: np.hypot differs in some last bits
-    u_mag = np.fromiter(map(math.hypot, u.d.ravel().tolist(), u.q.ravel().tolist()), float)
+    # math.hypot per cell, one row at a time: np.hypot differs in some last bits
+    u_mag = np.fromiter(chain.from_iterable(
+        map(math.hypot, d.tolist(), q.tolist()) for d, q in zip(u.d, u.q)), float, u.d.size)
     infeasible = (u_mag.reshape(u.d.shape) > u_max) | np.isnan(i.d)
     del u, u_mag  # a map's peak memory is its tables: no grid temporary outlives its use
     eps = steady_state_error(theta, known_x, n, i, *deltas)
@@ -233,9 +233,10 @@ def evaluate_maps(
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
-    """Element-wise Python ``x**2`` (libm pow), as a per-cell evaluation
-    computes it; array ``x**2`` is ``x*x`` and differs in the last bit."""
-    return np.fromiter(map(pow, x.ravel().tolist(), repeat(2.0)), float, x.size).reshape(x.shape)
+    """Element-wise Python ``x**2`` (libm pow) a row at a time, as a per-cell
+    evaluation computes it; array ``x**2`` is ``x*x`` and differs in the last bit."""
+    cells = chain.from_iterable(map(pow, row.tolist(), repeat(2.0)) for row in x)
+    return np.fromiter(cells, float, x.size).reshape(x.shape)
 
 
 # the CSV columns of each ``rpemsim map`` surface; "all" writes every one

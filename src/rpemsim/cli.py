@@ -146,8 +146,7 @@ def cmd_eig(args: argparse.Namespace) -> int:
     rows = eigen_sweep(theta, (params.x_d, params.x_q), base.omega_n, speeds)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "eigenvalues.csv")
-    # the text csv.DictWriter writes: floats as repr, the flag as str, CRLF
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="") as f:  # csv.DictWriter's text: repr floats, str flag, CRLF
         f.write(",".join(rows[0]._fields) + "\r\n")
         f.writelines("%r,%r,%r,%r,%r,%r,%r,%s\r\n" % row for row in rows)
     print(f"wrote {path}")
