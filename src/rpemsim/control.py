@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pu import DqVector, MachineParams
+from .pu import DqVector, MachineParams, Positive, check_fields
 
 SPEED_LOOP_BANDWIDTH_RAD_S = 40.0  # what tune_speed_loop sizes the speed PI for
 
@@ -24,13 +24,12 @@ class PiState:
     """One PI channel: gains plus integrator state."""
 
     kp: float
-    ti: float
+    ti: Positive
     integrator: float = 0.0
     output_limit: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.ti <= 0.0:
-            raise ControlError("integral time ti must be positive")
+        check_fields(self, ControlError)
 
 
 @dataclass(frozen=True)

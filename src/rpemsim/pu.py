@@ -43,7 +43,7 @@ def in_range(value: Any, tp: Any) -> bool:
     return typing.get_args(tp)[2](value)
 
 
-def check_fields(obj: Any, error: type[ConfigError] = ConfigError) -> None:
+def check_fields(obj: Any, error: type[ValueError] = ConfigError) -> None:
     """Raise ``error`` unless every field of dataclass ``obj`` holds a value
     of its declared type: for a float a number but not a bool (an int is
     stored as its float), for an int an int but not a bool, for a range
@@ -173,25 +173,13 @@ class MachineParams:
     surface-magnet case.
     """
 
-    x_d: float
-    x_q: float
-    r_s: float
-    psi_m: float
+    x_d: Positive
+    x_q: Positive
+    r_s: NonNegative
+    psi_m: NonNegative
 
     def __post_init__(self) -> None:
-        # chained comparisons, so that NaN and inf fail too
-        if not (0.0 < self.x_d < math.inf and 0.0 < self.x_q < math.inf):
-            raise ConfigError(
-                f"reactances must be positive and finite, got x_d={self.x_d}, x_q={self.x_q}"
-            )
-        if not 0.0 <= self.r_s < math.inf:
-            raise ConfigError(
-                f"stator resistance must be non-negative and finite, got {self.r_s}"
-            )
-        if not 0.0 <= self.psi_m < math.inf:
-            raise ConfigError(
-                f"magnet flux linkage must be non-negative and finite, got {self.psi_m}"
-            )
+        check_fields(self)
         if self.x_q < self.x_d - 1e-12:
             raise ConfigError("saliency convention violated: requires x_q >= x_d")
 
@@ -254,47 +242,42 @@ class MachineConfig:
     rated_current_A: Positive
     rated_speed_rpm: Positive
     pole_pairs: Count
-    Rs_ohm: Optional[float] = None
-    Ld_H: Optional[float] = None
-    Lq_H: Optional[float] = None
-    psi_m_Wb: Optional[float] = None
-    r_s_pu: Optional[float] = None
-    x_d_pu: Optional[float] = None
-    x_q_pu: Optional[float] = None
-    psi_m_pu: Optional[float] = None
+    Rs_ohm: Optional[NonNegative] = None
+    Ld_H: Optional[NonNegative] = None
+    Lq_H: Optional[NonNegative] = None
+    psi_m_Wb: Optional[NonNegative] = None
+    r_s_pu: Optional[NonNegative] = None
+    x_d_pu: Optional[Positive] = None
+    x_q_pu: Optional[Positive] = None
+    psi_m_pu: Optional[NonNegative] = None
     convention: Literal["amplitude_invariant"] = "amplitude_invariant"
 
     def __post_init__(self) -> None:
         check_fields(self)
 
+    def per_unit(self) -> tuple[BaseQuantities, MachineParams]:
+        """The machine's per-unit base and parameters; the rated frequency
+        is f = p * N_n / 60 from the pole pairs and the rated speed."""
+        f_n = self.pole_pairs * self.rated_speed_rpm / 60.0
+        base = make_base(self.rated_voltage_ll_V, self.rated_current_A, f_n, self.pole_pairs)
+        si = (self.Rs_ohm, self.Ld_H, self.Lq_H, self.psi_m_Wb)
+        pu = {"r_s": self.r_s_pu, "x_d": self.x_d_pu, "x_q": self.x_q_pu, "psi_m": self.psi_m_pu}
+        # pu values replace individual SI-derived ones
+        overrides = {name: v for name, v in pu.items() if v is not None}
+        if None not in si:
+            return base, dataclasses.replace(to_per_unit(SiMachineData(*si), base), **overrides)
+        if len(overrides) < len(pu):
+            raise ConfigError(
+                "machine config needs either the full SI set (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) "
+                "or the full pu set (r_s_pu, x_d_pu, x_q_pu, psi_m_pu)"
+            )
+        return base, MachineParams(**overrides)
+
 
 def machine_from_config(cfg: dict) -> tuple[BaseQuantities, MachineParams]:
-    """Build base and per-unit parameters from a flat key-value config,
-    the JSON form of :class:`MachineConfig`.
-
-    Rated frequency is derived as f = p * N_n / 60 from speed and pole
-    pairs. Unknown keys are rejected. The only accepted transform
-    convention is "amplitude_invariant" (the default).
-    """
-    c = from_json(MachineConfig, cfg, "machine config")
-    base = make_base(
-        rated_voltage_ll=c.rated_voltage_ll_V,
-        rated_current=c.rated_current_A,
-        rated_frequency=c.pole_pairs * c.rated_speed_rpm / 60.0,
-        pole_pairs=c.pole_pairs,
-    )
-    si = (c.Rs_ohm, c.Ld_H, c.Lq_H, c.psi_m_Wb)
-    pu = {"r_s": c.r_s_pu, "x_d": c.x_d_pu, "x_q": c.x_q_pu, "psi_m": c.psi_m_pu}
-    # pu values replace individual SI-derived ones
-    overrides = {name: v for name, v in pu.items() if v is not None}
-    if None not in si:
-        return base, dataclasses.replace(to_per_unit(SiMachineData(*si), base), **overrides)
-    if len(overrides) < len(pu):
-        raise ConfigError(
-            "machine config needs either the full SI set (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) "
-            "or the full pu set (r_s_pu, x_d_pu, x_q_pu, psi_m_pu)"
-        )
-    return base, MachineParams(**overrides)
+    """:meth:`MachineConfig.per_unit` of a flat key-value config, the JSON
+    form of :class:`MachineConfig`; unknown keys are rejected."""
+    return from_json(MachineConfig, cfg, "machine config").per_unit()
 
 
 #: Ratings and offline-identified data of the reference 3 kW IPMSM plant.

@@ -41,13 +41,13 @@ from .pu import (
     Count,
     DqVector,
     Finite,
+    MachineConfig,
     MachineParams,
     NonNegative,
     Positive,
     check_fields,
     from_json,
     in_range,
-    machine_from_config,
 )
 
 #: Most plant steps, round(duration_s / t_samp_s) * substeps, one run may take;
@@ -201,7 +201,7 @@ class Scenario:
 
     name: str
     duration_s: Positive
-    machine: dict = field(default_factory=lambda: dict(TABLE_MACHINE_CONFIG))
+    machine: MachineConfig = field(default_factory=lambda: MachineConfig(**TABLE_MACHINE_CONFIG))
     plant: PlantSection = field(default_factory=PlantSection)
     control: ControlSection = field(default_factory=ControlSection)
     estimator: EstimatorSection = field(default_factory=EstimatorSection)
@@ -232,7 +232,7 @@ class Scenario:
     def validate(self) -> RunStart:
         """Full validation: builds everything a run starts from, settled at
         the t = 0 references, or raises a ConfigError."""
-        base, params = machine_from_config(self.machine)
+        base, params = self.machine.per_unit()
         times = [ev.time_s for ev in self.events]
         if times != sorted(times):
             raise ScenarioError("events must be sorted by time")

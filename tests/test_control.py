@@ -68,6 +68,12 @@ def test_mtpa_requires_positive_flux():
         mtpa_reference(0.3, p)
 
 
+@pytest.mark.parametrize("ti", [0.0, -1.0, math.nan, math.inf, True])
+def test_pi_state_rejects_an_integral_time_outside_its_declared_range(ti):
+    with pytest.raises(ControlError, match="PiState.ti must be a number > 0"):
+        PiState(kp=1.0, ti=ti)
+
+
 def test_pi_zero_error_zero_output():
     s = PiState(kp=1.0, ti=0.1, output_limit=10.0)
     out, s2 = speed_controller(1.0, 1.0, s, DT)

@@ -161,7 +161,7 @@ def test_validate_events_rejects_invalid_result():
             events=ev,
         )
     assert isinstance(exc.value.__cause__, ConfigError)
-    assert "magnet flux linkage" in str(exc.value.__cause__)
+    assert str(exc.value.__cause__).startswith("MachineParams.psi_m must be a number >= 0")
 
 
 def test_event_needs_exactly_one_of_factor_value():

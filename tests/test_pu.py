@@ -5,6 +5,8 @@ import pytest
 from rpemsim.pu import (
     TABLE_MACHINE_CONFIG,
     ConfigError,
+    MachineConfig,
+    MachineParams,
     SiMachineData,
     machine_from_config,
     make_base,
@@ -59,6 +61,35 @@ def test_to_per_unit_zero_resistance_maps_to_zero():
 def test_to_per_unit_rejects_negative():
     with pytest.raises(ConfigError):
         SiMachineData(rs_ohm=-0.1, ld_H=0.1, lq_H=0.2, psi_m_Wb=1.0)
+
+
+@pytest.mark.parametrize("args,field", [
+    ((True, 2.0, 0.0, 1.0), "x_d"),
+    ((0.0, 2.0, 0.0, 1.0), "x_d"),
+    ((0.5, math.nan, 0.0, 1.0), "x_q"),
+    ((0.5, math.inf, 0.0, 1.0), "x_q"),
+    ((0.5, 1.0, -1e-9, 1.0), "r_s"),
+    ((0.5, 1.0, 0.0, math.nan), "psi_m"),
+    ((0.5, 1.0, 0.0, "1.0"), "psi_m"),
+])
+def test_machine_params_reject_values_outside_their_declared_ranges(args, field):
+    with pytest.raises(ConfigError, match=f"MachineParams.{field} must be"):
+        MachineParams(*args)
+
+
+def test_machine_params_store_integers_as_floats():
+    p = MachineParams(1, 2, 0, 1)
+    assert [type(v) for v in (p.x_d, p.x_q, p.r_s, p.psi_m)] == [float] * 4
+
+
+@pytest.mark.parametrize("key,value", [
+    ("Rs_ohm", -2.25), ("Ld_H", math.nan), ("Lq_H", math.inf), ("psi_m_Wb", -1.0),
+    ("r_s_pu", -0.1), ("x_d_pu", 0.0), ("x_q_pu", math.nan), ("psi_m_pu", -math.inf),
+])
+def test_machine_config_rejects_a_parameter_outside_its_declared_range(key, value):
+    # checked when the section is built, also where another value would win
+    with pytest.raises(ConfigError, match=f"MachineConfig.{key} must be"):
+        MachineConfig(**{**TABLE_MACHINE_CONFIG, key: value})
 
 
 def test_machine_config_table_values():

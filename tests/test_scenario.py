@@ -231,6 +231,33 @@ def test_presets_round_trip_losslessly(tmp_path):
         assert back.to_dict() == sc.to_dict()
 
 
+def test_saved_scenario_loads_back_equal_with_every_machine_key(tmp_path):
+    machine = MachineConfig(
+        rated_voltage_ll_V=400.0, rated_current_A=4.93, rated_speed_rpm=1000.0, pole_pairs=3,
+        r_s_pu=0.05, x_d_pu=0.6, x_q_pu=1.4, psi_m_pu=0.9,
+    )
+    sc = _quick(duration=0.01, machine=machine)
+    path = tmp_path / "pu_machine.json"
+    save_scenario(sc, str(path))
+    saved = json.loads(path.read_text())["machine"]
+    # every key is written, the unset SI set as null
+    assert saved == {f.name: getattr(machine, f.name) for f in dataclasses.fields(MachineConfig)}
+    assert [saved[k] for k in ("Rs_ohm", "Ld_H", "Lq_H", "psi_m_Wb")] == [None] * 4
+    back = load_scenario(str(path))
+    assert back == sc
+    assert back.machine == machine
+
+
+@pytest.mark.parametrize("key,value", [("r_s_pu", -0.1), ("x_d_pu", math.nan)])
+def test_machine_value_out_of_range_is_rejected_at_load(monkeypatch, key, value):
+    # the machine section is built and checked with the others, before
+    # validate() runs, and the message names the field
+    monkeypatch.setattr(Scenario, "validate", lambda self: pytest.fail("validate() ran"))
+    d = {"name": "x", "duration_s": 1.0, "machine": {**TABLE_MACHINE_CONFIG, key: value}}
+    with pytest.raises(ScenarioError, match=f"MachineConfig.{key} must be"):
+        Scenario.from_dict(d)
+
+
 def test_fig7a_all_three_algorithms_converge():
     # same operating point, one run per gain algorithm
     presets = preset_library()

@@ -7,6 +7,7 @@ from pathlib import Path
 import rpemsim
 from rpemsim import cli, runner
 from rpemsim.estimator import RpemEstimator
+from rpemsim.scenario import Scenario
 
 PACKAGE = Path(rpemsim.__file__).resolve().parent
 
@@ -61,6 +62,55 @@ def test_checked_dataclasses_declare_ranges_in_their_field_types():
                 if "check_fields" in text and ("math.inf" in text or "isfinite" in text):
                     found.append(f"{path.name}:{cls.name}")
     assert found == []
+
+
+def _is_number_constant(node: ast.expr) -> bool:
+    """Whether ``node`` is a signed or unsigned number literal, a ``math``
+    constant or a ``float("...")`` call."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "math"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float")
+
+
+def _self_fields(node: ast.AST) -> set[str]:
+    return {
+        n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "self"
+    }
+
+
+def test_post_init_compares_no_single_field_with_number_constants():
+    # a one-field range is the field's declared type (pu.Positive, ...),
+    # checked by check_fields, where NaN fails too; a comparison that ties
+    # two fields together (saliency, box min < max, scheduler limits) stays
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+                    continue
+                for cmp in ast.walk(fn):
+                    if not isinstance(cmp, ast.Compare) or len(_self_fields(cmp)) != 1:
+                        continue
+                    operands = [cmp.left, *cmp.comparators]
+                    constants = [o for o in operands if _is_number_constant(o)]
+                    if constants and all(o in constants or _self_fields(o) for o in operands):
+                        found.append(f"{path.name}:{cls.name}:{ast.unparse(cmp)}")
+    assert found == []
+
+
+def test_validate_parses_no_machine_dict():
+    # Scenario.machine is a MachineConfig, built and checked at load
+    source = inspect.getsource(Scenario.validate)
+    assert "machine_from_config" not in source
+    assert "from_json" not in source
 
 
 def test_machine_parameter_targets_are_not_listed_by_hand():
@@ -133,11 +183,7 @@ TRACER_IMPORTS = {
         "current_controller", "mtpa_reference", "speed_controller",
         "integrate_electrical", "torque", "schedule_value",
     )
-} | {
-    ("estimator.py", name) for name in (
-        "Trapezoid", "shared_trapezoid", "steady_state_current", "step_matrices",
-    )
-}
+} | {("estimator.py", "step_matrices")}
 
 
 def test_unused_imports_are_only_those_the_tracer_wraps():
