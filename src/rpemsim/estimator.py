@@ -31,9 +31,10 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal, NamedTuple, Optional
 
+from .plant import Trapezoid, shared_trapezoid, steady_state_current
 # step_matrices is not called here; it stays a module attribute because
 # the benchmark's tracer (perfbench/tracing.py) wraps it by this name
-from .plant import Trapezoid, shared_trapezoid, steady_state_current, step_matrices  # noqa: F401
+from .plant import step_matrices  # noqa: F401
 from .pu import (
     ConfigError, DqVector, Finite, MachineParams, NonNegative, Positive, Rate, check_fields,
 )
@@ -319,34 +320,44 @@ class SteadyStateGradients:
 @dataclass(slots=True)
 class DynamicGradients(SteadyStateGradients):
     """Both rows by their recursions, which share the predictor's state
-    matrix in ``kernel``: the flux gradient (gp) is forced by -n in the q row,
-    the resistance gradient (gr) by minus the mean predicted current. The
-    fields are those of SteadyStateGradients, so MixedGradients runs both."""
+    matrix in ``kernel``. The fields are those of SteadyStateGradients, so
+    MixedGradients can keep one row in closed form."""
 
     def step(self, kernel, r_s, n, i_old_d, i_old_q, i_d, i_q) -> tuple:
         if kernel is None:
             return self.g
-        gp_d, gp_q, gr_d, gr_q = self.g
+        g = self.g = self.flux(kernel) + self.resistance(kernel, i_old_d, i_old_q, i_d, i_q)
+        return g
+
+    def flux(self, kernel) -> tuple:
+        """The flux gradient (gp) one step on, forced by -n in the q row."""
+        gp_d, gp_q = self.g[:2]
+        return kernel.step(gp_d, gp_q, -0.0, -kernel.omega_n * kernel.n / kernel.x_q)
+
+    def resistance(self, kernel, i_old_d, i_old_q, i_d, i_q) -> tuple:
+        """The resistance gradient (gr) one step on, forced by minus the
+        mean predicted current."""
         w = kernel.omega_n
-        gp_d, gp_q = kernel.step(gp_d, gp_q, -0.0, -w * kernel.n / kernel.x_q)
         f_d = -0.5 * w * (i_old_d + i_d) / kernel.x_d
         f_q = -0.5 * w * (i_old_q + i_q) / kernel.x_q
-        gr_d, gr_q = kernel.step(gr_d, gr_q, f_d, f_q)
-        g = self.g = (gp_d, gp_q, gr_d, gr_q)
-        return g
+        return kernel.step(self.g[2], self.g[3], f_d, f_q)
 
 
 @dataclass(slots=True)
 class MixedGradients(DynamicGradients):
     """One row by its recursion (flux if psi_dynamic), the other in closed
-    form; both recursions advance, and the closed-form row's goes unread."""
+    form; only the recursion it returns advances."""
 
     psi_dynamic: bool
 
     def step(self, kernel, r_s, n, i_old_d, i_old_q, i_d, i_q) -> tuple:
-        dyn = DynamicGradients.step(self, kernel, r_s, n, i_old_d, i_old_q, i_d, i_q)
-        ss = SteadyStateGradients.step(self, kernel, r_s, n, i_old_d, i_old_q, i_d, i_q)
-        g = self.g = dyn[:2] + ss[2:] if self.psi_dynamic else ss[:2] + dyn[2:]
+        ss = steady_state_gradients(r_s, self.x_d, self.x_q, n, i_d, i_q)
+        if self.psi_dynamic:
+            g = (self.g[:2] if kernel is None else self.flux(kernel)) + ss[2:]
+        else:
+            g = ss[:2] + (self.g[2:] if kernel is None
+                          else self.resistance(kernel, i_old_d, i_old_q, i_d, i_q))
+        self.g = g
         return g
 
 

@@ -619,13 +619,18 @@ def _moving_estimator(params, known_x, omega_n, wide_box, **settings):
     return est, steady_state_voltage(true, i_op, 0.3), i_op
 
 
-@pytest.mark.parametrize("mode,per_sample", [("steady_state", 1), ("dynamic", 3)])
+@pytest.mark.parametrize("mode,per_sample", [
+    ("steady_state", 1), ("dynamic", 3), ("dynamic/steady_state", 2), ("steady_state/dynamic", 2),
+])
 def test_estimator_runs_only_the_recursions_its_mode_reads(
     params, known_x, omega_n, wide_box, monkeypatch, mode, per_sample
 ):
-    # the predictor is one trapezoidal step; each dynamic gradient row one more
+    # the predictor is one trapezoidal step; each dynamic gradient row one
+    # more. A mode "psi/rs" sets the two rows apart, else both take it
+    mode_psi, _, mode_rs = mode.partition("/")
     est, u, i_op = _moving_estimator(
-        params, known_x, omega_n, wide_box, gradient_mode_psi=mode, gradient_mode_rs=mode
+        params, known_x, omega_n, wide_box,
+        gradient_mode_psi=mode_psi, gradient_mode_rs=mode_rs or mode_psi,
     )
     est.step(u, 0.3, i_op)  # the first sample runs no predictor step
     calls = []
