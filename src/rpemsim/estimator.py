@@ -473,8 +473,8 @@ def pseudoinverse_2x2(
     if lam_max == 0.0:
         return ((0.0, 0.0), (0.0, 0.0))
     # eigenvector of lam1, formula chosen to avoid cancellation: lam1 is
-    # never close to the smaller diagonal entry
-    if abs(b) > 1e-300:
+    # never close to the smaller diagonal entry; only b == 0 zeroes it
+    if b != 0.0:
         v1d, v1q = (lam1 - c, b) if a >= c else (b, lam1 - a)
     elif a >= c:
         v1d, v1q = 1.0, 0.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpemsim.estimator import (
@@ -377,6 +377,7 @@ def test_pseudoinverse_full_rank_matches_inverse():
     g3=st.floats(-5, 5, allow_nan=False),
     g4=st.floats(-5, 5, allow_nan=False),
 )
+@example(*[5.7890255664102835e-151] * 4)  # every entry ~6.7e-301, b != 0
 @settings(max_examples=80, deadline=None)
 def test_pseudoinverse_penrose_conditions(g1, g2, g3, g4):
     from hypothesis import assume
