@@ -265,7 +265,11 @@ class MachineConfig:
         # pu values replace individual SI-derived ones
         overrides = {name: v for name, v in pu.items() if v is not None}
         if None not in si:
-            return base, dataclasses.replace(to_per_unit(SiMachineData(*si), base), **overrides)
+            try:
+                params = to_per_unit(SiMachineData(*si), base)
+            except ConfigError as exc:  # e.g. a zero or underflowing inductance
+                raise ConfigError(f"machine (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) = {si}: {exc}") from exc
+            return base, dataclasses.replace(params, **overrides)
         if len(overrides) < len(pu):
             raise ConfigError(
                 "machine config needs either the full SI set (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) "

@@ -190,6 +190,20 @@ def test_value_events_apply_from_the_first_sample_within_the_tolerance(events):
     assert sc.validate().n0 == inputs(0)[1]
 
 
+@pytest.mark.parametrize("machine", [
+    {"Ld_H": 0.0},
+    {"Ld_H": 0.0, "x_d_pu": 0.3},  # failed before the pu value could win, and still does
+    {"Lq_H": 1e-320},  # x_q underflows below x_d: the saliency rule
+])
+def test_cli_validate_names_the_machine_inductance_that_fails(tmp_path, capsys, machine):
+    d = {"name": "x", "duration_s": 0.01, "machine": {**TABLE_MACHINE_CONFIG, **machine}}
+    _assert_validate_rejects(d, tmp_path, capsys)
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(d)
+    si = tuple(d["machine"][k] for k in ("Rs_ohm", "Ld_H", "Lq_H", "psi_m_Wb"))
+    assert str(err.value).startswith(f"machine (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) = {si}: ")
+
+
 def test_unknown_scenario_key_rejected():
     with pytest.raises(ScenarioError, match="unknown"):
         Scenario.from_dict({"name": "x", "duration_s": 1.0, "bogus": 1})
