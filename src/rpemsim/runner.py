@@ -185,11 +185,9 @@ def run(scenario: Scenario) -> RunResult:
     rs_hat_full = np.empty(n_steps)
     psi_true_full = np.empty(n_steps)
     rs_true_full = np.empty(n_steps)
-    psi_hat_buf, rs_hat_buf, psi_true_buf, rs_true_buf = (
-        memoryview(a) for a in (psi_hat_full, rs_hat_full, psi_true_full, rs_true_full)
-    )
+    psi_hat_buf, rs_hat_buf = memoryview(psi_hat_full), memoryview(rs_hat_full)
 
-    inputs_at = ScheduleCursor(start.schedule).at
+    segments = ScheduleCursor(start.schedule).segments(dt, n_steps)
     estimator_step = start.estimator.step
     loops_step = start.loops.step
     plant = Trapezoid(start.omega_n, dt / substeps)
@@ -202,73 +200,77 @@ def run(scenario: Scenario) -> RunResult:
     n_applied = start.n0
     n_plant = start.n0
     i_d, i_q = start.i0
+    tau_prev = psi_prev = math.nan  # NaN never compares equal: the first sample computes
     mpp_steps = 0
     log_row = 0
     k = 0
     try:
-        for k in range(n_steps):
-            t = k * dt
-            # one row of scenario.INPUTS: the true machine, references, load
-            p_xd, p_xq, p_rs, p_psi, n_ref, tau_ref, load = inputs_at(t)
-
+        # steps k0 <= k < k1 read one row of scenario.INPUTS: true machine, references, load
+        for k0, k1, (p_xd, p_xq, p_rs, p_psi, n_ref, tau_ref, load) in segments:
             if prescribed:
                 n_plant = n_ref
-            n_now = n_plant
+                plant_set(p_rs, p_xd, p_xq, n_ref)
+            psi_true_full[k0:k1] = p_psi
+            rs_true_full[k0:k1] = p_rs
+            for k in range(k0, k1):
+                n_now = n_plant
 
-            if noise is not None:
-                im_d, im_q = i_d + noise[2 * k], i_q + noise[2 * k + 1]
-            else:
-                im_d, im_q = i_d, i_q
+                if noise is not None:
+                    im_d, im_q = i_d + noise[2 * k], i_q + noise[2 * k + 1]
+                else:
+                    im_d, im_q = i_d, i_q
 
-            tele = estimator_step(u_applied, n_applied, (im_d, im_q))
-            eps_d, eps_q, ih_d, ih_q, psi, rs, l11, l12, l21, l22, r_sc, det_r, mpp = tele
-            if mpp:
-                mpp_steps += 1
+                tele = estimator_step(u_applied, n_applied, (im_d, im_q))
+                eps_d, eps_q, ih_d, ih_q, psi, rs, l11, l12, l21, l22, r_sc, det_r, mpp = tele
+                if mpp:
+                    mpp_steps += 1
 
-            if torque_mode:
-                tau_cmd = tau_ref
-            else:
-                tau_cmd, integ_n = pi_update(n_ref, n_now, kp_n, ti_n, integ_n, lim_n, dt)
-            id_ref, iq_ref = limit_current(*mtpa_currents(tau_cmd, psi, x_d, x_q), i_max)
-            u_cmd = loops_step(id_ref, iq_ref, im_d, im_q, n_now, psi)
-            u_d, u_q = u_cmd
+                if torque_mode:
+                    tau_cmd = tau_ref
+                else:
+                    tau_cmd, integ_n = pi_update(n_ref, n_now, kp_n, ti_n, integ_n, lim_n, dt)
+                # equal inputs give equal references; both signed zeros give (0.0, 0.0)
+                if tau_cmd != tau_prev or psi != psi_prev:
+                    tau_prev, psi_prev = tau_cmd, psi
+                    id_ref, iq_ref = limit_current(*mtpa_currents(tau_cmd, psi, x_d, x_q), i_max)
+                u_cmd = loops_step(id_ref, iq_ref, im_d, im_q, n_now, psi)
+                u_d, u_q = u_cmd
 
-            plant_set(p_rs, p_xd, p_xq, n_now)
-            nd, nq = i_d, i_q
-            for _ in range(substeps):
-                nd, nq = plant_drive(nd, nq, u_d, u_q, p_psi)
-            if not prescribed:
-                n_plant = speed_step(
-                    n_plant, electromagnetic_torque(p_psi, p_xd, p_xq, nd, nq),
-                    load, inertia_H, dt,
-                )
+                if not prescribed:
+                    plant_set(p_rs, p_xd, p_xq, n_now)
+                nd, nq = i_d, i_q
+                for _ in range(substeps):
+                    nd, nq = plant_drive(nd, nq, u_d, u_q, p_psi)
+                if not prescribed:
+                    n_plant = speed_step(
+                        n_plant, electromagnetic_torque(p_psi, p_xd, p_xq, nd, nq),
+                        load, inertia_H, dt,
+                    )
 
-            if not isfinite(nd + nq + n_plant + psi + rs + u_d + u_q):
-                for name, value in (
-                    ("i_d", nd), ("i_q", nq), ("n", n_plant), ("psi_m_hat", psi),
-                    ("r_s_hat", rs), ("u_d", u_d), ("u_q", u_q),
-                ):
-                    if not isfinite(value):
-                        raise _diverged(
-                            k, dt, f"{name} = {value}", (i_d, i_q),
-                            psi_hat_full, rs_hat_full,
-                        )
-            i_d, i_q = nd, nq
+                if not isfinite(nd + nq + n_plant + psi + rs + u_d + u_q):
+                    for name, value in (
+                        ("i_d", nd), ("i_q", nq), ("n", n_plant), ("psi_m_hat", psi),
+                        ("r_s_hat", rs), ("u_d", u_d), ("u_q", u_q),
+                    ):
+                        if not isfinite(value):
+                            raise _diverged(
+                                k, dt, f"{name} = {value}", (i_d, i_q),
+                                psi_hat_full, rs_hat_full,
+                            )
+                i_d, i_q = nd, nq
 
-            psi_hat_buf[k] = psi
-            rs_hat_buf[k] = rs
-            psi_true_buf[k] = p_psi
-            rs_true_buf[k] = p_rs
-            if k % dec == 0:
-                pack_log_row(
-                    log_bytes, log_row * row_bytes,
-                    t, n_now, im_d, im_q, ih_d, ih_q, eps_d, eps_q,
-                    psi, rs, p_psi, p_rs, l11, l12, l21, l22, r_sc, det_r,
-                )
-                log_row += 1
+                psi_hat_buf[k] = psi
+                rs_hat_buf[k] = rs
+                if k % dec == 0:
+                    pack_log_row(
+                        log_bytes, log_row * row_bytes,
+                        k * dt, n_now, im_d, im_q, ih_d, ih_q, eps_d, eps_q,
+                        psi, rs, p_psi, p_rs, l11, l12, l21, l22, r_sc, det_r,
+                    )
+                    log_row += 1
 
-            u_applied = u_cmd
-            n_applied = n_now
+                u_applied = u_cmd
+                n_applied = n_now
     except (OverflowError, ZeroDivisionError) as exc:
         detail = f"{type(exc).__name__}: {exc.args[-1] if exc.args else exc}"
         raise _diverged(

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import itemgetter
-from typing import Annotated, Any, Literal, NamedTuple, Optional
+from typing import Annotated, Any, Iterator, Literal, NamedTuple, Optional
 
 from .control import (
     ControlError,
@@ -87,11 +87,9 @@ class StepEvent:
 
 
 class ScheduleCursor:
-    """Reads a schedule at non-decreasing times.
-
-    An entry applies from its time on, with an EVENT_TOL_S tolerance; each entry
-    is passed over once, so a run reads its schedules in O(1) per step.
-    """
+    """Reads a schedule at non-decreasing times, or as the runs of steps over
+    which one entry applies. An entry applies from its time on, with an
+    EVENT_TOL_S tolerance."""
 
     __slots__ = ("_times", "_values", "_idx", "_next", "value")
 
@@ -109,6 +107,17 @@ class ScheduleCursor:
             self.value = self._values[self._idx]
             self._next = self._times[self._idx + 1]
         return self.value
+
+    def segments(self, dt: float, n_steps: int) -> Iterator[tuple[int, int, Any]]:
+        """(k0, k1, entry) for each non-empty run of steps k0 <= k < k1 of a
+        run of n_steps steps over which at(k * dt) returns entry."""
+        steps = range(n_steps)
+        # an entry's first step is the first k with not k * dt + EVENT_TOL_S < t, as in at()
+        starts = [0] + [
+            bisect.bisect_left(steps, True, key=lambda k, t=t: not k * dt + EVENT_TOL_S < t)
+            for t in self._times[1:-1]
+        ] + [n_steps]
+        return ((k0, k1, v) for k0, k1, v in zip(starts, starts[1:], self._values) if k0 < k1)
 
 
 def schedule_value(schedule: Schedule, t: float) -> float:

@@ -1,4 +1,5 @@
-"""Properties every run keeps, checked on fixed cases.
+"""Properties every run keeps, checked on fixed cases and, for prefix
+stability, on drawn timelines too.
 
 - Prefix stability: a run of duration T1 < T2 is a bitwise prefix of the
   T2 run, in its full-rate arrays and its log, when every input changes
@@ -17,10 +18,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpemsim.runner import run
 from rpemsim.scenario import (
-    ControlSection, EstimatorSection, PlantSection, Scenario, preset,
+    ControlSection, EstimatorSection, PlantSection, Scenario, StepEvent, preset,
 )
 from test_golden_runs import FULL_RATE, _short
 
@@ -34,7 +37,59 @@ def test_shorter_run_is_a_bitwise_prefix_of_a_longer_one(name):
     short = _short(preset(name), SEED, T1_S)
     assert short.events and all(ev.time_s < T1_S for ev in short.events)
     assert all(t < T1_S for t, _ in (*short.control.tau_ref, *short.control.speed_ref))
-    longer = Scenario.from_dict({**short.to_dict(), "duration_s": T2_S})
+    _assert_prefix(short, T2_S)
+
+
+# time offsets from a sample instant, on either side of EVENT_TOL_S
+_NEAR_SAMPLE = st.sampled_from([-2e-12, -1e-12, -0.5e-12, 0.0, 0.5e-12, 1e-12, 2e-12])
+# per target: (event key, its range); x_d only falls and x_q only rises, so
+# every drawn machine keeps x_q >= x_d
+_STEPS = {
+    "psi_m": ("factor", (0.9, 1.1)), "r_s": ("factor", (0.8, 1.25)),
+    "x_d": ("factor", (0.9, 1.0)), "x_q": ("factor", (1.0, 1.1)),
+    "load_torque": ("value", (-0.2, 0.2)), "speed_ref": ("value", (0.0, 0.3)),
+}
+DT = 125e-6
+N1, N2 = 160, 320  # steps of the drawn short and long runs
+
+
+def _at(k, offset):
+    return max(0.0, k * DT + offset)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    algorithm=st.sampled_from(["sga", "gna", "phyint"]),
+    modes=st.sampled_from([("prescribed", "torque"), ("dynamic", "torque"), ("dynamic", "speed")]),
+    noise=st.sampled_from([0.0, 0.01]),
+    tau_ref=st.lists(st.tuples(st.integers(0, N1 - 2), _NEAR_SAMPLE, st.floats(-0.5, 0.5)),
+                     max_size=3),
+    events=st.lists(st.tuples(st.sampled_from(sorted(_STEPS)), st.integers(0, N1 - 2),
+                              _NEAR_SAMPLE, st.floats(0.0, 1.0)), max_size=5),
+)
+def test_shorter_run_is_a_bitwise_prefix_on_a_drawn_timeline(algorithm, modes, noise, tau_ref,
+                                                             events):
+    # inputs at and 1e-12 s around sample instants, every one before the short run ends
+    drawn = []
+    for target, k, offset, u in sorted(events, key=lambda ev: _at(*ev[1:3])):
+        key, (lo, hi) = _STEPS[target]
+        drawn.append(StepEvent(time_s=_at(k, offset), target=target, **{key: lo + u * (hi - lo)}))
+    short = Scenario(
+        name="drawn", duration_s=N1 * DT, seed=SEED, log_decimation=3,
+        plant=PlantSection(noise_sigma_pu=noise, speed_mode=modes[0]),
+        control=ControlSection(
+            mode=modes[1], speed_ref=[(0.0, 0.1)],
+            tau_ref=[(0.0, 0.2), *sorted((_at(k, offset), v) for k, offset, v in tau_ref)],
+        ),
+        estimator=EstimatorSection(algorithm=algorithm),
+        events=drawn,
+    )
+    _assert_prefix(short, N2 * DT)
+
+
+def _assert_prefix(short, duration_s):
+    """The run of short is a bitwise prefix of its run over duration_s."""
+    longer = Scenario.from_dict({**short.to_dict(), "duration_s": duration_s})
     a, b = run(short), run(longer)
     assert len(b.t_full) > len(a.t_full) > 0
     for field in FULL_RATE:

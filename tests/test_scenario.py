@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rpemsim
+from rpemsim import runner
 from rpemsim.cli import main as cli_main
 from rpemsim.pu import TABLE_MACHINE_CONFIG, ConfigError, MachineConfig
 from rpemsim.runner import SimulationDiverged, convergence_metrics, run
@@ -28,6 +29,7 @@ from rpemsim.scenario import (
     PlantSection,
     Scenario,
     ScenarioError,
+    ScheduleCursor,
     StepEvent,
     load_scenario,
     preset,
@@ -35,6 +37,7 @@ from rpemsim.scenario import (
     save_scenario,
     schedule_value,
 )
+from test_golden_runs import _short
 
 
 def _quick(name="quick", duration=0.5, **kw):
@@ -188,6 +191,30 @@ def test_value_events_apply_from_the_first_sample_within_the_tolerance(events):
     logged = list(zip(res.psi_m_true.tolist(), res.log["n"].tolist()))
     assert logged == [inputs(k) for k in range(4)]
     assert sc.validate().n0 == inputs(0)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dt=st.sampled_from([125e-6, 1e-4, 0.1 / 3]),
+    n_steps=st.integers(0, 12),
+    rows=st.lists(st.tuples(st.integers(-1, 15), _NEAR_SAMPLE), min_size=1, max_size=8),
+)
+# rows 1e-12 s apart on one sample, on either side of its tolerance
+@example(dt=125e-6, n_steps=6, rows=[(3, -0.5e-12), (3, 0.5e-12), (3, 1.5e-12)])
+@example(dt=125e-6, n_steps=6, rows=[(0, 0.0), (0, 1e-12), (6, -2e-12), (9, 0.0)])
+def test_segments_give_each_step_the_row_the_cursor_reads_there(dt, n_steps, rows):
+    times = sorted(max(0.0, k * dt + offset) for k, offset in rows)
+    schedule = [(0.0, "start")] + [(t, j) for j, t in enumerate(times)]
+    segments = list(ScheduleCursor(schedule).segments(dt, n_steps))
+    starts = [k0 for k0, _, _ in segments]
+    ends = [k1 for _, k1, _ in segments]
+    # non-empty, contiguous and covering [0, n_steps)
+    assert all(k0 < k1 for k0, k1 in zip(starts, ends))
+    assert [0, *ends] == [*starts, n_steps]
+    cursor = ScheduleCursor(schedule)
+    assert [row for k0, k1, row in segments for _ in range(k0, k1)] == [
+        cursor.at(k * dt) for k in range(n_steps)
+    ]
 
 
 @pytest.mark.parametrize("machine", [
@@ -500,6 +527,50 @@ def test_divergence_aborts_with_diagnostic():
         assert k >= 1
         assert err.value.t == k * sc.t_samp_s
         assert f"last valid sample (t={(k - 1) * sc.t_samp_s:.6f}, " in msg
+
+
+def _segment_count(sc):
+    n_steps = round(sc.duration_s / sc.t_samp_s)
+    return len(list(ScheduleCursor(sc.validate().schedule).segments(sc.t_samp_s, n_steps)))
+
+
+@pytest.mark.parametrize("speed_mode", ["prescribed", "dynamic"])
+def test_prescribed_speed_selects_the_plant_matrices_once_per_segment(monkeypatch, speed_mode):
+    sets = []
+
+    class CountingTrapezoid(runner.Trapezoid):
+        def set(self, *args):
+            sets.append(args)
+            super().set(*args)
+
+    monkeypatch.setattr(runner, "Trapezoid", CountingTrapezoid)
+    dt = 125e-6
+    sc = _quick(
+        duration=0.01,
+        plant=PlantSection(speed_mode=speed_mode),
+        control=ControlSection(tau_ref=[(0.0, 0.3), (20 * dt, 0.4)], speed_ref=[(0.0, 0.1)]),
+        events=[
+            StepEvent(time_s=40 * dt, target="r_s", factor=1.2),
+            StepEvent(time_s=40 * dt + 0.5e-12, target="speed_ref", value=0.2),
+            StepEvent(time_s=60 * dt, target="x_q", factor=1.1),
+        ],
+    )
+    res = run(sc)
+    assert _segment_count(sc) == 4
+    assert len(sets) == (4 if speed_mode == "prescribed" else res.total_steps)
+
+
+def test_constant_torque_with_the_flux_row_off_computes_the_current_reference_once(monkeypatch):
+    # at standstill the flux row stays off, so psi_hat never moves; the
+    # resistance step moves neither input of the current reference
+    calls = []
+    mtpa_currents = runner.mtpa_currents
+    monkeypatch.setattr(runner, "mtpa_currents", lambda *a: calls.append(a) or mtpa_currents(*a))
+    sc = _short(preset("bench_rs_phyint_n0"), 1, 0.05)
+    res = run(sc)
+    assert _segment_count(sc) == 2
+    assert np.unique(res.psi_m_hat).size == 1
+    assert len(calls) == 1
 
 
 def test_speed_mode_follows_reference():

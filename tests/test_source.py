@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import rpemsim
@@ -149,6 +150,9 @@ def test_run_reads_its_inputs_through_one_cursor():
     source = inspect.getsource(runner.run)
     assert source.count("ScheduleCursor(") == 1
     assert "schedule_value" not in source
+    # the loop reads the schedule by segments, with no per-step lookup
+    # through at, called or bound to a name
+    assert not re.search(r"\.at\b", source)
 
 
 def test_cli_resolves_a_name_without_building_every_preset():
