@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -97,6 +96,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not scenarios:
         raise ConfigError(f"no presets match {args.pattern!r}")
     if args.jobs > 1:
+        # imported here: the process pool machinery costs every other command
+        # its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_sweep_one, scenarios, [args.out] * len(scenarios)))
     else:

@@ -644,7 +644,9 @@ def phyint_update(
 
 
 class StepTelemetry(NamedTuple):
-    """Per-sample estimator internals for logging and diagnostics."""
+    """Per-sample estimator internals for logging and diagnostics: the
+    named view of the plain tuple :meth:`RpemEstimator.step` returns,
+    ``StepTelemetry(*est.step(u, n, i_meas))``."""
 
     eps_d: float
     eps_q: float
@@ -659,11 +661,6 @@ class StepTelemetry(NamedTuple):
     r_scalar: float
     det_R: float
     mpp_used: bool
-
-
-# builds a StepTelemetry from a ready tuple without the keyword-parsing
-# __new__ of NamedTuple
-_new_telemetry = tuple.__new__
 
 
 class RpemEstimator:
@@ -684,7 +681,8 @@ class RpemEstimator:
     __slots__ = (
         "cfg", "box", "known_x", "omega_n", "t_samp", "_kernel", "_x_d", "_x_q",
         "_psi", "_rs", "_ih_d", "_ih_q", "_gradients", "_gain",
-        "_row1_off_time", "_row2_off_time",
+        "_row1_off_time", "_row2_off_time", "_n_lim1", "_n_lim2",
+        "_psi_min", "_psi_max", "_rs_min", "_rs_max",
     )
 
     def __init__(
@@ -708,6 +706,11 @@ class RpemEstimator:
         self.t_samp = t_samp
         self._kernel = Trapezoid(omega_n, t_samp)
         self._x_d, self._x_q = known_x
+        # the scheduler limits and box bounds the step compares against, as
+        # scheduler_rows and clamp_to_box read them
+        self._n_lim1, self._n_lim2 = abs(cfg.n_lim1), abs(cfg.n_lim2)
+        self._psi_min, self._psi_max = box.psi_m_min, box.psi_m_max
+        self._rs_min, self._rs_max = box.r_s_min, box.r_s_max
         self._psi, self._rs = clamp_to_box(theta0.psi_m, theta0.r_s, box)
         self._ih_d, self._ih_q = i_hat0
         g0 = (0.0, 0.0, 0.0, 0.0)
@@ -745,13 +748,21 @@ class RpemEstimator:
             i_d, i_q = self._ih_d, self._ih_q = steady_state_current(model, DqVector(u_d, u_q), n)
             self._gradients.g = steady_state_gradients(self._rs, self._x_d, self._x_q, n, i_d, i_q)
 
-    def step(self, u: DqVector, n: float, i_meas: DqVector) -> StepTelemetry:
+    def step(self, u: DqVector, n: float, i_meas: DqVector) -> tuple:
         """Consume one sample of applied voltage, speed and measured
         current, each voltage and current a (d, q) pair; advance the
-        estimate."""
-        cfg = self.cfg
+        estimate.
+
+        Returns the :class:`StepTelemetry` fields as a plain tuple, in field
+        order; ``StepTelemetry(*est.step(u, n, i_meas))`` names them. The
+        scheduler, update and projection are written out here in the
+        operation order of :func:`scheduler_rows` and
+        :func:`update_parameters`, which stay as their reference.
+        """
         u_d, u_q = u
-        row1_on, row2_on = scheduler_rows(n, cfg)
+        speed = abs(n)
+        row1_on = speed > self._n_lim1
+        row2_on = speed < self._n_lim2
         # a row's off-time is > 0 exactly when it was off on the previous sample
         if (row1_on and self._row1_off_time) or (row2_on and self._row2_off_time):
             self._reseed_on_edge(n, u_d, u_q, row1_on, row2_on)
@@ -759,33 +770,41 @@ class RpemEstimator:
         self._row1_off_time = 0.0 if row1_on else self._row1_off_time + dt
         self._row2_off_time = 0.0 if row2_on else self._row2_off_time + dt
 
+        psi, rs = self._psi, self._rs
         i_old_d, i_old_q = ih_d, ih_q = self._ih_d, self._ih_q
         gain = self._gain
         kernel = None
         if gain is not None:
             kernel = self._kernel
-            kernel.set(self._rs, self._x_d, self._x_q, n)
-            ih_d, ih_q = self._ih_d, self._ih_q = kernel.drive(ih_d, ih_q, u_d, u_q, self._psi)
+            kernel.set(rs, self._x_d, self._x_q, n)
+            ih_d, ih_q = self._ih_d, self._ih_q = kernel.drive(ih_d, ih_q, u_d, u_q, psi)
 
         i_d, i_q = i_meas
         eps_d = i_d - ih_d
         eps_q = i_q - ih_q
         psi_d, psi_q, rs_d, rs_q = self._gradients.step(
-            kernel, self._rs, n, i_old_d, i_old_q, ih_d, ih_q
+            kernel, rs, n, i_old_d, i_old_q, ih_d, ih_q
         )
         if gain is None:
-            gain = self._gain = make_gain(cfg, self.known_x, psi_d, psi_q, rs_d, rs_q)
+            gain = self._gain = make_gain(self.cfg, self.known_x, psi_d, psi_q, rs_d, rs_q)
 
         l11, l12, l21, l22, r_scalar, det_r, mpp = gain.step(
-            psi_d, psi_q, rs_d, rs_q, self._rs, n, ih_d, ih_q
+            psi_d, psi_q, rs_d, rs_q, rs, n, ih_d, ih_q
         )
         if not row1_on:
             l11 = l12 = 0.0
         if not row2_on:
             l21 = l22 = 0.0
-        psi, rs = self._psi, self._rs = update_parameters(
-            self._psi, self._rs, l11, l12, l21, l22, eps_d, eps_q, self.box
-        )
-        return _new_telemetry(StepTelemetry, (
-            eps_d, eps_q, ih_d, ih_q, psi, rs, l11, l12, l21, l22, r_scalar, det_r, mpp,
-        ))
+        # theta + L * eps, then the componentwise clamp into the box
+        psi = psi + l11 * eps_d + l12 * eps_q
+        rs = rs + l21 * eps_d + l22 * eps_q
+        lo, hi = self._psi_min, self._psi_max
+        psi = lo if lo > psi else psi
+        if hi < psi:
+            psi = hi
+        lo, hi = self._rs_min, self._rs_max
+        rs = lo if lo > rs else rs
+        if hi < rs:
+            rs = hi
+        self._psi, self._rs = psi, rs
+        return eps_d, eps_q, ih_d, ih_q, psi, rs, l11, l12, l21, l22, r_scalar, det_r, mpp

@@ -134,9 +134,10 @@ class Trapezoid:
                 self.mi11, self.mi12, self.mi21, self.mi22,
                 self.n11, self.n12, self.n21, self.n22,
             ) = trapezoid_matrices(r_s, x_d, x_q, n, self.omega_n, self.dt)
+            if x_d != self.x_d or x_q != self.x_q:
+                self.w_d = self.omega_n / x_d
+                self.w_q = self.omega_n / x_q
             self.r_s, self.x_d, self.x_q, self.n = r_s, x_d, x_q, n
-            self.w_d = self.omega_n / x_d
-            self.w_q = self.omega_n / x_q
 
     def step(self, y_d: float, y_q: float, f_d: float, f_q: float) -> tuple[float, float]:
         """y[k+1] from y[k] under the constant forcing f; f_d = -0.0 adds
@@ -152,8 +153,16 @@ class Trapezoid:
         self, i_d: float, i_q: float, u_d: float, u_q: float, psi_m: float
     ) -> tuple[float, float]:
         """Stator current after one step under voltage u and the back-EMF
-        of flux psi_m at the selected speed."""
-        return self.step(i_d, i_q, self.w_d * u_d, self.w_q * (u_q - self.n * psi_m))
+        of flux psi_m at the selected speed: :meth:`step` under the forcing
+        (w_d * u_d, w_q * (u_q - n * psi_m)), written out in its operation
+        order."""
+        dt = self.dt
+        rhs_d = self.n11 * i_d + self.n12 * i_q + dt * (self.w_d * u_d)
+        rhs_q = self.n21 * i_d + self.n22 * i_q + dt * (self.w_q * (u_q - self.n * psi_m))
+        return (
+            self.mi11 * rhs_d + self.mi12 * rhs_q,
+            self.mi21 * rhs_d + self.mi22 * rhs_q,
+        )
 
 
 @functools.lru_cache(maxsize=8)

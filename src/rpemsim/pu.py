@@ -223,14 +223,19 @@ def make_base(
     )
 
 
+def _per_unit_values(si: SiMachineData, base: BaseQuantities) -> dict[str, float]:
+    """The per-unit values of SI electrical data, by MachineParams field."""
+    return {
+        "x_d": base.omega_n * si.ld_H / base.z_base,
+        "x_q": base.omega_n * si.lq_H / base.z_base,
+        "r_s": si.rs_ohm / base.z_base,
+        "psi_m": si.psi_m_Wb / base.psi_base,
+    }
+
+
 def to_per_unit(si: SiMachineData, base: BaseQuantities) -> MachineParams:
     """Convert SI electrical data to per-unit on the given base."""
-    return MachineParams(
-        x_d=base.omega_n * si.ld_H / base.z_base,
-        x_q=base.omega_n * si.lq_H / base.z_base,
-        r_s=si.rs_ohm / base.z_base,
-        psi_m=si.psi_m_Wb / base.psi_base,
-    )
+    return MachineParams(**_per_unit_values(si, base))
 
 
 @dataclass(frozen=True)
@@ -262,14 +267,15 @@ class MachineConfig:
         base = make_base(self.rated_voltage_ll_V, self.rated_current_A, f_n, self.pole_pairs)
         si = (self.Rs_ohm, self.Ld_H, self.Lq_H, self.psi_m_Wb)
         pu = {"r_s": self.r_s_pu, "x_d": self.x_d_pu, "x_q": self.x_q_pu, "psi_m": self.psi_m_pu}
-        # pu values replace individual SI-derived ones
+        # pu values replace individual SI-derived ones before the one
+        # parameter set is built and checked
         overrides = {name: v for name, v in pu.items() if v is not None}
         if None not in si:
             try:
-                params = to_per_unit(SiMachineData(*si), base)
+                values = _per_unit_values(SiMachineData(*si), base)
+                return base, MachineParams(**{**values, **overrides})
             except ConfigError as exc:  # e.g. a zero or underflowing inductance
                 raise ConfigError(f"machine (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) = {si}: {exc}") from exc
-            return base, dataclasses.replace(params, **overrides)
         if len(overrides) < len(pu):
             raise ConfigError(
                 "machine config needs either the full SI set (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) "

@@ -195,6 +195,7 @@ def run(scenario: Scenario) -> RunResult:
     plant_drive = plant.drive
     isfinite = math.isfinite
     i_max = ctl.i_max_pu
+    plant_substeps = range(substeps)
 
     u_applied = start.u0
     n_applied = start.n0
@@ -220,8 +221,10 @@ def run(scenario: Scenario) -> RunResult:
                 else:
                     im_d, im_q = i_d, i_q
 
-                tele = estimator_step(u_applied, n_applied, (im_d, im_q))
-                eps_d, eps_q, ih_d, ih_q, psi, rs, l11, l12, l21, l22, r_sc, det_r, mpp = tele
+                # the StepTelemetry fields, as a plain tuple
+                eps_d, eps_q, ih_d, ih_q, psi, rs, l11, l12, l21, l22, r_sc, det_r, mpp = (
+                    estimator_step(u_applied, n_applied, (im_d, im_q))
+                )
                 if mpp:
                     mpp_steps += 1
 
@@ -239,7 +242,7 @@ def run(scenario: Scenario) -> RunResult:
                 if not prescribed:
                     plant_set(p_rs, p_xd, p_xq, n_now)
                 nd, nq = i_d, i_q
-                for _ in range(substeps):
+                for _ in plant_substeps:
                     nd, nq = plant_drive(nd, nq, u_d, u_q, p_psi)
                 if not prescribed:
                     n_plant = speed_step(

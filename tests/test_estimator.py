@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rpemsim.estimator import (
     SgaPerGradient,
     SgaTrace,
     SteadyStateGradients,
+    StepTelemetry,
     clamp_to_box,
     gain_schedule,
     gna_update,
@@ -626,8 +628,9 @@ def _moving_estimator(params, known_x, omega_n, wide_box, **settings):
 def test_estimator_runs_only_the_recursions_its_mode_reads(
     params, known_x, omega_n, wide_box, monkeypatch, mode, per_sample
 ):
-    # the predictor is one trapezoidal step; each dynamic gradient row one
-    # more. A mode "psi/rs" sets the two rows apart, else both take it
+    # per_sample trapezoidal steps: the predictor is one Trapezoid.drive,
+    # each dynamic gradient row one Trapezoid.step. A mode "psi/rs" sets the
+    # two rows apart, else both take it
     mode_psi, _, mode_rs = mode.partition("/")
     est, u, i_op = _moving_estimator(
         params, known_x, omega_n, wide_box,
@@ -635,11 +638,13 @@ def test_estimator_runs_only_the_recursions_its_mode_reads(
     )
     est.step(u, 0.3, i_op)  # the first sample runs no predictor step
     calls = []
-    step = Trapezoid.step
-    monkeypatch.setattr(Trapezoid, "step", lambda *a: calls.append(1) or step(*a))
+    for name in ("drive", "step"):
+        method = getattr(Trapezoid, name)
+        monkeypatch.setattr(Trapezoid, name,
+                            lambda *a, name=name, method=method: calls.append(name) or method(*a))
     for _ in range(50):
         est.step(u, 0.3, i_op)
-    assert len(calls) == 50 * per_sample
+    assert (calls.count("drive"), calls.count("step")) == (50, 50 * (per_sample - 1))
 
 
 def test_steady_state_pred_reports_the_gradients_the_step_used(
@@ -648,7 +653,7 @@ def test_steady_state_pred_reports_the_gradients_the_step_used(
     est, u, i_op = _moving_estimator(params, known_x, omega_n, wide_box)
     for _ in range(200):
         r_s = est.theta.r_s  # the step reads the estimate from before its update
-        tele = est.step(u, 0.3, i_op)
+        tele = StepTelemetry(*est.step(u, 0.3, i_op))
     assert tele.psi_m_hat != params.psi_m
     pred = est.pred
     want = steady_state_gradients(r_s, *known_x, 0.3, tele.i_hat_d, tele.i_hat_q)
@@ -670,7 +675,89 @@ def test_estimator_mpp_telemetry_at_standstill(params, known_x, omega_n, wide_bo
     mpp = 0
     steps = 4000
     for _ in range(steps):
-        tele = est.step(u, 0.0, i_op)
+        tele = StepTelemetry(*est.step(u, 0.0, i_op))
         mpp += tele.mpp_used
     assert mpp == steps
     assert est.theta.r_s < params.r_s  # moving toward the stepped value
+
+
+# ---------------------------------------------------------------------------
+# the run path against the object-level chain
+# ---------------------------------------------------------------------------
+
+
+_GAINS = {  # GainConfig settings of each gain object make_gain picks
+    "sga": {}, "sga_per_gradient": {"sga_r_mode": "per_gradient"},
+    "gna": {"algorithm": "gna"}, "phyint": {"algorithm": "phyint"},
+}
+_SPEED_BANDS = {  # |n| in each band of the default limits n_lim1 = 0.1, n_lim2 = 0.01
+    "flux": st.floats(0.1, 1.5, exclude_min=True),
+    "dead": st.floats(0.01, 0.1),
+    "resistance": st.floats(0.0, 0.01, exclude_max=True),
+}
+_GRADIENT_MODES = [(a, b) for a in ("steady_state", "dynamic") for b in ("steady_state", "dynamic")]
+
+
+def _bits(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _oracle_filters(gain) -> HessianState:
+    """The oracles' filter state holding the fields of gain object ``gain``."""
+    return HessianState(**{f.name: getattr(gain, f.name) for f in fields(gain) if f.name != "cfg"})
+
+
+def _speed(band):
+    return st.builds(lambda m, s: math.copysign(m, s), _SPEED_BANDS[band], st.sampled_from([1.0, -1.0]))
+
+
+_PAIR = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("band", list(_SPEED_BANDS))
+@pytest.mark.parametrize("gain", list(_GAINS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_estimator_step_equals_the_object_level_chain_bitwise(
+    known_x, omega_n, wide_box, gain, band, data
+):
+    # predictor_step, the gradient oracle of each row's mode, then the
+    # algorithm's update with the scheduler at the sample's speed
+    mode_psi, mode_rs = data.draw(st.sampled_from(_GRADIENT_MODES))
+    cfg = _cfg(gradient_mode_psi=mode_psi, gradient_mode_rs=mode_rs, **_GAINS[gain])
+    theta0 = ParameterVector(data.draw(st.floats(0.5, 1.2)), data.draw(st.floats(0.0, 0.08)))
+    n0 = data.draw(st.one_of(*(_speed(b) for b in _SPEED_BANDS)))
+    est = RpemEstimator(cfg, theta0, wide_box, known_x, omega_n, DT,
+                        i_hat0=DqVector(*data.draw(_PAIR)), n0=n0)
+    est.step(DqVector(*data.draw(_PAIR)), n0, DqVector(*data.draw(_PAIR)))  # builds the gain
+    for _ in range(data.draw(st.integers(1, 3))):
+        n, u, i_meas = data.draw(_speed(band)), DqVector(*data.draw(_PAIR)), DqVector(*data.draw(_PAIR))
+        theta, state = est.theta, est.pred
+
+        ahead = predictor_step(state, u, n, theta, known_x, omega_n, DT)
+        eps = prediction_error(i_meas, ahead.i_hat)
+        ss = gradient_steady_state(theta, known_x, n, ahead.i_hat)
+        dyn = gradient_dynamic_step(ahead, n, theta, known_x, omega_n, DT, i_hat_prev=state.i_hat)
+        grads = GradientSet(
+            *(dyn.grad_psi if mode_psi == "dynamic" else ss[:2]),
+            *(dyn.grad_rs if mode_rs == "dynamic" else ss[2:]),
+        )
+        if gain == "phyint":
+            theta1, L = phyint_update(theta, eps, n, ahead.i_hat, known_x, cfg, wide_box, n)
+            tail = (0.0, 0.0, False)
+        else:
+            update = gna_update if gain == "gna" else sga_update
+            filters = _oracle_filters(est._gain)
+            theta1, filters, L = update(theta, eps, grads, filters, cfg, wide_box, n)
+            if gain == "gna":
+                det = filters.r11 * filters.r22 - filters.r12 * filters.r12
+                tail = (0.0, det, filters.mpp_last)
+            else:
+                tail = (filters.scalar_r, 0.0, False)
+            filters = replace(filters, mpp_last=False)
+
+        got = est.step(u, n, i_meas)
+        assert _bits(got) == _bits((*eps, *ahead.i_hat, *theta1, *L, *tail))
+        assert _bits((*est.pred.grad_psi, *est.pred.grad_rs)) == _bits(grads)
+        if gain != "phyint":
+            assert _bits(astuple(_oracle_filters(est._gain))) == _bits(astuple(filters))

@@ -199,6 +199,25 @@ def test_integrate_electrical_equals_a_fresh_kernel_bitwise(params, omega_n):
             assert [v.hex() for v in got.i] == [v.hex() for v in want]
 
 
+_SETTINGS = st.tuples(  # (r_s, x_d, x_q, n): reactances repeat and change, speeds +-0.0
+    st.floats(0.0, 0.1), st.sampled_from([0.5, 0.64]), st.sampled_from([1.0, 1.38]),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5)),
+)
+_DRIVES = st.tuples(*[st.floats(-2.0, 2.0)] * 5)  # (i_d, i_q, u_d, u_q, psi_m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.tuples(_SETTINGS, _DRIVES), min_size=1, max_size=6))
+def test_trapezoid_drive_is_step_under_the_voltage_forcing_bitwise(omega_n, steps):
+    # drive writes step out in its own frame; one kernel re-selected from
+    # step to step, so set() must keep w_d and w_q those of its reactances
+    k = Trapezoid(omega_n, DT)
+    for (r_s, x_d, x_q, n), (i_d, i_q, u_d, u_q, psi_m) in steps:
+        k.set(r_s, x_d, x_q, n)
+        want = k.step(i_d, i_q, omega_n / x_d * u_d, omega_n / x_q * (u_q - n * psi_m))
+        assert [v.hex() for v in k.drive(i_d, i_q, u_d, u_q, psi_m)] == [v.hex() for v in want]
+
+
 def test_trapezoid_caches_matrices_until_an_input_changes(params, omega_n):
     k = Trapezoid(omega_n, DT)
     p = (params.r_s, params.x_d, params.x_q)

@@ -219,7 +219,6 @@ def test_segments_give_each_step_the_row_the_cursor_reads_there(dt, n_steps, row
 
 @pytest.mark.parametrize("machine", [
     {"Ld_H": 0.0},
-    {"Ld_H": 0.0, "x_d_pu": 0.3},  # failed before the pu value could win, and still does
     {"Lq_H": 1e-320},  # x_q underflows below x_d: the saliency rule
 ])
 def test_cli_validate_names_the_machine_inductance_that_fails(tmp_path, capsys, machine):
@@ -229,6 +228,22 @@ def test_cli_validate_names_the_machine_inductance_that_fails(tmp_path, capsys, 
         Scenario.from_dict(d)
     si = tuple(d["machine"][k] for k in ("Rs_ohm", "Ld_H", "Lq_H", "psi_m_Wb"))
     assert str(err.value).startswith(f"machine (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) = {si}: ")
+
+
+@pytest.mark.parametrize("machine,want", [
+    ({"Ld_H": 0.0, "x_d_pu": 0.3}, {"x_d": 0.3}),
+    # the SI pair breaks the saliency rule; the pu pair that replaces it does not
+    ({"Ld_H": 0.3, "Lq_H": 0.2, "x_d_pu": 0.5, "x_q_pu": 1.0}, {"x_d": 0.5, "x_q": 1.0}),
+])
+def test_machine_pu_values_replace_si_values_that_do_not_convert(tmp_path, machine, want):
+    # direct pu values win over SI-derived ones before the parameters are checked
+    d = {"name": "x", "duration_s": 0.01, "machine": {**TABLE_MACHINE_CONFIG, **machine}}
+    _, params = MachineConfig(**d["machine"]).per_unit()
+    _, table = MachineConfig(**TABLE_MACHINE_CONFIG).per_unit()
+    assert params == dataclasses.replace(table, **want)
+    path = tmp_path / "pu.json"
+    path.write_text(json.dumps(d))
+    assert cli_main(["validate", str(path)]) == 0
 
 
 def test_unknown_scenario_key_rejected():
@@ -323,6 +338,17 @@ def test_cli_sweep_parallel(tmp_path):
     assert names == ["fig7a.csv", "fig7a_report.json", "fig7b.csv", "fig7b_report.json"]
     assert sorted(p.name for p in serial.iterdir()) == names
     assert all((out / name).read_bytes() == (serial / name).read_bytes() for name in names)
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a sweep with --jobs > 1 needs the process pool; every other
+    # command would pay its import time
+    src = str(Path(rpemsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rpemsim.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "False\n"
 
 
 def test_cli_sweep_finishes_the_batch_past_a_diverged_preset(tmp_path, capsys, monkeypatch):
