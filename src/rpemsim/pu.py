@@ -275,7 +275,11 @@ class MachineConfig:
                 values = _per_unit_values(SiMachineData(*si), base)
                 return base, MachineParams(**{**values, **overrides})
             except ConfigError as exc:  # e.g. a zero or underflowing inductance
-                raise ConfigError(f"machine (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) = {si}: {exc}") from exc
+                given = ", ".join(f"{name}_pu = {v}" for name, v in overrides.items())
+                given = f" ({given} replacing the SI-derived values)" if given else ""
+                raise ConfigError(
+                    f"machine (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) = {si}: {exc}{given}"
+                ) from exc
         if len(overrides) < len(pu):
             raise ConfigError(
                 "machine config needs either the full SI set (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) "

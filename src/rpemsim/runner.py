@@ -221,10 +221,8 @@ def run(scenario: Scenario) -> RunResult:
                 else:
                     im_d, im_q = i_d, i_q
 
-                # the StepTelemetry fields, as a plain tuple
-                eps_d, eps_q, ih_d, ih_q, psi, rs, l11, l12, l21, l22, r_sc, det_r, mpp = (
-                    estimator_step(u_applied, n_applied, (im_d, im_q))
-                )
+                tele = estimator_step(u_applied, n_applied, (im_d, im_q))
+                eps_d, eps_q, ih_d, ih_q, psi, rs, l11, l12, l21, l22, r_sc, det_r, mpp = tele
                 if mpp:
                     mpp_steps += 1
 

@@ -708,7 +708,7 @@ def _oracle_filters(gain) -> HessianState:
 
 
 def _speed(band):
-    return st.builds(lambda m, s: math.copysign(m, s), _SPEED_BANDS[band], st.sampled_from([1.0, -1.0]))
+    return st.builds(math.copysign, _SPEED_BANDS[band], st.sampled_from([1.0, -1.0]))
 
 
 _PAIR = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
@@ -731,7 +731,8 @@ def test_estimator_step_equals_the_object_level_chain_bitwise(
                         i_hat0=DqVector(*data.draw(_PAIR)), n0=n0)
     est.step(DqVector(*data.draw(_PAIR)), n0, DqVector(*data.draw(_PAIR)))  # builds the gain
     for _ in range(data.draw(st.integers(1, 3))):
-        n, u, i_meas = data.draw(_speed(band)), DqVector(*data.draw(_PAIR)), DqVector(*data.draw(_PAIR))
+        n = data.draw(_speed(band))
+        u, i_meas = DqVector(*data.draw(_PAIR)), DqVector(*data.draw(_PAIR))
         theta, state = est.theta, est.pred
 
         ahead = predictor_step(state, u, n, theta, known_x, omega_n, DT)

@@ -220,6 +220,7 @@ def test_segments_give_each_step_the_row_the_cursor_reads_there(dt, n_steps, row
 @pytest.mark.parametrize("machine", [
     {"Ld_H": 0.0},
     {"Lq_H": 1e-320},  # x_q underflows below x_d: the saliency rule
+    {"x_d_pu": 2.0},  # the pu value, not the SI set, breaks the saliency rule
 ])
 def test_cli_validate_names_the_machine_inductance_that_fails(tmp_path, capsys, machine):
     d = {"name": "x", "duration_s": 0.01, "machine": {**TABLE_MACHINE_CONFIG, **machine}}
@@ -228,6 +229,9 @@ def test_cli_validate_names_the_machine_inductance_that_fails(tmp_path, capsys, 
         Scenario.from_dict(d)
     si = tuple(d["machine"][k] for k in ("Rs_ohm", "Ld_H", "Lq_H", "psi_m_Wb"))
     assert str(err.value).startswith(f"machine (Rs_ohm, Ld_H, Lq_H, psi_m_Wb) = {si}: ")
+    # the table machine's psi_m_pu, and any other pu value, is named as given
+    pu = {k: v for k, v in d["machine"].items() if k.endswith("_pu")}
+    assert all(f"{k} = {v}" in str(err.value) for k, v in pu.items())
 
 
 @pytest.mark.parametrize("machine,want", [
@@ -340,13 +344,17 @@ def test_cli_sweep_parallel(tmp_path):
     assert all((out / name).read_bytes() == (serial / name).read_bytes() for name in names)
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this rpemsim."""
+    paths = [str(Path(rpemsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_cli_import_loads_no_process_pool():
     # only a sweep with --jobs > 1 needs the process pool; every other
     # command would pay its import time
-    src = str(Path(rpemsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, rpemsim.cli; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "False\n"
 
@@ -1094,11 +1102,9 @@ def test_cli_sim_prints_the_report_it_writes(tmp_path, capsys):
 def test_cli_sim_writes_the_same_bytes_in_every_process(tmp_path):
     path = tmp_path / "sc.json"
     save_scenario(_quick(duration=0.05, plant=PlantSection(noise_sigma_pu=0.002)), str(path))
-    src = str(Path(rpemsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     procs = [
         subprocess.Popen([sys.executable, "-m", "rpemsim.cli", "--out", str(tmp_path / f"p{i}"),
-                          "sim", str(path)], env=env, stdout=subprocess.DEVNULL)
+                          "sim", str(path)], env=_child_env(), stdout=subprocess.DEVNULL)
         for i in range(2)
     ]
     assert cli_main(["--out", str(tmp_path / "here"), "sim", str(path)]) == 0
