@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import write_csv_table
 from .control import limit_current, mtpa_currents, pi_update
 from .plant import Trapezoid, electromagnetic_torque, speed_step
-from .scenario import EVENT_TOL_S, Scenario, ScheduleCursor
+from .scenario import EVENT_TOL_S, Scenario, schedule_segments
 
 # Entry points of the control, plant and scenario layers that the loop below
 # reaches through their float kernels instead, or that Scenario.validate
@@ -48,7 +48,7 @@ class ConvergenceReport:
     converged: bool
     convergence_time: Optional[float]
     steady_state_error: Optional[float]
-    overshoot: float
+    overshoot: Optional[float]
     band: float
 
 
@@ -94,6 +94,7 @@ def convergence_metrics(
     steady_state_error: mean relative error over the final 10 percent, None at reference 0.
     overshoot: largest excursion past the reference, in the direction of
     travel, relative to the step size.
+    A relative value that overflows is None, as JSON has no infinity.
     """
     if len(t) == 0:
         raise ValueError("empty trajectory")
@@ -116,23 +117,28 @@ def convergence_metrics(
         conv_time = None
 
     tail = max(1, int(0.1 * len(trajectory)))
-    sse = float(np.mean(trajectory[-tail:] - reference) / reference) if reference else None
+    # Python float division: an overflow gives inf with no numpy warning
+    sse = float(np.mean(trajectory[-tail:] - reference)) / float(reference) if reference else None
 
     if step_size is None:
         step_size = abs(traj[0] - reference)
     if step_size > 0.0:
         direction = math.copysign(1.0, reference - traj[0])
         excursion = np.max((traj - reference) * direction)
-        overshoot = float(max(0.0, excursion) / step_size)
+        overshoot = max(0.0, float(excursion)) / float(step_size)
     else:
         overshoot = 0.0
     return ConvergenceReport(
         converged=converged,
         convergence_time=conv_time,
-        steady_state_error=sse,
-        overshoot=overshoot,
+        steady_state_error=_finite(sse),
+        overshoot=_finite(overshoot),
         band=band,
     )
+
+
+def _finite(x: Optional[float]) -> Optional[float]:
+    return x if x is not None and math.isfinite(x) else None
 
 
 def _diverged(
@@ -155,7 +161,7 @@ def run(scenario: Scenario) -> RunResult:
     """Execute one scenario; deterministic for a given seed."""
     start = scenario.validate()
     dt = scenario.t_samp_s
-    n_steps = int(round(scenario.duration_s / dt))
+    n_steps = start.n_steps
     ctl = scenario.control
     inertia_H = scenario.plant.inertia_H_s
     prescribed = scenario.plant.speed_mode == "prescribed"
@@ -187,7 +193,7 @@ def run(scenario: Scenario) -> RunResult:
     rs_true_full = np.empty(n_steps)
     psi_hat_buf, rs_hat_buf = memoryview(psi_hat_full), memoryview(rs_hat_full)
 
-    segments = ScheduleCursor(start.schedule).segments(dt, n_steps)
+    segments = schedule_segments(start.schedule, dt, n_steps)
     estimator_step = start.estimator.step
     loops_step = start.loops.step
     plant = Trapezoid(start.omega_n, dt / substeps)
@@ -289,7 +295,7 @@ def run(scenario: Scenario) -> RunResult:
         t0 = max(ev_times) if ev_times else 0.0
         reference = float(true[-1])
         if ev_times:
-            # the last sample before the step applies, by ScheduleCursor's timing rule
+            # the last sample before the step applies, by the schedule's EVENT_TOL_S rule
             k0 = np.searchsorted(t_full, t0 - EVENT_TOL_S)
             before = float(true[k0 - 1]) if k0 > 0 else float(true[0])
             step_size = abs(reference - before)

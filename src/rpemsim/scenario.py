@@ -86,42 +86,24 @@ class StepEvent:
             raise ConfigError("event needs exactly one of factor / value")
 
 
-class ScheduleCursor:
-    """Reads a schedule at non-decreasing times, or as the runs of steps over
-    which one entry applies. An entry applies from its time on, with an
-    EVENT_TOL_S tolerance."""
-
-    __slots__ = ("_times", "_values", "_idx", "_next", "value")
-
-    def __init__(self, schedule: list[tuple[float, Any]]) -> None:
-        self._times = [t for t, _ in schedule] + [math.inf]
-        self._values = [v for _, v in schedule]
-        self._idx = 0
-        self._next = self._times[1]
-        self.value = self._values[0]
-
-    def at(self, t: float) -> Any:
-        """The schedule value at t; t must not be below the previous call's."""
-        while not t + EVENT_TOL_S < self._next:
-            self._idx += 1
-            self.value = self._values[self._idx]
-            self._next = self._times[self._idx + 1]
-        return self.value
-
-    def segments(self, dt: float, n_steps: int) -> Iterator[tuple[int, int, Any]]:
-        """(k0, k1, entry) for each non-empty run of steps k0 <= k < k1 of a
-        run of n_steps steps over which at(k * dt) returns entry."""
-        steps = range(n_steps)
-        # an entry's first step is the first k with not k * dt + EVENT_TOL_S < t, as in at()
-        starts = [0] + [
-            bisect.bisect_left(steps, True, key=lambda k, t=t: not k * dt + EVENT_TOL_S < t)
-            for t in self._times[1:-1]
-        ] + [n_steps]
-        return ((k0, k1, v) for k0, k1, v in zip(starts, starts[1:], self._values) if k0 < k1)
+def schedule_value(schedule: list[tuple[float, Any]], t: float) -> Any:
+    """The schedule's value at t: that of its last entry with time_s <=
+    t + EVENT_TOL_S; its first entry applies at any earlier t."""
+    return schedule[bisect.bisect_right(schedule, t + EVENT_TOL_S, lo=1, key=itemgetter(0)) - 1][1]
 
 
-def schedule_value(schedule: Schedule, t: float) -> float:
-    return ScheduleCursor(schedule).at(t)
+def schedule_segments(
+    schedule: list[tuple[float, Any]], dt: float, n_steps: int
+) -> Iterator[tuple[int, int, Any]]:
+    """(k0, k1, value) for each non-empty run of steps k0 <= k < k1 of a run
+    of n_steps steps over which schedule_value(schedule, k * dt) is value."""
+    steps = range(n_steps)
+    # an entry's first step is the first k with not k * dt + EVENT_TOL_S < t, as in schedule_value
+    starts = [0] + [
+        bisect.bisect_left(steps, True, key=lambda k, t=t: not k * dt + EVENT_TOL_S < t)
+        for t, _ in schedule[1:]
+    ] + [n_steps]
+    return ((k0, k1, v) for k0, k1, (_, v) in zip(starts, starts[1:], schedule) if k0 < k1)
 
 
 def _check_schedule(schedule: Schedule, name: str) -> None:
@@ -144,6 +126,7 @@ class RunStart(NamedTuple):
     by :meth:`Scenario.validate`."""
 
     omega_n: float
+    n_steps: int  # samples of the run, round(duration_s / t_samp_s)
     schedule: list[tuple[float, tuple[float, ...]]]  # (time_s, row of INPUTS); see validate
     estimator: RpemEstimator
     loops: CurrentLoops  # tuned, overrides applied, integrators preloaded
@@ -246,7 +229,8 @@ class Scenario:
         if times != sorted(times):
             raise ScenarioError("events must be sorted by time")
         schedule = self._input_schedule(params)
-        last = (round(self.duration_s / self.t_samp_s) - 1) * self.t_samp_s  # as run() steps
+        n_steps = round(self.duration_s / self.t_samp_s)
+        last = (n_steps - 1) * self.t_samp_s
         late = [t for t in times if t > last + EVENT_TOL_S]
         if late:
             raise ScenarioError(f"event at t={late[0]}s lies after the last sample, {last:.9g}s")
@@ -276,7 +260,7 @@ class Scenario:
                 f"estimator theta0 = {tuple(theta0)} lies outside the parameter box {box}"
             )
         # the inputs the run reads at its first sample
-        inputs0 = dict(zip(INPUTS, ScheduleCursor(schedule).at(0.0)))
+        inputs0 = dict(zip(INPUTS, schedule_value(schedule, 0.0)))
         n0 = inputs0["speed_ref"]
         tau0 = inputs0["tau_ref" if ctl.mode == "torque" else "load_torque"]
         dt = self.t_samp_s
@@ -311,6 +295,7 @@ class Scenario:
         )
         return RunStart(
             omega_n=base.omega_n,
+            n_steps=n_steps,
             schedule=schedule,
             estimator=estimator,
             loops=loops,

@@ -62,13 +62,14 @@ def _at(k, offset):
     algorithm=st.sampled_from(["sga", "gna", "phyint"]),
     modes=st.sampled_from([("prescribed", "torque"), ("dynamic", "torque"), ("dynamic", "speed")]),
     noise=st.sampled_from([0.0, 0.01]),
+    substeps=st.sampled_from([1, 2, 3]),
     tau_ref=st.lists(st.tuples(st.integers(0, N1 - 2), _NEAR_SAMPLE, st.floats(-0.5, 0.5)),
                      max_size=3),
     events=st.lists(st.tuples(st.sampled_from(sorted(_STEPS)), st.integers(0, N1 - 2),
                               _NEAR_SAMPLE, st.floats(0.0, 1.0)), max_size=5),
 )
-def test_shorter_run_is_a_bitwise_prefix_on_a_drawn_timeline(algorithm, modes, noise, tau_ref,
-                                                             events):
+def test_shorter_run_is_a_bitwise_prefix_on_a_drawn_timeline(algorithm, modes, noise, substeps,
+                                                             tau_ref, events):
     # inputs at and 1e-12 s around sample instants, every one before the short run ends
     drawn = []
     for target, k, offset, u in sorted(events, key=lambda ev: _at(*ev[1:3])):
@@ -76,7 +77,7 @@ def test_shorter_run_is_a_bitwise_prefix_on_a_drawn_timeline(algorithm, modes, n
         drawn.append(StepEvent(time_s=_at(k, offset), target=target, **{key: lo + u * (hi - lo)}))
     short = Scenario(
         name="drawn", duration_s=N1 * DT, seed=SEED, log_decimation=3,
-        plant=PlantSection(noise_sigma_pu=noise, speed_mode=modes[0]),
+        plant=PlantSection(noise_sigma_pu=noise, speed_mode=modes[0], substeps=substeps),
         control=ControlSection(
             mode=modes[1], speed_ref=[(0.0, 0.1)],
             tau_ref=[(0.0, 0.2), *sorted((_at(k, offset), v) for k, offset, v in tau_ref)],

@@ -29,12 +29,12 @@ from rpemsim.scenario import (
     PlantSection,
     Scenario,
     ScenarioError,
-    ScheduleCursor,
     StepEvent,
     load_scenario,
     preset,
     preset_library,
     save_scenario,
+    schedule_segments,
     schedule_value,
 )
 from test_golden_runs import _short
@@ -205,15 +205,14 @@ def test_value_events_apply_from_the_first_sample_within_the_tolerance(events):
 def test_segments_give_each_step_the_row_the_cursor_reads_there(dt, n_steps, rows):
     times = sorted(max(0.0, k * dt + offset) for k, offset in rows)
     schedule = [(0.0, "start")] + [(t, j) for j, t in enumerate(times)]
-    segments = list(ScheduleCursor(schedule).segments(dt, n_steps))
+    segments = list(schedule_segments(schedule, dt, n_steps))
     starts = [k0 for k0, _, _ in segments]
     ends = [k1 for _, k1, _ in segments]
     # non-empty, contiguous and covering [0, n_steps)
     assert all(k0 < k1 for k0, k1 in zip(starts, ends))
     assert [0, *ends] == [*starts, n_steps]
-    cursor = ScheduleCursor(schedule)
     assert [row for k0, k1, row in segments for _ in range(k0, k1)] == [
-        cursor.at(k * dt) for k in range(n_steps)
+        schedule_value(schedule, k * dt) for k in range(n_steps)
     ]
 
 
@@ -268,6 +267,12 @@ def test_schedule_value_steps():
     assert schedule_value(sched, 0.999) == 1.0
     assert schedule_value(sched, 1.0) == 2.0
     assert schedule_value(sched, 10.0) == -1.0
+    # an entry applies from 1e-12 s (EVENT_TOL_S) before its time on
+    assert schedule_value(sched, 1.0 - 2e-12) == 1.0
+    assert schedule_value(sched, 1.0 - 1e-12) == 2.0
+    assert schedule_value(sched, 1.0 + 1e-12) == 2.0
+    # the first entry applies before its own time too
+    assert schedule_value(sched, -1.0) == 1.0
 
 
 def test_preset_count_and_contents():
@@ -564,8 +569,8 @@ def test_divergence_aborts_with_diagnostic():
 
 
 def _segment_count(sc):
-    n_steps = round(sc.duration_s / sc.t_samp_s)
-    return len(list(ScheduleCursor(sc.validate().schedule).segments(sc.t_samp_s, n_steps)))
+    start = sc.validate()
+    return len(list(schedule_segments(start.schedule, sc.t_samp_s, start.n_steps)))
 
 
 @pytest.mark.parametrize("speed_mode", ["prescribed", "dynamic"])
@@ -592,6 +597,27 @@ def test_prescribed_speed_selects_the_plant_matrices_once_per_segment(monkeypatc
     res = run(sc)
     assert _segment_count(sc) == 4
     assert len(sets) == (4 if speed_mode == "prescribed" else res.total_steps)
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+def test_each_sample_drives_the_plant_once_per_substep(monkeypatch, substeps):
+    steps, drives = [], []
+
+    class CountingTrapezoid(runner.Trapezoid):
+        def __init__(self, omega_n, dt):
+            steps.append(dt)
+            super().__init__(omega_n, dt)
+
+        def drive(self, *args):
+            drives.append(args)
+            return super().drive(*args)
+
+    monkeypatch.setattr(runner, "Trapezoid", CountingTrapezoid)
+    sc = _quick(duration=0.01, plant=PlantSection(substeps=substeps),
+                control=ControlSection(tau_ref=[(0.0, 0.3)], speed_ref=[(0.0, 0.1)]))
+    res = run(sc)
+    assert steps == [sc.t_samp_s / substeps]
+    assert len(drives) == substeps * res.total_steps
 
 
 def test_constant_torque_with_the_flux_row_off_computes_the_current_reference_once(monkeypatch):
@@ -669,7 +695,7 @@ def test_metrics_overshoot_and_band():
 
 
 def test_metrics_start_at_the_first_sample_a_step_applies_to():
-    # a step at 40 dt + 5e-13 s applies from sample 40 (ScheduleCursor's
+    # a step at 40 dt + 5e-13 s applies from sample 40 (the schedule's
     # tolerance); a trajectory in the band from there on converges at once
     dt = 125e-6
     t = np.arange(80) * dt
@@ -1014,22 +1040,47 @@ def test_every_well_typed_scenario_is_rejected_or_runs(data):
         pass
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("target", ["psi_m", "r_s"])
-def test_report_of_a_zero_reference_is_valid_json(tmp_path, target):
-    # the relative steady-state error of a zero reference used to be
-    # written as Infinity, which is not JSON, with a numpy RuntimeWarning
-    path = tmp_path / "zero.json"
-    event = {"time_s": 0.005, "target": target, "value": 0.0}
-    path.write_text(json.dumps({"name": "zero", "duration_s": 0.01, "events": [event]}))
+def _strict_sim_report(tmp_path, d: dict) -> dict:
+    """The report `sim` writes for the scenario d, parsed as JSON with no
+    NaN or Infinity constants."""
+    path = tmp_path / f"{d['name']}.json"
+    path.write_text(json.dumps(d))
     assert cli_main(["--out", str(tmp_path / "o"), "sim", str(path)]) == 0
 
     def no_constant(name):
         raise ValueError(name)
 
-    text = (tmp_path / "o" / "zero_report.json").read_text()
-    report = json.loads(text, parse_constant=no_constant)
+    text = (tmp_path / "o" / f"{d['name']}_report.json").read_text()
+    return json.loads(text, parse_constant=no_constant)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", ["psi_m", "r_s"])
+def test_report_of_a_zero_reference_is_valid_json(tmp_path, target):
+    # the relative steady-state error of a zero reference used to be
+    # written as Infinity, which is not JSON, with a numpy RuntimeWarning
+    event = {"time_s": 0.005, "target": target, "value": 0.0}
+    report = _strict_sim_report(tmp_path, {"name": "zero", "duration_s": 0.01, "events": [event]})
     assert report["reports"][target]["steady_state_error"] is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_report_of_an_overflowing_relative_error_is_valid_json(tmp_path):
+    # the estimate over a subnormal reference overflowed to Infinity, with
+    # a numpy RuntimeWarning
+    event = {"time_s": 0.1, "target": "r_s", "value": 1e-310}
+    report = _strict_sim_report(tmp_path, {"name": "tiny", "duration_s": 0.2, "events": [event]})
+    assert report["reports"]["r_s"]["steady_state_error"] is None
+    assert report["reports"]["r_s"]["overshoot"] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_metrics_report_an_overflowing_overshoot_as_none():
+    t = np.arange(10) * 0.1
+    traj = np.array([2.0, 0.5, *[1.0] * 8])
+    rep = convergence_metrics(t, traj, 1.0, step_size=1e-310)
+    assert rep.overshoot is None
+    assert convergence_metrics(t, traj, 1.0, step_size=1.0).overshoot == 0.5
 
 
 @pytest.mark.parametrize("name", ["../x", "a\\b", "a\0b"])

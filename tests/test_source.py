@@ -146,13 +146,15 @@ def test_run_builds_its_start_only_through_validate():
 
 def test_run_reads_its_inputs_through_one_cursor():
     # every time-varying input is a column of validate()'s one schedule;
-    # a second cursor or a schedule_value lookup would be a second timeline
+    # a second segment pass or a schedule_value lookup would be a second timeline
     source = inspect.getsource(runner.run)
-    assert source.count("ScheduleCursor(") == 1
+    assert source.count("schedule_segments(") == 1
     assert "schedule_value" not in source
     # the loop reads the schedule by segments, with no per-step lookup
     # through at, called or bound to a name
     assert not re.search(r"\.at\b", source)
+    # the sample count is validate()'s, so the late-event check and the run agree
+    assert "round(" not in source
 
 
 def test_cli_resolves_a_name_without_building_every_preset():
