@@ -34,11 +34,9 @@ from .pu import (
     ConfigError,
     DqVector,
     MachineParams,
-    SiMachineData,
     default_machine,
     machine_from_config,
     make_base,
-    to_per_unit,
 )
 from .runner import ConvergenceReport, RunResult, SimulationDiverged, convergence_metrics, run
 from .scenario import (

@@ -57,7 +57,10 @@ def eigenvalues(
     """
     t_d, t_q = time_constants(theta_hat, known_x, omega_n)
     a = 0.5 * (1.0 / t_d + 1.0 / t_q)
-    disc = a * a - (1.0 / (t_d * t_q) + (omega_n * n) ** 2)
+    try:
+        disc = a * a - (1.0 / (t_d * t_q) + (omega_n * n) ** 2)
+    except OverflowError:  # float ** raises; not x*x, which differs in the last bit (_squares)
+        raise ConfigError(f"speed n = {n} pu is too large: (omega_n * n)**2 overflows") from None
     if disc >= 0.0:
         s = math.sqrt(disc)
         return EigenPair(complex(-a + s, 0.0), complex(-a - s, 0.0))

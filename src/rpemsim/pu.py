@@ -184,19 +184,6 @@ class MachineParams:
             raise ConfigError("saliency convention violated: requires x_q >= x_d")
 
 
-@dataclass(frozen=True)
-class SiMachineData:
-    """SI-unit electrical data as found on a datasheet."""
-
-    rs_ohm: NonNegative
-    ld_H: NonNegative
-    lq_H: NonNegative
-    psi_m_Wb: NonNegative
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-
-
 def make_base(
     rated_voltage_ll: float,
     rated_current: float,
@@ -221,21 +208,6 @@ def make_base(
         torque_base=torque_base,
         pole_pairs=pole_pairs,
     )
-
-
-def _per_unit_values(si: SiMachineData, base: BaseQuantities) -> dict[str, float]:
-    """The per-unit values of SI electrical data, by MachineParams field."""
-    return {
-        "x_d": base.omega_n * si.ld_H / base.z_base,
-        "x_q": base.omega_n * si.lq_H / base.z_base,
-        "r_s": si.rs_ohm / base.z_base,
-        "psi_m": si.psi_m_Wb / base.psi_base,
-    }
-
-
-def to_per_unit(si: SiMachineData, base: BaseQuantities) -> MachineParams:
-    """Convert SI electrical data to per-unit on the given base."""
-    return MachineParams(**_per_unit_values(si, base))
 
 
 @dataclass(frozen=True)
@@ -271,8 +243,14 @@ class MachineConfig:
         # parameter set is built and checked
         overrides = {name: v for name, v in pu.items() if v is not None}
         if None not in si:
+            # the package's one SI-to-pu conversion
+            values = {
+                "x_d": base.omega_n * self.Ld_H / base.z_base,
+                "x_q": base.omega_n * self.Lq_H / base.z_base,
+                "r_s": self.Rs_ohm / base.z_base,
+                "psi_m": self.psi_m_Wb / base.psi_base,
+            }
             try:
-                values = _per_unit_values(SiMachineData(*si), base)
                 return base, MachineParams(**{**values, **overrides})
             except ConfigError as exc:  # e.g. a zero or underflowing inductance
                 given = ", ".join(f"{name}_pu = {v}" for name, v in overrides.items())

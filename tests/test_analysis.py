@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -26,7 +27,7 @@ from rpemsim.cli import main as cli_main
 from rpemsim.control import mtpa_reference
 from rpemsim.estimator import ParameterVector, PredictorState, gradient_steady_state, predictor_step, prediction_error
 from rpemsim.plant import steady_state_voltage
-from rpemsim.pu import DqVector
+from rpemsim.pu import ConfigError, DqVector
 
 DT = 125e-6
 
@@ -65,6 +66,13 @@ def test_eigenvalue_imaginary_part_grows_with_speed(theta_nominal, known_x, omeg
         for n in np.linspace(0.1, 1.2, 23)
     ]
     assert all(b > a for a, b in zip(ims, ims[1:]))
+
+
+@pytest.mark.parametrize("n", [1e155, -1e155])
+def test_eigenvalues_reject_a_speed_whose_square_overflows(theta_nominal, known_x, omega_n, n):
+    with pytest.raises(ConfigError, match=re.escape(f"speed n = {n!r} pu is too large")):
+        eigenvalues(theta_nominal, known_x, n, omega_n)
+    eigenvalues(theta_nominal, known_x, n * 1e-5, omega_n)  # 1e150 still squares
 
 
 def test_complex_pair_real_part_structure(theta_nominal, known_x, omega_n):

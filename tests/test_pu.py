@@ -7,10 +7,8 @@ from rpemsim.pu import (
     ConfigError,
     MachineConfig,
     MachineParams,
-    SiMachineData,
     machine_from_config,
     make_base,
-    to_per_unit,
 )
 
 
@@ -41,10 +39,14 @@ def test_make_base_rejects_nonpositive(kwargs):
         make_base(**kwargs)
 
 
-def test_to_per_unit_reference_plant():
-    b = make_base(400.0, 4.93, 50.0, 3)
-    si = SiMachineData(rs_ohm=2.25, ld_H=0.0953, lq_H=0.206, psi_m_Wb=1.14)
-    p = to_per_unit(si, b)
+def _si_machine(**changes):
+    """The table machine's config with its SI set alone, no pu override."""
+    cfg = {k: v for k, v in TABLE_MACHINE_CONFIG.items() if k != "psi_m_pu"}
+    return {**cfg, **changes}
+
+
+def test_si_machine_config_reference_plant():
+    b, p = machine_from_config(_si_machine())
     # oracle: hand calculation, R/z_base and omega*L/z_base
     assert p.r_s == pytest.approx(0.0480, rel=1e-3)
     assert p.x_d == pytest.approx(0.639, rel=1e-3)
@@ -52,15 +54,14 @@ def test_to_per_unit_reference_plant():
     assert p.psi_m == pytest.approx(1.14 / b.psi_base, rel=1e-12)
 
 
-def test_to_per_unit_zero_resistance_maps_to_zero():
-    b = make_base(400.0, 4.93, 50.0, 3)
-    si = SiMachineData(rs_ohm=0.0, ld_H=0.0953, lq_H=0.206, psi_m_Wb=1.14)
-    assert to_per_unit(si, b).r_s == 0.0
+def test_si_machine_config_zero_resistance_maps_to_zero():
+    _, p = machine_from_config(_si_machine(Rs_ohm=0.0))
+    assert p.r_s == 0.0
 
 
-def test_to_per_unit_rejects_negative():
-    with pytest.raises(ConfigError):
-        SiMachineData(rs_ohm=-0.1, ld_H=0.1, lq_H=0.2, psi_m_Wb=1.0)
+def test_si_machine_config_rejects_negative_resistance():
+    with pytest.raises(ConfigError, match="Rs_ohm"):
+        machine_from_config(_si_machine(Rs_ohm=-0.1))
 
 
 @pytest.mark.parametrize("args,field", [

@@ -1,5 +1,5 @@
 """Properties every run keeps, checked on fixed cases and, for prefix
-stability, on drawn timelines too.
+stability and the projection and scheduler, on drawn timelines too.
 
 - Prefix stability: a run of duration T1 < T2 is a bitwise prefix of the
   T2 run, in its full-rate arrays and its log, when every input changes
@@ -14,6 +14,9 @@ stability, on drawn timelines too.
   that switches on after a long off time snaps the predicted current to
   its steady state while the speed is still moving, which breaks the
   match (ROADMAP.md, item 7).
+- Projection and scheduling: the estimate stays inside its box on every
+  sample, and while a scheduler row is off its estimate is bitwise equal
+  to the previous sample's.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpemsim.estimator import ParameterVector, box_bounds_around
 from rpemsim.runner import run
 from rpemsim.scenario import (
     ControlSection, EstimatorSection, PlantSection, Scenario, StepEvent, preset,
@@ -57,35 +61,78 @@ def _at(k, offset):
     return max(0.0, k * DT + offset)
 
 
+_ALGORITHMS = st.sampled_from(["sga", "gna", "phyint"])
+_MODES = st.sampled_from([("prescribed", "torque"), ("dynamic", "torque"), ("dynamic", "speed")])
+_NOISE = st.sampled_from([0.0, 0.01])
+_SUBSTEPS = st.sampled_from([1, 2, 3])
+_TAU_REF = st.lists(st.tuples(st.integers(0, N1 - 2), _NEAR_SAMPLE, st.floats(-0.5, 0.5)),
+                    max_size=3)
+_EVENTS = st.lists(st.tuples(st.sampled_from(sorted(_STEPS)), st.integers(0, N1 - 2),
+                             _NEAR_SAMPLE, st.floats(0.0, 1.0)), max_size=5)
+
+
 @settings(max_examples=25, deadline=None)
-@given(
-    algorithm=st.sampled_from(["sga", "gna", "phyint"]),
-    modes=st.sampled_from([("prescribed", "torque"), ("dynamic", "torque"), ("dynamic", "speed")]),
-    noise=st.sampled_from([0.0, 0.01]),
-    substeps=st.sampled_from([1, 2, 3]),
-    tau_ref=st.lists(st.tuples(st.integers(0, N1 - 2), _NEAR_SAMPLE, st.floats(-0.5, 0.5)),
-                     max_size=3),
-    events=st.lists(st.tuples(st.sampled_from(sorted(_STEPS)), st.integers(0, N1 - 2),
-                              _NEAR_SAMPLE, st.floats(0.0, 1.0)), max_size=5),
-)
+@given(algorithm=_ALGORITHMS, modes=_MODES, noise=_NOISE, substeps=_SUBSTEPS,
+       tau_ref=_TAU_REF, events=_EVENTS)
 def test_shorter_run_is_a_bitwise_prefix_on_a_drawn_timeline(algorithm, modes, noise, substeps,
                                                              tau_ref, events):
     # inputs at and 1e-12 s around sample instants, every one before the short run ends
-    drawn = []
-    for target, k, offset, u in sorted(events, key=lambda ev: _at(*ev[1:3])):
-        key, (lo, hi) = _STEPS[target]
-        drawn.append(StepEvent(time_s=_at(k, offset), target=target, **{key: lo + u * (hi - lo)}))
     short = Scenario(
         name="drawn", duration_s=N1 * DT, seed=SEED, log_decimation=3,
         plant=PlantSection(noise_sigma_pu=noise, speed_mode=modes[0], substeps=substeps),
-        control=ControlSection(
-            mode=modes[1], speed_ref=[(0.0, 0.1)],
-            tau_ref=[(0.0, 0.2), *sorted((_at(k, offset), v) for k, offset, v in tau_ref)],
-        ),
+        control=ControlSection(mode=modes[1], speed_ref=[(0.0, 0.1)], tau_ref=_tau_ref(tau_ref)),
         estimator=EstimatorSection(algorithm=algorithm),
-        events=drawn,
+        events=_events(events),
     )
     _assert_prefix(short, N2 * DT)
+
+
+def _tau_ref(drawn):
+    return [(0.0, 0.2), *sorted((_at(k, offset), v) for k, offset, v in drawn)]
+
+
+def _events(drawn):
+    """StepEvents of drawn (target, step, offset, u) tuples, u in [0, 1]
+    placing the step in its target's range."""
+    events = []
+    for target, k, offset, u in sorted(drawn, key=lambda ev: _at(*ev[1:3])):
+        key, (lo, hi) = _STEPS[target]
+        events.append(StepEvent(time_s=_at(k, offset), target=target, **{key: lo + u * (hi - lo)}))
+    return events
+
+
+@settings(max_examples=60, deadline=None)
+@given(algorithm=_ALGORITHMS, modes=_MODES, noise=_NOISE, substeps=_SUBSTEPS,
+       n0=st.sampled_from([0.005, 0.05, 0.3]), box_fraction=st.sampled_from([0.3, 1e-4]),
+       tau_ref=_TAU_REF, events=_EVENTS)
+def test_estimate_stays_in_its_box_and_holds_while_its_row_is_off(
+        algorithm, modes, noise, substeps, n0, box_fraction, tau_ref, events):
+    # one t = 0 speed per scheduler band, which speed_ref events move between;
+    # the default box, and one so narrow that the projection clamps
+    sc = Scenario(
+        name="drawn", duration_s=N1 * DT, seed=SEED, log_decimation=1,
+        plant=PlantSection(noise_sigma_pu=noise, speed_mode=modes[0], substeps=substeps),
+        control=ControlSection(mode=modes[1], speed_ref=[(0.0, n0)], tau_ref=_tau_ref(tau_ref)),
+        estimator=EstimatorSection(algorithm=algorithm, box_fraction=box_fraction),
+        events=_events(events),
+    )
+    res = run(sc)
+    # theta0 and the box from the machine: an event at t = 0 has already
+    # moved psi_m_true[0] and r_s_true[0]
+    _, params = sc.machine.per_unit()
+    psi_min, psi_max, rs_min, rs_max = box_bounds_around(
+        ParameterVector(params.psi_m, params.r_s), sc.estimator.box_fraction)
+    psi, rs = res.psi_m_hat, res.r_s_hat
+    assert np.all((psi_min <= psi) & (psi <= psi_max))
+    assert np.all((rs_min <= rs) & (rs <= rs_max))
+    # step k's estimator sees the speed logged at step k - 1, the t = 0 speed at k = 0
+    speed = np.abs(np.concatenate(([sc.validate().n0], res.log["n"][:-1])))
+    psi_prev = np.concatenate(([params.psi_m], psi[:-1]))
+    rs_prev = np.concatenate(([params.r_s], rs[:-1]))
+    flux_off = speed <= abs(sc.estimator.n_lim1_pu)
+    rs_off = speed >= abs(sc.estimator.n_lim2_pu)
+    assert psi[flux_off].tobytes() == psi_prev[flux_off].tobytes()
+    assert rs[rs_off].tobytes() == rs_prev[rs_off].tobytes()
 
 
 def _assert_prefix(short, duration_s):

@@ -541,7 +541,6 @@ def test_decimation_only_affects_log_volume():
     assert a.reports["psi_m"] == b.reports["psi_m"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_aborts_with_diagnostic():
     sc = _quick(
         duration=0.2,
@@ -1165,7 +1164,6 @@ def test_cli_sim_writes_the_same_bytes_in_every_process(tmp_path):
     assert _sim_outputs(tmp_path / "p1", "quick") == here
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_sim_divergence_exit_code(tmp_path):
     sc = _quick(
         duration=0.2,
@@ -1205,6 +1203,9 @@ def test_cli_map_writes_fixed_header(tmp_path):
     ["eig", "--points", "1"],
     ["eig", "--speed-range", "1.2", "0"],
     ["eig", "--speed-range", "0", "inf"],
+    # used to end in an OverflowError traceback
+    ["map", "all", "--speed-range", "0", "1e155", "--points", "2"],
+    ["eig", "--speed-range", "0", "1e155", "--points", "2"],
 ])
 def test_cli_map_and_eig_reject_bad_grid_input(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -1212,6 +1213,14 @@ def test_cli_map_and_eig_reject_bad_grid_input(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["eig"], ["map", "all"]])
+def test_cli_map_and_eig_run_at_a_speed_whose_square_is_finite(tmp_path, command):
+    # (omega_n * n)**2 overflows above about 4.3e151 pu: 1e155 is rejected above
+    out = tmp_path / "o"
+    argv = ["--out", str(out), *command, "--points", "2", "--speed-range", "0", "1e150"]
+    assert cli_main(argv) == 0
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
