@@ -28,6 +28,8 @@ from rpemsim.control import mtpa_reference
 from rpemsim.estimator import ParameterVector, PredictorState, gradient_steady_state, predictor_step, prediction_error
 from rpemsim.plant import steady_state_voltage
 from rpemsim.pu import ConfigError, DqVector
+from rpemsim.runner import run
+from rpemsim.scenario import ControlSection, EstimatorSection, PlantSection, Scenario, StepEvent
 
 DT = 125e-6
 
@@ -156,6 +158,45 @@ def test_sensitivity_map_matches_co_simulation(params, base):
         eps_map = steady_state_error(theta, known_x, n, i_op, delta_psi_m=delta)
         assert eps_sim.d == pytest.approx(eps_map.d, abs=1e-4)
         assert eps_sim.q == pytest.approx(eps_map.q, abs=1e-4)
+
+
+@pytest.mark.parametrize("algorithm,target,factor,n,tau", [
+    ("sga", "x_d", 0.9, -0.6, 0.3),
+    ("sga", "x_q", 1.1, 0.8, -0.4),
+    ("phyint", "x_d", 0.9, 0.8, -0.4),
+    ("phyint", "x_q", 1.1, -0.6, 0.3),
+    ("gna", "x_d", 0.9, -0.6, 0.3),
+])
+def test_flux_estimate_settles_where_its_gain_row_zeroes_the_closed_form_error(
+        algorithm, target, factor, n, tau):
+    # the plant's reactance steps at t = 0; the model keeps the machine's.
+    # In the flux band only the flux row moves, and the settled error is
+    # eps = a * d_psi + b, a the flux gradient and b the reactance term of
+    # steady_state_error, d_psi the true minus the estimated flux. A flux
+    # gain row l settles at d_psi = -(l . b) / (l . a).
+    duration_s = 4.0
+    sc = Scenario(
+        name="fixed_point", duration_s=duration_s, log_decimation=round(duration_s / DT) - 1,
+        plant=PlantSection(noise_sigma_pu=0.0),
+        control=ControlSection(tau_ref=[(0.0, tau)], speed_ref=[(0.0, n)]),
+        estimator=EstimatorSection(algorithm=algorithm),
+        events=[StepEvent(time_s=0.0, target=target, factor=factor)],
+    )
+    log = run(sc).log  # rows at the first and the last sample
+    _, model = sc.machine.per_unit()
+    known_x = (model.x_d, model.x_q)
+    theta = ParameterVector(log["psi_m_hat"][-1], log["r_s_hat"][-1])
+    assert theta.r_s == model.r_s  # the resistance row stays off
+    i = DqVector(log["i_d"][-1], log["i_q"][-1])
+    a = gradient_steady_state(theta, known_x, n, i)[:2]
+    x = getattr(model, target)
+    b = steady_state_error(theta, known_x, n, i, **{f"delta_{target}": x * factor - x})
+    # SGA's row follows the gradient, PhyInt's is (1, 0); under x_d, b is
+    # parallel to a, so every row, GNA's too, settles at the same point
+    l = a if algorithm == "sga" else (1.0, 0.0)
+    d_psi = -(l[0] * b.d + l[1] * b.q) / (l[0] * a[0] + l[1] * a[1])
+    # measured at 4 s: within 2.7e-4 of d_psi for SGA, 4e-5 for GNA and PhyInt
+    assert log["psi_m_true"][-1] - theta.psi_m == pytest.approx(d_psi, rel=1e-3)
 
 
 def test_gradient_map_is_scaled_sensitivity(params, base):

@@ -39,6 +39,7 @@ from rpemsim.estimator import (
 )
 from rpemsim.plant import Trapezoid, steady_state_current, steady_state_voltage
 from rpemsim.pu import ConfigError, DqVector, MachineParams
+from drawn import GAINS, GRADIENT_MODES, SPEED_BANDS, speeds
 
 DT = 125e-6
 
@@ -686,18 +687,6 @@ def test_estimator_mpp_telemetry_at_standstill(params, known_x, omega_n, wide_bo
 # ---------------------------------------------------------------------------
 
 
-_GAINS = {  # GainConfig settings of each gain object make_gain picks
-    "sga": {}, "sga_per_gradient": {"sga_r_mode": "per_gradient"},
-    "gna": {"algorithm": "gna"}, "phyint": {"algorithm": "phyint"},
-}
-_SPEED_BANDS = {  # |n| in each band of the default limits n_lim1 = 0.1, n_lim2 = 0.01
-    "flux": st.floats(0.1, 1.5, exclude_min=True),
-    "dead": st.floats(0.01, 0.1),
-    "resistance": st.floats(0.0, 0.01, exclude_max=True),
-}
-_GRADIENT_MODES = [(a, b) for a in ("steady_state", "dynamic") for b in ("steady_state", "dynamic")]
-
-
 def _bits(values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
@@ -707,15 +696,11 @@ def _oracle_filters(gain) -> HessianState:
     return HessianState(**{f.name: getattr(gain, f.name) for f in fields(gain) if f.name != "cfg"})
 
 
-def _speed(band):
-    return st.builds(math.copysign, _SPEED_BANDS[band], st.sampled_from([1.0, -1.0]))
-
-
 _PAIR = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 
 
-@pytest.mark.parametrize("band", list(_SPEED_BANDS))
-@pytest.mark.parametrize("gain", list(_GAINS))
+@pytest.mark.parametrize("band", list(SPEED_BANDS))
+@pytest.mark.parametrize("gain", list(GAINS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_estimator_step_equals_the_object_level_chain_bitwise(
@@ -723,15 +708,15 @@ def test_estimator_step_equals_the_object_level_chain_bitwise(
 ):
     # predictor_step, the gradient oracle of each row's mode, then the
     # algorithm's update with the scheduler at the sample's speed
-    mode_psi, mode_rs = data.draw(st.sampled_from(_GRADIENT_MODES))
-    cfg = _cfg(gradient_mode_psi=mode_psi, gradient_mode_rs=mode_rs, **_GAINS[gain])
+    mode_psi, mode_rs = data.draw(st.sampled_from(GRADIENT_MODES))
+    cfg = _cfg(gradient_mode_psi=mode_psi, gradient_mode_rs=mode_rs, **GAINS[gain])
     theta0 = ParameterVector(data.draw(st.floats(0.5, 1.2)), data.draw(st.floats(0.0, 0.08)))
-    n0 = data.draw(st.one_of(*(_speed(b) for b in _SPEED_BANDS)))
+    n0 = data.draw(speeds())
     est = RpemEstimator(cfg, theta0, wide_box, known_x, omega_n, DT,
                         i_hat0=DqVector(*data.draw(_PAIR)), n0=n0)
     est.step(DqVector(*data.draw(_PAIR)), n0, DqVector(*data.draw(_PAIR)))  # builds the gain
     for _ in range(data.draw(st.integers(1, 3))):
-        n = data.draw(_speed(band))
+        n = data.draw(speeds(band))
         u, i_meas = DqVector(*data.draw(_PAIR)), DqVector(*data.draw(_PAIR))
         theta, state = est.theta, est.pred
 

@@ -37,6 +37,7 @@ from rpemsim.scenario import (
     schedule_segments,
     schedule_value,
 )
+from drawn import NEAR_SAMPLE, at
 from test_golden_runs import _short
 
 
@@ -156,16 +157,10 @@ def test_schedule_entries_before_t0_apply_from_t0(params):
     assert sc.validate().schedule == [(0.0, (*dataclasses.astuple(params), 0.2, 0.3, 0.0))]
 
 
-_NEAR_SAMPLE = st.one_of(
-    st.sampled_from([-2e-12, -1e-12, -0.6e-12, 0.0, 0.6e-12, 1e-12, 1.5e-12, 2e-12]),
-    st.floats(-2e-12, 2e-12),
-)
-
-
 @settings(max_examples=200, deadline=None)
 @given(events=st.lists(
     st.tuples(  # (target, sample, offset from the sample, value)
-        st.sampled_from(["psi_m", "speed_ref"]), st.integers(0, 2), _NEAR_SAMPLE,
+        st.sampled_from(["psi_m", "speed_ref"]), st.integers(0, 2), NEAR_SAMPLE,
         st.floats(0.5, 1.2),
     ),
     min_size=2, max_size=6,
@@ -174,9 +169,7 @@ _NEAR_SAMPLE = st.one_of(
 @example(events=[("psi_m", 2, 0.6e-12, 0.9), ("psi_m", 2, 1.5e-12, 0.5)])
 def test_value_events_apply_from_the_first_sample_within_the_tolerance(events):
     dt = 125e-6
-    steps = sorted(
-        (max(0.0, k * dt + offset), target, value) for target, k, offset, value in events
-    )
+    steps = sorted((at(k, offset, dt), target, value) for target, k, offset, value in events)
     sc = _quick(duration=4 * dt, log_decimation=1, events=[
         StepEvent(time_s=time_s, target=target, value=value) for time_s, target, value in steps
     ])
@@ -197,13 +190,13 @@ def test_value_events_apply_from_the_first_sample_within_the_tolerance(events):
 @given(
     dt=st.sampled_from([125e-6, 1e-4, 0.1 / 3]),
     n_steps=st.integers(0, 12),
-    rows=st.lists(st.tuples(st.integers(-1, 15), _NEAR_SAMPLE), min_size=1, max_size=8),
+    rows=st.lists(st.tuples(st.integers(-1, 15), NEAR_SAMPLE), min_size=1, max_size=8),
 )
 # rows 1e-12 s apart on one sample, on either side of its tolerance
 @example(dt=125e-6, n_steps=6, rows=[(3, -0.5e-12), (3, 0.5e-12), (3, 1.5e-12)])
 @example(dt=125e-6, n_steps=6, rows=[(0, 0.0), (0, 1e-12), (6, -2e-12), (9, 0.0)])
 def test_segments_give_each_step_the_row_the_cursor_reads_there(dt, n_steps, rows):
-    times = sorted(max(0.0, k * dt + offset) for k, offset in rows)
+    times = sorted(at(k, offset, dt) for k, offset in rows)
     schedule = [(0.0, "start")] + [(t, j) for j, t in enumerate(times)]
     segments = list(schedule_segments(schedule, dt, n_steps))
     starts = [k0 for k0, _, _ in segments]
