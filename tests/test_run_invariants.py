@@ -1,7 +1,8 @@
 """Properties every run keeps, checked on fixed cases and on scenarios that
-``drawn.scenarios`` draws. Each drawn scenario runs once, and every run
-property is checked on that run; prefix stability, mirror symmetry and the
-matched model each take one more run.
+``drawn.scenarios`` draws. Two tests share that strategy: one runs each
+draw once and checks box, hold, mirror symmetry and the matched model on
+that run (the last two take one more run each); the other checks prefix
+stability, with a run of the draw and one longer run.
 
 - Prefix stability: a run of duration T1 < T2 is a bitwise prefix of the
   T2 run, in its full-rate arrays and its log, when every input changes
@@ -57,7 +58,7 @@ def test_shorter_run_is_a_bitwise_prefix_of_a_longer_one(name):
 
 @settings(max_examples=80, deadline=None)
 @given(sc=scenarios())
-def test_every_run_property_holds_on_a_drawn_scenario(sc):
+def test_estimate_stays_in_its_box_and_holds_while_its_row_is_off(sc):
     res = run(sc)
     # theta0 and the box from the machine: an event at t = 0 has already
     # moved psi_m_true[0] and r_s_true[0]
@@ -75,9 +76,6 @@ def test_every_run_property_holds_on_a_drawn_scenario(sc):
     rs_off = speed >= abs(sc.estimator.n_lim2_pu)
     assert psi[flux_off].tobytes() == psi_prev[flux_off].tobytes()
     assert rs[rs_off].tobytes() == rs_prev[rs_off].tobytes()
-    # every input changes before the drawn run ends; the longer run logs
-    # every third sample, so it also checks that decimation only thins the log
-    _assert_prefix(sc, res, 2 * SAMPLES * DT, 3)
     if sc.plant.noise_sigma_pu == 0.0:  # the noise draw is not mirrored
         _assert_mirrored(res, run(_mirror(sc)))
     # the matched model: the draw with no noise, one substep and no machine events
@@ -86,6 +84,14 @@ def test_every_run_property_holds_on_a_drawn_scenario(sc):
         events=[ev for ev in sc.events if ev.target in ("load_torque", "speed_ref")],
     )
     _assert_matched(res if matched == sc else run(matched))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sc=scenarios())
+def test_shorter_run_is_a_bitwise_prefix_on_a_drawn_timeline(sc):
+    # every input changes before the drawn run ends; the longer run logs
+    # every third sample, so it also checks that decimation only thins the log
+    _assert_prefix(sc, run(sc), 2 * SAMPLES * DT, 3)
 
 
 def _mirror(sc):
