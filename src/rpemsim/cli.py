@@ -9,8 +9,8 @@ Subcommands:
 
 A preset name wins over a scenario file of the same name.
 
-Exit codes: 0 success, 1 validation failure or a command-line usage error,
-2 numerical divergence.
+Exit codes: 0 success, 1 validation failure, a command-line usage error or
+an output directory that cannot be made or written, 2 numerical divergence.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ from .analysis import MAP_COLUMNS, OperatingGrid, eigen_sweep, evaluate_maps, wr
 from .estimator import ParameterVector
 from .pu import ConfigError, default_machine
 from .runner import SimulationDiverged, run
-from .scenario import PRESETS, Scenario, load_scenario, preset, preset_library
+from .scenario import PRESETS, Scenario, load_scenario, preset
+# preset_library is not called here; it stays a module attribute because
+# the benchmark's tracer (perfbench/tracing.py) wraps it by this name
+from .scenario import preset_library  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -62,9 +65,8 @@ def _report_dict(result) -> dict:
 
 def _run_one(scenario: Scenario, out_dir: str) -> tuple[dict, str]:
     """Runs ``scenario`` and writes its log CSV and report JSON into
-    ``out_dir``; returns the report and the JSON text written."""
+    ``out_dir``, which exists; returns the report and the JSON text written."""
     result = run(scenario)
-    os.makedirs(out_dir, exist_ok=True)
     result.write_csv(os.path.join(out_dir, f"{scenario.name}.csv"))
     report = _report_dict(result)
     text = json.dumps(report, indent=2)
@@ -74,7 +76,9 @@ def _run_one(scenario: Scenario, out_dir: str) -> tuple[dict, str]:
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
-    _, text = _run_one(_resolve_scenario(args.scenario, args.seed), args.out)
+    scenario = _resolve_scenario(args.scenario, args.seed)
+    os.makedirs(args.out, exist_ok=True)  # before the run: a bad --out fails at once
+    _, text = _run_one(scenario, args.out)
     print(text)
     return EXIT_OK
 
@@ -91,10 +95,11 @@ def _sweep_one(scenario: Scenario, out_dir: str) -> tuple[str, bool]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    presets = preset_library(args.seed)
-    scenarios = [presets[name] for name in sorted(fnmatch.filter(presets, args.pattern))]
-    if not scenarios:
+    names = sorted(fnmatch.filter(PRESETS, args.pattern))
+    if not names:
         raise ConfigError(f"no presets match {args.pattern!r}")
+    scenarios = [preset(name, args.seed) for name in names]
+    os.makedirs(args.out, exist_ok=True)
     if args.jobs > 1:
         # imported here: the process pool machinery costs every other command
         # its import time
@@ -134,7 +139,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         args.delta_xd * params.x_d,
         args.delta_xq * params.x_q,
     )
-    tables = evaluate_maps(grid, params, base.omega_n, deltas=deltas)
+    tables = evaluate_maps(grid, params, base.omega_n, deltas=deltas)  # rejects a too-large speed
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"map_{args.surface}.csv")
     write_maps_csv(tables, path, args.surface)
@@ -215,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # --out names a file, or a write fails
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SimulationDiverged as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)

