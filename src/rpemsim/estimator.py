@@ -451,19 +451,12 @@ class SgaPerGradient:
                 self.scalar_r, 0.0, False)
 
 
-def pseudoinverse_2x2(
-    R: tuple[tuple[float, float], tuple[float, float]]
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Moore-Penrose pseudoinverse of a symmetric 2x2 matrix.
+def pseudoinverse_2x2(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Moore-Penrose pseudoinverse of ``((a, b), (b, c))``, returned as ``(p11, p12, p22)``.
 
     Eigendecomposition based: eigenvalues below MPP_TOL times the dominant one
     are inverted to zero. Satisfies the four Penrose conditions.
     """
-    a, b = R[0][0], R[0][1]
-    b2, c = R[1][0], R[1][1]
-    scale = max(abs(a), abs(b), abs(c), 1e-300)
-    if abs(b - b2) > 1e-9 * scale:
-        raise ValueError("pseudoinverse_2x2 expects a symmetric matrix")
     half_sum = 0.5 * (a + c)
     half_diff = 0.5 * (a - c)
     rad = math.hypot(half_diff, b)
@@ -471,7 +464,7 @@ def pseudoinverse_2x2(
     lam2 = half_sum - rad
     lam_max = max(abs(lam1), abs(lam2))
     if lam_max == 0.0:
-        return ((0.0, 0.0), (0.0, 0.0))
+        return 0.0, 0.0, 0.0
     # eigenvector of lam1, formula chosen to avoid cancellation: lam1 is
     # never close to the smaller diagonal entry; only b == 0 zeroes it
     if b != 0.0:
@@ -489,7 +482,7 @@ def pseudoinverse_2x2(
     p11 = inv1 * v1d * v1d + inv2 * v2d * v2d
     p12 = inv1 * v1d * v1q + inv2 * v2d * v2q
     p22 = inv1 * v1q * v1q + inv2 * v2q * v2q
-    return ((p11, p12), (p12, p22))
+    return p11, p12, p22
 
 
 @dataclass(slots=True)
@@ -519,7 +512,7 @@ class Gna:
             mpp = False
         else:
             # the module global, so a wrapper installed there sees the call
-            (q11, q12), (_, q22) = pseudoinverse_2x2(((r11, r12), (r12, r22)))
+            q11, q12, q22 = pseudoinverse_2x2(r11, r12, r22)
             mpp = True
         l11 = cfg.gamma_L_psi * (q11 * psi_d + q12 * rs_d)
         l12 = cfg.gamma_L_psi * (q11 * psi_q + q12 * rs_q)

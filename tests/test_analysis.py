@@ -130,6 +130,13 @@ def test_sensitivity_zero_mismatch_is_zero(params, base):
     assert np.nanmax(np.abs(t.eps_q)) == 0.0
 
 
+def test_maps_are_nan_in_every_cell_without_a_magnet_flux(params, base):
+    # MTPA refuses psi_m = 0, so each cell's currents are infeasible
+    grid = OperatingGrid(speed_axis=np.linspace(-1, 1, 5), torque_axis=np.linspace(-1, 1, 5))
+    t = evaluate_maps(grid, replace(params, psi_m=0.0), base.omega_n)
+    assert [name for name in MAP_SURFACES if not np.isnan(getattr(t, name)).all()] == []
+
+
 def test_sensitivity_high_speed_limit(params, base):
     # 10 percent flux underestimate: eps_d -> -delta/x_d within 2% at |n|=1
     theta = ParameterVector(psi_m=0.9 * params.psi_m, r_s=params.r_s)

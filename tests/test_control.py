@@ -104,6 +104,15 @@ def test_pi_antiwindup_freezes_integrator():
     assert abs(s.integrator) <= 1.0
 
 
+def test_pi_integrator_above_the_limit_is_clamped_when_the_error_turns_inward():
+    # the output is clamped but not frozen, as the error pulls it back: the
+    # integrator update runs, and lands on the limit
+    s = PiState(kp=1.0, ti=0.1, integrator=2.0, output_limit=1.0)
+    out, s = speed_controller(0.0, 0.5, s, DT)
+    assert out == 1.0
+    assert s.integrator == 1.0
+
+
 def test_voltage_limit_passthrough():
     assert limit_current(0.3, 0.4, 1.0) == (0.3, 0.4)
 

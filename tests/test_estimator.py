@@ -355,23 +355,35 @@ def test_gna_standstill_structure_forces_mpp(theta_nominal, wide_box):
     assert theta.r_s != theta_nominal.r_s  # adaptation still proceeds
 
 
+def test_gna_caps_the_resistance_row_and_keeps_its_direction():
+    # the resistance gradients dwarf the flux ones: only row 2 exceeds the cap
+    cfg = GainConfig(algorithm="gna", gain_cap=1e-3, gamma_L_rs=1.0, gamma_L_psi=1e-9)
+    args = (1e-6, 0.0, 5.0, 5.0, 0.05, 0.0, 0.1, 0.2)
+    capped = Gna(cfg, 1.0, 0.0, 1.0).step(*args)
+    free = Gna(replace(cfg, gain_cap=1e300), 1.0, 0.0, 1.0).step(*args)
+    assert math.hypot(*free[:2]) < cfg.gain_cap < math.hypot(*free[2:4])
+    assert capped[:2] == free[:2] and capped[4:] == free[4:]
+    assert math.hypot(*capped[2:4]) == pytest.approx(cfg.gain_cap, rel=1e-15, abs=0.0)
+    scale = cfg.gain_cap / math.hypot(*free[2:4])
+    assert capped[2:4] == pytest.approx((free[2] * scale, free[3] * scale), rel=1e-15, abs=0.0)
+
+
 def test_pseudoinverse_rank1_diagonal():
-    out = pseudoinverse_2x2(((0.0, 0.0), (0.0, 4.0)))
-    assert out == ((0.0, 0.0), (0.0, 0.25))
+    out = pseudoinverse_2x2(0.0, 0.0, 4.0)
+    assert out == (0.0, 0.0, 0.25)
 
 
 def test_pseudoinverse_zero_matrix():
-    assert pseudoinverse_2x2(((0.0, 0.0), (0.0, 0.0))) == ((0.0, 0.0), (0.0, 0.0))
+    assert pseudoinverse_2x2(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_pseudoinverse_full_rank_matches_inverse():
     a, b, c = 3.0, 1.2, 2.0
     det = a * c - b * b
-    out = pseudoinverse_2x2(((a, b), (b, c)))
-    expect = ((c / det, -b / det), (-b / det, a / det))
-    for row_o, row_e in zip(out, expect):
-        for o, e in zip(row_o, row_e):
-            assert o == pytest.approx(e, abs=1e-10)
+    out = pseudoinverse_2x2(a, b, c)
+    expect = (c / det, -b / det, a / det)
+    for o, e in zip(out, expect):
+        assert o == pytest.approx(e, abs=1e-10)
 
 
 @given(
@@ -392,7 +404,8 @@ def test_pseudoinverse_penrose_conditions(g1, g2, g3, g4):
     # exclude the band around the truncation threshold, where the rank
     # decision itself is ambiguous
     assume(not (0.1 * tol * lam.max() < lam.min() < 10 * tol * lam.max()))
-    P = np.array(pseudoinverse_2x2(((R[0, 0], R[0, 1]), (R[1, 0], R[1, 1]))))
+    p11, p12, p22 = pseudoinverse_2x2(R[0, 0], R[0, 1], R[1, 1])
+    P = np.array(((p11, p12), (p12, p22)))
     # residual floor scales with |R||P|, the floating-point amplification
     # of the condition number
     nrm = max(1.0, np.abs(R).max() * max(np.abs(P).max(), 1.0))

@@ -1,0 +1,59 @@
+"""The input checks of the public entry points that no run reaches: each
+raises its own error, naming what is wrong, before any arithmetic."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rpemsim.analysis import discrete_stability
+from rpemsim.control import ControlError, CurrentLoops, PiState, mtpa_currents, speed_controller
+from rpemsim.estimator import GainConfig, ParameterBox, ParameterVector, RpemEstimator
+from rpemsim.plant import PlantState, Trapezoid, integrate_electrical, steady_state_current
+from rpemsim.pu import ConfigError, DqVector, default_machine
+from rpemsim.runner import convergence_metrics
+
+BASE, PARAMS = default_machine()
+DT = 125e-6
+PI = PiState(kp=1.0, ti=0.01)
+T = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: Trapezoid(BASE.omega_n, 0.0), ValueError, "dt must be positive",
+                 id="trapezoid_dt"),
+    pytest.param(lambda: CurrentLoops(PI, PI, PARAMS.x_d, PARAMS.x_q, 0.0, 1.2), ValueError,
+                 "dt must be positive", id="current_loops_dt"),
+    pytest.param(lambda: CurrentLoops(PI, PI, PARAMS.x_d, PARAMS.x_q, DT, 0.0), ValueError,
+                 "u_max must be positive", id="current_loops_u_max"),
+    pytest.param(lambda: discrete_stability(-1.0 + 0j, 0.0, "trapezoidal"), ValueError,
+                 "dt must be positive", id="discrete_stability_dt"),
+    pytest.param(lambda: discrete_stability(-1.0 + 0j, DT, "euler"), ValueError,
+                 "unknown method 'euler'", id="discrete_stability_method"),
+    pytest.param(lambda: speed_controller(0.1, 0.0, PI, 0.0), ValueError,
+                 "dt must be positive", id="speed_controller_dt"),
+    pytest.param(lambda: integrate_electrical(PlantState(DqVector(0.0, 0.0), 0.0, 0.0, PARAMS),
+                                              DqVector(0.0, 0.0), DT, "euler"),
+                 ValueError, "unknown integration method 'euler'", id="integrate_method"),
+    pytest.param(lambda: steady_state_current(replace(PARAMS, r_s=0.0), DqVector(0.1, 0.0), 0.0),
+                 ValueError, "r_s = 0 at standstill", id="steady_state_singular"),
+    pytest.param(lambda: RpemEstimator(
+        GainConfig(), ParameterVector(PARAMS.psi_m, PARAMS.r_s),
+        ParameterBox(psi_m_min=0.1, psi_m_max=2.0, r_s_min=0.0, r_s_max=0.5),
+        (PARAMS.x_d, PARAMS.x_q), BASE.omega_n, 0.0,
+    ), ConfigError, "t_samp must be positive", id="estimator_t_samp"),
+    pytest.param(lambda: convergence_metrics(np.empty(0), np.empty(0), 1.0), ValueError,
+                 "empty trajectory", id="convergence_empty"),
+    pytest.param(lambda: convergence_metrics(T, T, 1.0, band=0.0), ValueError,
+                 "band must be positive", id="convergence_band"),
+    pytest.param(lambda: replace(BASE, z_base=2.0 * BASE.z_base), ConfigError,
+                 "z_base != u_base / i_base", id="base_z"),
+    pytest.param(lambda: replace(BASE, psi_base=2.0 * BASE.psi_base), ConfigError,
+                 "psi_base != u_base / omega_n", id="base_psi"),
+    # the i_q denominator psi_m - (x_q - x_d) * i_d is 3.2e-10, below 1e-9
+    pytest.param(lambda: mtpa_currents(1e-20, 1e-12, PARAMS.x_d, PARAMS.x_q), ControlError,
+                 "i_q denominator", id="mtpa_denominator"),
+])
+def test_public_entry_points_reject_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

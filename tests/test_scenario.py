@@ -577,8 +577,9 @@ def test_divergence_aborts_with_diagnostic():
             tau_ref=[(0.0, 0.3)], kp_d=1e12, kp_q=1e12, u_max_pu=1e300
         ),
     )
-    # both end in the diagnostic, also where float arithmetic raises
-    # OverflowError before a state turns non-finite
+    # both end in the diagnostic through an OverflowError that float
+    # arithmetic raises before a state turns non-finite; the check of a
+    # non-finite state is driven by the test below
     for noise in (0.001, 0.0):
         sc = Scenario.from_dict(
             {**sc.to_dict(), "plant": {"noise_sigma_pu": noise}}
@@ -593,6 +594,30 @@ def test_divergence_aborts_with_diagnostic():
         assert k >= 1
         assert err.value.t == k * sc.t_samp_s
         assert f"last valid sample (t={(k - 1) * sc.t_samp_s:.6f}, " in msg
+
+
+@pytest.mark.parametrize("bad_call,k", [(5, 4), (1, 0)])
+def test_a_non_finite_state_ends_in_the_diagnostic(tmp_path, monkeypatch, capsys, bad_call, k):
+    # the speed turns inf with no exception raised, so the runner's own
+    # check of the state names it; at step 0 no sample has run yet
+    sc = _quick(duration=0.01, plant=PlantSection(speed_mode="dynamic"))
+    speed_step, calls = runner.speed_step, []
+
+    def inf_at_call(*args):
+        calls.append(args)
+        return math.inf if len(calls) == bad_call else speed_step(*args)
+
+    monkeypatch.setattr(runner, "speed_step", inf_at_call)
+    with pytest.raises(SimulationDiverged) as err:
+        run(sc)
+    last = f"(t={(k - 1) * sc.t_samp_s:.6f}, i=(" if k else "(initial state)"
+    assert err.value.detail.startswith(f"n = inf at step {k}; last valid sample {last}")
+    assert err.value.t == k * sc.t_samp_s
+    path = tmp_path / "sc.json"
+    save_scenario(sc, str(path))
+    calls.clear()
+    assert cli_main(["--out", str(tmp_path / "o"), "sim", str(path)]) == 2
+    assert capsys.readouterr().err == f"numerical divergence: {err.value}\n"
 
 
 def _segment_count(sc):
@@ -831,6 +856,11 @@ def test_cli_validate_rejects_box_and_theta0_that_run_refuses(tmp_path, capsys, 
     {"estimator": {"n_lim1_pu": math.nan}},
     {"estimator": {"detR_floor": math.nan}},
     {"estimator": {"r0": math.nan}},  # validated, then diverged at step 0
+    {"control": {"tau_ref": []}},
+    {"control": {"speed_ref": [[0.0, 0.1], [0.5, 0.2], [0.2, 0.3]]}},
+    # the ratings and r_s_pu only: neither the full SI set nor the full pu set
+    {"machine": {k: v for k, v in TABLE_MACHINE_CONFIG.items()
+                 if not k.endswith(("_ohm", "_H", "_Wb", "_pu"))} | {"r_s_pu": 0.05}},
 ])
 def test_cli_validate_rejects_non_finite_and_zero_inertia(tmp_path, capsys, fields):
     # json writes and reads NaN and Infinity, as a scenario file may hold them;
@@ -1234,6 +1264,7 @@ def test_cli_map_writes_fixed_header(tmp_path):
     # used to end in an OverflowError traceback
     ["map", "all", "--speed-range", "0", "1e155", "--points", "2"],
     ["eig", "--speed-range", "0", "1e155", "--points", "2"],
+    ["sweep", "nomatch*"],
 ])
 def test_cli_map_and_eig_reject_bad_grid_input(tmp_path, capsys, argv):
     out = tmp_path / "o"
