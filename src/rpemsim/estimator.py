@@ -28,6 +28,7 @@ away from standstill, decoupling the two estimates.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal, NamedTuple, Optional
 
@@ -158,6 +159,9 @@ class HessianState:
 
 SS_DENOM_FLOOR = 1e-9  # steady-state gradient denominators below it count as 0
 MPP_TOL = 1e-9  # the pseudoinverse drops eigenvalues below MPP_TOL * the largest
+R_FLOOR = 1e-6  # SGA divides by no normaliser r below it
+DETR_FLOOR = 1e-10  # GNA takes the pseudoinverse where det(R) falls below it
+I_FLOOR = 0.02  # PhyInt zeroes a resistance gain whose denominator is below I_FLOOR * its scale
 
 Algorithm = Literal["sga", "gna", "phyint"]
 GradientMode = Literal["steady_state", "dynamic"]
@@ -165,8 +169,8 @@ GradientMode = Literal["steady_state", "dynamic"]
 
 @dataclass(frozen=True)
 class GainSettings:
-    """Gain algorithm selection, adaptation rates and floors: the gain
-    settings a scenario's estimator section carries under the same names.
+    """Gain algorithm selection and adaptation rates: the gain settings a
+    scenario's estimator section carries under the same names.
 
     gamma values are per-step weights gamma0 = T_samp / T0; the flux and
     resistance rows carry separate gain-rate values so one configuration
@@ -179,9 +183,6 @@ class GainSettings:
     gamma_r: Rate = 6.25e-4
     gradient_mode_psi: GradientMode = "steady_state"
     gradient_mode_rs: GradientMode = "steady_state"
-    r_floor: Positive = 1e-6
-    detR_floor: Positive = 1e-10
-    i_floor: NonNegative = 0.02
     gain_cap: Positive = 1e4
     sga_r_mode: Literal["trace", "per_gradient"] = "trace"
     r0: Optional[Positive] = None
@@ -217,7 +218,7 @@ def _kernel(
     if model != _valid_model:
         MachineParams(*known_x, theta_hat.r_s, theta_hat.psi_m)  # rejects an invalid parameter set
         _valid_model = model
-    kernel = shared_trapezoid(omega_n, dt)
+    kernel = shared_trapezoid(omega_n, dt, threading.get_ident())
     kernel.set(theta_hat.r_s, known_x[0], known_x[1], n)
     return kernel
 
@@ -417,8 +418,8 @@ class SgaTrace:
         cfg = self.cfg
         tr = psi_d**2 + psi_q**2 + rs_d**2 + rs_q**2
         r = self.scalar_r = self.scalar_r + cfg.gamma_r * (tr - self.scalar_r)
-        fl, gp, gr = cfg.r_floor, cfg.gamma_L_psi, cfg.gamma_L_rs
-        rdiv = fl if fl > r else r
+        gp, gr = cfg.gamma_L_psi, cfg.gamma_L_rs
+        rdiv = R_FLOOR if R_FLOOR > r else r
         return (gp * psi_d / rdiv, gp * psi_q / rdiv, gr * rs_d / rdiv, gr * rs_q / rdiv,
                 r, 0.0, False)
 
@@ -445,7 +446,7 @@ class SgaPerGradient:
         rpq = self.rg_psi_q = self.rg_psi_q + g * (psi_q**2 - self.rg_psi_q)
         rrd = self.rg_rs_d = self.rg_rs_d + g * (rs_d**2 - self.rg_rs_d)
         rrq = self.rg_rs_q = self.rg_rs_q + g * (rs_q**2 - self.rg_rs_q)
-        fl, gp, gr = cfg.r_floor, cfg.gamma_L_psi, cfg.gamma_L_rs
+        fl, gp, gr = R_FLOOR, cfg.gamma_L_psi, cfg.gamma_L_rs
         return (gp * psi_d / (fl if fl > rpd else rpd), gp * psi_q / (fl if fl > rpq else rpq),
                 gr * rs_d / (fl if fl > rrd else rrd), gr * rs_q / (fl if fl > rrq else rrq),
                 self.scalar_r, 0.0, False)
@@ -488,7 +489,7 @@ def pseudoinverse_2x2(a: float, b: float, c: float) -> tuple[float, float, float
 @dataclass(slots=True)
 class Gna:
     """GNA: filtered 2x2 Hessian (r11, r12, r22). The exact inverse is used
-    while det(R) stays above the floor; below it the pseudoinverse takes
+    while det(R) stays at or above DETR_FLOOR; below it the pseudoinverse takes
     over, which is what keeps the resistance row alive at standstill where
     the matrix is structurally singular. Each gain row's magnitude is then
     capped."""
@@ -506,7 +507,7 @@ class Gna:
         r12 = self.r12 = self.r12 + g * (psi_d * rs_d + psi_q * rs_q - self.r12)
         r22 = self.r22 = self.r22 + g * (rs_d**2 + rs_q**2 - self.r22)
         det = r11 * r22 - r12 * r12
-        if det >= cfg.detR_floor:
+        if det >= DETR_FLOOR:
             inv = 1.0 / det
             q11, q12, q22 = r22 * inv, -r12 * inv, r11 * inv
             mpp = False
@@ -549,8 +550,8 @@ class PhyInt:
         D = r_s * r_s + n * n * x_d * x_q
         den_d = -r_s * i_d - n * x_q * i_q
         den_q = -r_s * i_q + n * x_d * i_d
-        th_d = cfg.i_floor * (r_s + abs(n) * x_q)
-        th_q = cfg.i_floor * (r_s + abs(n) * x_d)
+        th_d = I_FLOOR * (r_s + abs(n) * x_q)
+        th_q = I_FLOOR * (r_s + abs(n) * x_d)
         l21 = cfg.gamma_L_rs * D / den_d if abs(den_d) >= th_d and th_d > 0.0 else 0.0
         l22 = cfg.gamma_L_rs * D / den_q if abs(den_q) >= th_q and th_q > 0.0 else 0.0
         return -cfg.gamma_L_psi * x_d, 0.0, l21, l22, 0.0, 0.0, False

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -166,9 +167,9 @@ class Trapezoid:
 
 
 @functools.lru_cache(maxsize=8)
-def shared_trapezoid(omega_n: float, dt: float) -> Trapezoid:
-    """One :class:`Trapezoid` per (omega_n, dt) for the one-step functions;
-    its :meth:`~Trapezoid.set` recomputes only on changed inputs."""
+def shared_trapezoid(omega_n: float, dt: float, thread: int) -> Trapezoid:
+    """One :class:`Trapezoid` per (omega_n, dt) and thread for the one-step
+    functions; its :meth:`~Trapezoid.set` recomputes only on changed inputs."""
     return Trapezoid(omega_n, dt)
 
 
@@ -184,7 +185,7 @@ def integrate_electrical(
     if method != "trapezoidal":
         raise ValueError(f"unknown integration method {method!r}")
     p = state.params
-    kernel = shared_trapezoid(omega_n, dt)
+    kernel = shared_trapezoid(omega_n, dt, threading.get_ident())
     kernel.set(p.r_s, p.x_d, p.x_q, state.n)
     i_new = DqVector(*kernel.drive(state.i.d, state.i.q, u.d, u.q, p.psi_m))
     return PlantState(i=i_new, n=state.n, theta=state.theta, params=state.params)

@@ -19,7 +19,7 @@ import functools
 import math
 import typing
 from dataclasses import dataclass
-from typing import Annotated, Any, Callable, Literal, NamedTuple, Optional
+from typing import Annotated, Any, Callable, NamedTuple, Optional
 
 TWO_PI = 2.0 * math.pi
 
@@ -227,7 +227,6 @@ class MachineConfig:
     x_d_pu: Optional[Positive] = None
     x_q_pu: Optional[Positive] = None
     psi_m_pu: Optional[NonNegative] = None
-    convention: Literal["amplitude_invariant"] = "amplitude_invariant"
 
     def __post_init__(self) -> None:
         check_fields(self)

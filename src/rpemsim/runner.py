@@ -30,6 +30,8 @@ from .control import current_controller, mtpa_reference, speed_controller  # noq
 from .plant import integrate_electrical, torque  # noqa: F401
 from .scenario import schedule_value  # noqa: F401
 
+CONVERGENCE_BAND = 0.01  # a converged estimate stays within 1 percent of its reference
+
 
 class SimulationDiverged(RuntimeError):
     """A state variable left the finite range; diagnostic carries the time
@@ -83,14 +85,13 @@ def convergence_metrics(
     t: np.ndarray,
     trajectory: np.ndarray,
     reference: float,
-    band: float = 0.01,
     t0: float = 0.0,
     step_size: Optional[float] = None,
 ) -> ConvergenceReport:
     """Convergence time, steady-state error and overshoot of a trajectory.
 
     convergence_time: first instant (measured from t0) after which the
-    trajectory stays inside +-band*|reference| until the end.
+    trajectory stays inside +-CONVERGENCE_BAND*|reference| until the end.
     steady_state_error: mean relative error over the final 10 percent, None at reference 0.
     overshoot: largest excursion past the reference, in the direction of
     travel, relative to the step size.
@@ -98,14 +99,12 @@ def convergence_metrics(
     """
     if len(t) == 0:
         raise ValueError("empty trajectory")
-    if band <= 0.0:
-        raise ValueError("band must be positive")
     mask = t >= t0 - EVENT_TOL_S  # the samples a step at t0 applies to
     if not mask.any():
         raise ValueError(f"no sample at or after t0 = {t0}")
     tt = t[mask]
     traj = trajectory[mask]
-    tol = band * abs(reference)
+    tol = CONVERGENCE_BAND * abs(reference)
     inside = np.abs(traj - reference) <= tol
     if inside[-1]:
         last_out = np.where(~inside)[0]
@@ -133,7 +132,7 @@ def convergence_metrics(
         convergence_time=conv_time,
         steady_state_error=_finite(sse),
         overshoot=_finite(overshoot),
-        band=band,
+        band=CONVERGENCE_BAND,
     )
 
 
@@ -302,7 +301,7 @@ def run(scenario: Scenario) -> RunResult:
         else:
             step_size = None
         reports[target] = convergence_metrics(
-            t_full, hat, reference, band=0.01, t0=t0, step_size=step_size
+            t_full, hat, reference, t0=t0, step_size=step_size
         )
 
     return RunResult(

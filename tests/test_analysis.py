@@ -285,6 +285,34 @@ def test_map_evaluation_deterministic(params, base):
         assert np.array_equal(x, y, equal_nan=True)
 
 
+# the surfaces that change sign with n and tau; every other one is even
+_ODD_SURFACES = {"i_q", "eps_q", "psi12", "psi22"}
+
+
+@pytest.mark.parametrize("limits", [{}, {"u_max": 0.9}, {"i_max": 0.7}], ids=str)
+@pytest.mark.parametrize("deltas", [(0.0, 0.0, 0.0, 0.0), (-0.01, 0.002, 0.01, -0.02)], ids=str)
+def test_maps_are_mirror_symmetric_on_a_mirrored_grid(params, base, limits, deltas):
+    # the dq model is symmetric under (n, tau) -> (-n, -tau), and negation is
+    # exact: the cell at (-n, -tau) is the one at (n, tau), negated on the odd
+    # surfaces, bit for bit. Infeasible cells, NaN, mirror too. Only an exact
+    # zero keeps its sign: with no mismatch eps_q is x - x = +0.0 at both cells
+    a = np.linspace(0.01, 1.0, 25)
+    axis = np.concatenate([-a[::-1], a])
+    t = evaluate_maps(OperatingGrid(axis, axis), params, base.omega_n, deltas=deltas, **limits)
+    assert np.isnan(t.i_d).any() == bool(limits)  # a tighter limit leaves cells out
+    for name in MAP_SURFACES:
+        x = getattr(t, name)
+        mirror = -x[::-1, ::-1] if name in _ODD_SURFACES else x[::-1, ::-1]
+        assert np.array_equal(x, mirror, equal_nan=True), name
+
+
+def test_eigen_sweep_is_even_in_speed(theta_nominal, known_x, omega_n):
+    a = np.linspace(0.0, 1.0, 25)
+    plus = eigen_sweep(theta_nominal, known_x, omega_n, a)
+    minus = eigen_sweep(theta_nominal, known_x, omega_n, -a)
+    assert [(-r.n_pu, *r[1:]) for r in minus] == [tuple(r) for r in plus]
+
+
 # the oracle's grids: torques past i_max = 1.2 give current-infeasible
 # columns; r_s = 1e-6 puts the n = 0 row below the gradient denominator
 # floor; u_max = 0.6 makes the high-speed corners voltage-infeasible, and

@@ -16,7 +16,6 @@ from rpemsim.runner import convergence_metrics
 BASE, PARAMS = default_machine()
 DT = 125e-6
 PI = PiState(kp=1.0, ti=0.01)
-T = np.linspace(0.0, 1.0, 5)
 
 
 @pytest.mark.parametrize("call,error,match", [
@@ -44,8 +43,6 @@ T = np.linspace(0.0, 1.0, 5)
     ), ConfigError, "t_samp must be positive", id="estimator_t_samp"),
     pytest.param(lambda: convergence_metrics(np.empty(0), np.empty(0), 1.0), ValueError,
                  "empty trajectory", id="convergence_empty"),
-    pytest.param(lambda: convergence_metrics(T, T, 1.0, band=0.0), ValueError,
-                 "band must be positive", id="convergence_band"),
     pytest.param(lambda: replace(BASE, z_base=2.0 * BASE.z_base), ConfigError,
                  "z_base != u_base / i_base", id="base_z"),
     pytest.param(lambda: replace(BASE, psi_base=2.0 * BASE.psi_base), ConfigError,

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,8 +190,9 @@ def test_step_matrices_rejects_nan_resistance(params):
 
 
 def test_integrate_electrical_equals_a_fresh_kernel_bitwise(params, omega_n):
-    # integrate_electrical shares one kernel per (omega_n, dt); interleaved
-    # speeds (signed zeros too) and steps must leave nothing behind
+    # integrate_electrical shares one kernel per (omega_n, dt) within a
+    # thread; interleaved speeds (signed zeros too) and steps must leave
+    # nothing behind
     u = DqVector(0.0, 0.0)
     for i0 in (DqVector(0.0, 0.0), DqVector(0.1, -0.2)):
         for n, dt in [(0.3, DT), (0.3, 2 * DT), (-0.0, DT), (0.0, DT), (-0.0, 2 * DT)]:
@@ -197,6 +201,33 @@ def test_integrate_electrical_equals_a_fresh_kernel_bitwise(params, omega_n):
             got = integrate_electrical(_state(params, i=i0, n=n), u, dt, "trapezoidal", omega_n)
             want = fresh.drive(*i0, *u, params.psi_m)
             assert [v.hex() for v in got.i] == [v.hex() for v in want]
+
+
+def test_integrate_electrical_from_three_threads_equals_one_thread_bitwise(params, omega_n):
+    # each thread steps its own resistance; a kernel the threads shared could
+    # be set by one thread between another's set and drive. A switch
+    # interval of 1 us makes such a switch likely within a few thousand calls
+    u = DqVector(0.3, 0.1)
+    states = [_state(replace(params, r_s=r_s), n=0.5) for r_s in (0.01, 0.05, 0.09)]
+    want = [integrate_electrical(s, u, DT, "trapezoidal", omega_n).i for s in states]
+    wrong = [0] * len(states)
+
+    def work(k):
+        for _ in range(15_000):
+            wrong[k] += integrate_electrical(states[k], u, DT, "trapezoidal", omega_n).i != want[k]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(states))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [0] * len(states)
 
 
 _SETTINGS = st.tuples(  # (r_s, x_d, x_q, n): reactances repeat and change, speeds +-0.0

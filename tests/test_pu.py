@@ -136,7 +136,7 @@ def test_machine_config_pure_pu_path():
     ("psi_m_pu", [0.9]),
     ("pole_pairs", 2.5),
     ("pole_pairs", 3.0),
-    ("convention", 1),
+    ("convention", 1),  # no machine key now; rejected as unknown
     pytest.param("rated_speed_rpm", 10**400, id="rated_speed_rpm-beyond_float"),
 ])
 def test_machine_config_rejects_non_numbers_and_non_integer_pole_pairs(key, value):
@@ -151,7 +151,9 @@ def test_machine_config_null_optional_value_is_unset():
 
 
 def test_machine_config_rejects_other_convention():
-    cfg = dict(TABLE_MACHINE_CONFIG)
-    cfg["convention"] = "power_invariant"
-    with pytest.raises(ConfigError, match="convention"):
-        machine_from_config(cfg)
+    # the base convention is amplitude-invariant and no key selects it: a
+    # file naming any convention, that one too, is rejected
+    for convention in ("power_invariant", "amplitude_invariant"):
+        cfg = {**TABLE_MACHINE_CONFIG, "convention": convention}
+        with pytest.raises(ConfigError, match=r"unknown machine config keys: \['convention'\]"):
+            machine_from_config(cfg)

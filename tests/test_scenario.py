@@ -19,7 +19,7 @@ import rpemsim
 from rpemsim import runner
 from rpemsim.cli import main as cli_main
 from rpemsim.pu import TABLE_MACHINE_CONFIG, ConfigError, MachineConfig
-from rpemsim.runner import SimulationDiverged, convergence_metrics, run
+from rpemsim.runner import CONVERGENCE_BAND, SimulationDiverged, convergence_metrics, run
 from rpemsim.scenario import (
     EVENT_TOL_S,
     INPUTS,
@@ -729,8 +729,9 @@ def test_metrics_exponential_convergence_time():
     ref, x0 = 1.0, 1.1
     tau = 0.5
     traj = ref + (x0 - ref) * np.exp(-t / tau)
-    rep = convergence_metrics(t, traj, ref, band=0.01)
-    t_cross = tau * math.log(abs(x0 - ref) / (0.01 * ref))
+    rep = convergence_metrics(t, traj, ref)
+    t_cross = tau * math.log(abs(x0 - ref) / (CONVERGENCE_BAND * ref))
+    assert rep.band == CONVERGENCE_BAND == 0.01
     assert rep.converged
     assert rep.convergence_time == pytest.approx(t_cross, abs=2e-3)
     assert rep.overshoot == 0.0
@@ -790,11 +791,13 @@ _BAD_ESTIMATORS = [
     {"theta0_psi_m": -1.0},
     {"theta0_psi_m": 0.0},          # MTPA needs a positive flux estimate
     {"theta0_r_s": -0.02},
-    # gain values the gain formulas cannot use; each of these used to run
+    # the gain floors are constants now: a file holding one is rejected for
+    # its unknown key, whatever the value
     {"r_floor": -1.0},
     {"r_floor": 0.0},
     {"i_floor": -1.0},
     {"detR_floor": 0.0},
+    # gain values the gain formulas cannot use; each of these used to run
     {"r0": -1.0},
     {"r0": 0.0},
     # a theta0 outside the box: the estimator would start clamped, the
@@ -813,6 +816,11 @@ _BAD_ESTIMATORS = [
     pytest.param({"estimator": {"theta0_psi_m": 1e300, "box_psi_m_max": 1e301},
                   "control": {"tau_ref": [[0.0, 0.2]]}}, id="mtpa_overflows"),
     pytest.param({"control": {"tau_ref": [[0.0, 1e200]]}}, id="huge_torque_ref"),
+    # a file saved before the gain floors and the machine convention became
+    # constants holds their keys, at their one-time defaults
+    pytest.param({"estimator": {"r_floor": 1e-6}}, id="removed_estimator_key"),
+    pytest.param({"machine": {**TABLE_MACHINE_CONFIG, "convention": "amplitude_invariant"}},
+                 id="removed_machine_key"),
     pytest.param({"control": {"mode": "speed"}, "plant": {"load_torque_pu": 1e300}},
                  id="huge_load_in_speed_mode"),
     # omega_n = 3e-323: the current-loop tuning divides by r_s * omega_n = 0
@@ -854,7 +862,7 @@ def test_cli_validate_rejects_box_and_theta0_that_run_refuses(tmp_path, capsys, 
     {"control": {"mode": "speed"}, "plant": {"inertia_H_s": math.nan}},
     {"estimator": {"algorithm": "gna", "gain_cap": math.nan}},
     {"estimator": {"n_lim1_pu": math.nan}},
-    {"estimator": {"detR_floor": math.nan}},
+    {"estimator": {"gamma_L_rs": math.nan}},
     {"estimator": {"r0": math.nan}},  # validated, then diverged at step 0
     {"control": {"tau_ref": []}},
     {"control": {"speed_ref": [[0.0, 0.1], [0.5, 0.2], [0.2, 0.3]]}},
@@ -1040,8 +1048,14 @@ _ACCEPTED_NON_FINITE = {
 }
 
 
+# the gain floors' keys, which a file saved before the floors became
+# constants holds: that file is rejected whatever number they hold
+_REMOVED_NUMBER_PATHS = [("estimator", key) for key in ("detR_floor", "i_floor", "r_floor")]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
-@pytest.mark.parametrize("path", _number_paths(), ids=lambda p: ".".join(map(str, p)))
+@pytest.mark.parametrize("path", _number_paths() + _REMOVED_NUMBER_PATHS,
+                         ids=lambda p: ".".join(map(str, p)))
 def test_validate_rejects_each_non_finite_number(tmp_path, capsys, path, value):
     d = copy.deepcopy(_SHORT)
     target = d
