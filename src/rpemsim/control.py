@@ -168,18 +168,6 @@ def current_controller(
     return (DqVector(*u), *loops.states())
 
 
-def speed_controller(
-    n_ref: float, n: float, state: PiState, dt: float
-) -> tuple[float, PiState]:
-    """PI speed loop producing a clamped torque reference."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    out, integ = pi_update(
-        n_ref, n, state.kp, state.ti, state.integrator, state.output_limit, dt
-    )
-    return out, PiState(state.kp, state.ti, integ, state.output_limit)
-
-
 def tune_current_loops(
     theta_hat: MachineParams,
     omega_n: float,

@@ -28,7 +28,6 @@ away from standstill, decoupling the two estimates.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal, NamedTuple, Optional
 
@@ -218,7 +217,7 @@ def _kernel(
     if model != _valid_model:
         MachineParams(*known_x, theta_hat.r_s, theta_hat.psi_m)  # rejects an invalid parameter set
         _valid_model = model
-    kernel = shared_trapezoid(omega_n, dt, threading.get_ident())
+    kernel = shared_trapezoid(omega_n, dt)
     kernel.set(theta_hat.r_s, known_x[0], known_x[1], n)
     return kernel
 

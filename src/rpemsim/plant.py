@@ -15,36 +15,22 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Literal
 
 from .pu import DqVector, MachineParams
 
-IntegrationMethod = Literal["trapezoidal"]
 
 @dataclass
 class PlantState:
-    """True machine state: stator current, speed, angle, live parameters."""
+    """True machine state: stator current, speed, live parameters."""
 
     i: DqVector
     n: float
-    theta: float
     params: MachineParams
 
-    def __post_init__(self) -> None:
-        self.theta = self.theta % (2.0 * math.pi)
 
-
-def electromagnetic_torque(
-    psi_m: float, x_d: float, x_q: float, i_d: float, i_q: float
-) -> float:
+def torque(psi_m: float, x_d: float, x_q: float, i_d: float, i_q: float) -> float:
     """Electromagnetic torque: magnet plus reluctance term."""
     return psi_m * i_q + (x_d - x_q) * i_d * i_q
-
-
-def torque(state: PlantState) -> float:
-    """:func:`electromagnetic_torque` of a plant state."""
-    p = state.params
-    return electromagnetic_torque(p.psi_m, p.x_d, p.x_q, state.i.d, state.i.q)
 
 
 def speed_step(n: float, tau_e: float, tau_l: float, inertia_H: float, dt: float) -> float:
@@ -52,7 +38,7 @@ def speed_step(n: float, tau_e: float, tau_l: float, inertia_H: float, dt: float
     return n + dt * (tau_e - tau_l) / (2.0 * inertia_H)
 
 
-def trapezoid_matrices(
+def step_matrices(
     r_s: float, x_d: float, x_q: float, n: float, omega_n: float, dt: float
 ) -> tuple[float, float, float, float, float, float, float, float]:
     """Trapezoidal update matrices for the linear current dynamics.
@@ -91,13 +77,6 @@ def trapezoid_matrices(
     )
 
 
-def step_matrices(
-    params: MachineParams, n: float, omega_n: float, dt: float
-) -> tuple[float, float, float, float, float, float, float, float]:
-    """:func:`trapezoid_matrices` for a parameter set."""
-    return trapezoid_matrices(params.r_s, params.x_d, params.x_q, n, omega_n, dt)
-
-
 class Trapezoid:
     """One trapezoidal step of dy/dt = A y + f at a fixed step dt, with
     A = A(r_s, x_d, x_q, n) the current-dynamics state matrix.
@@ -134,7 +113,7 @@ class Trapezoid:
             (
                 self.mi11, self.mi12, self.mi21, self.mi22,
                 self.n11, self.n12, self.n21, self.n22,
-            ) = trapezoid_matrices(r_s, x_d, x_q, n, self.omega_n, self.dt)
+            ) = step_matrices(r_s, x_d, x_q, n, self.omega_n, self.dt)
             if x_d != self.x_d or x_q != self.x_q:
                 self.w_d = self.omega_n / x_d
                 self.w_q = self.omega_n / x_q
@@ -167,28 +146,26 @@ class Trapezoid:
 
 
 @functools.lru_cache(maxsize=8)
-def shared_trapezoid(omega_n: float, dt: float, thread: int) -> Trapezoid:
-    """One :class:`Trapezoid` per (omega_n, dt) and thread for the one-step
-    functions; its :meth:`~Trapezoid.set` recomputes only on changed inputs."""
+def _thread_trapezoid(omega_n: float, dt: float, thread: int) -> Trapezoid:
     return Trapezoid(omega_n, dt)
 
 
+def shared_trapezoid(omega_n: float, dt: float) -> Trapezoid:
+    """The calling thread's :class:`Trapezoid` for (omega_n, dt); its
+    :meth:`~Trapezoid.set` recomputes only on changed inputs."""
+    return _thread_trapezoid(omega_n, dt, threading.get_ident())
+
+
 def integrate_electrical(
-    state: PlantState,
-    u: DqVector,
-    dt: float,
-    method: IntegrationMethod = "trapezoidal",
-    omega_n: float = 2.0 * math.pi * 50.0,
+    state: PlantState, u: DqVector, dt: float, omega_n: float = 2.0 * math.pi * 50.0
 ) -> PlantState:
-    """Advance the stator current one trapezoidal step; n, theta, params
+    """Advance the stator current one trapezoidal step; n and params
     untouched."""
-    if method != "trapezoidal":
-        raise ValueError(f"unknown integration method {method!r}")
     p = state.params
-    kernel = shared_trapezoid(omega_n, dt, threading.get_ident())
+    kernel = shared_trapezoid(omega_n, dt)
     kernel.set(p.r_s, p.x_d, p.x_q, state.n)
     i_new = DqVector(*kernel.drive(state.i.d, state.i.q, u.d, u.q, p.psi_m))
-    return PlantState(i=i_new, n=state.n, theta=state.theta, params=state.params)
+    return PlantState(i=i_new, n=state.n, params=state.params)
 
 
 def steady_state_current(

@@ -17,17 +17,18 @@ from typing import Optional
 import numpy as np
 
 from .analysis import write_csv_table
-from .control import limit_current, mtpa_currents, pi_update
-from .plant import Trapezoid, electromagnetic_torque, speed_step
+from .control import limit_current, mtpa_currents
+from .control import pi_update as speed_controller
+from .plant import Trapezoid, speed_step, torque
 from .scenario import EVENT_TOL_S, Scenario, schedule_segments
 
 # Entry points of the control, plant and scenario layers that the loop below
 # reaches through their float kernels instead, or that Scenario.validate
 # calls while it builds the run's start. They stay attributes of this module
 # because the benchmark's tracer (perfbench/tracing.py) wraps them here by
-# name.
-from .control import current_controller, mtpa_reference, speed_controller  # noqa: F401
-from .plant import integrate_electrical, torque  # noqa: F401
+# name, as it wraps speed_controller and torque, which the loop calls here.
+from .control import current_controller, mtpa_reference  # noqa: F401
+from .plant import integrate_electrical  # noqa: F401
 from .scenario import schedule_value  # noqa: F401
 
 CONVERGENCE_BAND = 0.01  # a converged estimate stays within 1 percent of its reference
@@ -234,7 +235,9 @@ def run(scenario: Scenario) -> RunResult:
                 if torque_mode:
                     tau_cmd = tau_ref
                 else:
-                    tau_cmd, integ_n = pi_update(n_ref, n_now, kp_n, ti_n, integ_n, lim_n, dt)
+                    tau_cmd, integ_n = speed_controller(
+                        n_ref, n_now, kp_n, ti_n, integ_n, lim_n, dt
+                    )
                 # equal inputs give equal references; both signed zeros give (0.0, 0.0)
                 if tau_cmd != tau_prev or psi != psi_prev:
                     tau_prev, psi_prev = tau_cmd, psi
@@ -248,10 +251,8 @@ def run(scenario: Scenario) -> RunResult:
                 for _ in plant_substeps:
                     nd, nq = plant_drive(nd, nq, u_d, u_q, p_psi)
                 if not prescribed:
-                    n_plant = speed_step(
-                        n_plant, electromagnetic_torque(p_psi, p_xd, p_xq, nd, nq),
-                        load, inertia_H, dt,
-                    )
+                    tau_e = torque(p_psi, p_xd, p_xq, nd, nq)
+                    n_plant = speed_step(n_plant, tau_e, load, inertia_H, dt)
 
                 if not isfinite(nd + nq + n_plant + psi + rs + u_d + u_q):
                     for name, value in (

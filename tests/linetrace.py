@@ -15,6 +15,10 @@ counts as run when any of its lines ran; a compound one (``if``, ``for``,
 so a multi-line ``if (`` condition counts from whichever line the
 interpreter reports. The exit status is pytest's.
 
+A function is traced line by line only until each of its lines has been
+recorded; later calls of it run with no line hook. Every call still goes
+through the call hook, so a run costs a few times a plain one.
+
 pytest does not collect this module; tests import it by name, as in
 ``import linetrace``.
 """
@@ -35,19 +39,42 @@ def recording():
     block runs, in this thread and in threads it starts."""
     prefix = str(PACKAGE)
     hits: set[tuple[str, int]] = set()
-    inside: dict[str, bool] = {}
+    hooks: dict = {}  # code object -> its local hook, None once nothing is left to record
 
-    def local(frame, event, arg):
-        if event == "line":
-            hits.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
+    def hook(code):
+        """The local hook of ``code``, or None outside the package. It
+        records each line of ``code`` once, then turns off the line events
+        of the frame and of every later call, which could record nothing
+        new; a line another code object recorded first, such as the
+        ``def`` line, counts as recorded."""
+        name = code.co_filename
+        if not name.startswith(prefix):
+            return None
+        rest = {
+            line for _, _, line in code.co_lines()
+            if line is not None and (name, line) not in hits
+        }
+
+        def local(frame, event, arg):
+            if event == "line":
+                line = frame.f_lineno
+                if line in rest:
+                    rest.discard(line)
+                    hits.add((name, line))
+                    if not rest:
+                        frame.f_trace_lines = False
+                        hooks[code] = None
+            return local
+
+        return local if rest else None
 
     def tracer(frame, event, arg):
-        name = frame.f_code.co_filename
-        ok = inside.get(name)
-        if ok is None:
-            ok = inside[name] = name.startswith(prefix)
-        return local if ok else None
+        code = frame.f_code
+        try:
+            return hooks[code]
+        except KeyError:
+            local = hooks[code] = hook(code)
+            return local
 
     old, old_threads = sys.gettrace(), threading.gettrace()
     threading.settrace(tracer)

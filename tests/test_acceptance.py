@@ -87,7 +87,7 @@ def _closed_loop_gradient_run(base, params, n_op, tau_op, duration):
         gradient_init="zero",
     )
     pi_d, pi_q = tune_current_loops(params, omega_n, DT, 1.5)
-    plant = PlantState(i=i0, n=n_op, theta=0.0, params=params)
+    plant = PlantState(i=i0, n=n_op, params=params)
     refs = References(id_ref=id0, iq_ref=iq0)
 
     steps = int(duration / DT)
@@ -109,7 +109,7 @@ def _closed_loop_gradient_run(base, params, n_op, tau_op, duration):
         u_applied, pi_d, pi_q = current_controller(
             refs, plant.i, n_op, params, pi_d, pi_q, DT, 1.5
         )
-        plant = integrate_electrical(plant, u_applied, DT, "trapezoidal", omega_n)
+        plant = integrate_electrical(plant, u_applied, DT, omega_n)
     return est.theta, i0, u_seq, grads
 
 

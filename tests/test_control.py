@@ -12,7 +12,7 @@ from rpemsim.control import (
     current_controller,
     limit_current,
     mtpa_reference,
-    speed_controller,
+    pi_update,
     tune_current_loops,
 )
 from rpemsim.plant import PlantState, steady_state_voltage
@@ -75,42 +75,40 @@ def test_pi_state_rejects_an_integral_time_outside_its_declared_range(ti):
 
 
 def test_pi_zero_error_zero_output():
-    s = PiState(kp=1.0, ti=0.1, output_limit=10.0)
-    out, s2 = speed_controller(1.0, 1.0, s, DT)
+    out, integ = pi_update(1.0, 1.0, 1.0, 0.1, 0.0, 10.0, DT)
     assert out == 0.0
-    assert s2.integrator == 0.0
+    assert integ == 0.0
 
 
 def test_pi_integrator_ramp():
-    s = PiState(kp=2.0, ti=0.5, output_limit=1e9)
+    kp, ti, integ = 2.0, 0.5, 0.0
     e = 0.25
     outs = []
     for _ in range(100):
-        out, s = speed_controller(e, 0.0, s, DT)
+        out, integ = pi_update(e, 0.0, kp, ti, integ, 1e9, DT)
         outs.append(out)
     slope = (outs[-1] - outs[0]) / (99 * DT)
-    assert slope == pytest.approx(s.kp * e / s.ti, rel=1e-6)
+    assert slope == pytest.approx(kp * e / ti, rel=1e-6)
 
 
 def test_pi_antiwindup_freezes_integrator():
-    s = PiState(kp=10.0, ti=0.01, output_limit=1.0)
-    prev_integ = s.integrator
+    limit, integ = 1.0, 0.0
+    prev_integ = integ
     for _ in range(200):
-        out, s = speed_controller(1.0, 0.0, s, DT)
-        if out == s.output_limit:
-            assert abs(s.integrator) <= abs(prev_integ) + 1e-15
-        prev_integ = s.integrator
+        out, integ = pi_update(1.0, 0.0, 10.0, 0.01, integ, limit, DT)
+        if out == limit:
+            assert abs(integ) <= abs(prev_integ) + 1e-15
+        prev_integ = integ
     assert out == 1.0
-    assert abs(s.integrator) <= 1.0
+    assert abs(integ) <= 1.0
 
 
 def test_pi_integrator_above_the_limit_is_clamped_when_the_error_turns_inward():
     # the output is clamped but not frozen, as the error pulls it back: the
     # integrator update runs, and lands on the limit
-    s = PiState(kp=1.0, ti=0.1, integrator=2.0, output_limit=1.0)
-    out, s = speed_controller(0.0, 0.5, s, DT)
+    out, integ = pi_update(0.0, 0.5, 1.0, 0.1, 2.0, 1.0, DT)
     assert out == 1.0
-    assert s.integrator == 1.0
+    assert integ == 1.0
 
 
 def test_voltage_limit_passthrough():
@@ -181,14 +179,13 @@ def test_feedforward_uses_estimates_not_plant(params):
 
 
 def test_speed_controller_clamps():
-    s = PiState(kp=50.0, ti=0.2, output_limit=1.2)
-    tau, s = speed_controller(1.0, 0.0, s, DT)
+    # the run's speed loop is pi_update on the speed error
+    tau, _ = pi_update(1.0, 0.0, 50.0, 0.2, 0.0, 1.2, DT)
     assert tau == 1.2
 
 
 def test_speed_controller_zero_error_integrator_only():
-    s = PiState(kp=50.0, ti=0.2, integrator=0.4, output_limit=1.2)
-    tau, _ = speed_controller(0.3, 0.3, s, DT)
+    tau, _ = pi_update(0.3, 0.3, 50.0, 0.2, 0.4, 1.2, DT)
     assert tau == pytest.approx(0.4, rel=1e-12)
 
 
@@ -198,7 +195,7 @@ def test_closed_loop_current_step_settles_within_50ms(params, omega_n):
 
     n = 0.3
     pi_d, pi_q = tune_current_loops(params, omega_n, DT, 1.2)
-    plant = PlantState(i=DqVector(0.0, 0.0), n=n, theta=0.0, params=params)
+    plant = PlantState(i=DqVector(0.0, 0.0), n=n, params=params)
     id_ref, iq_ref = mtpa_reference(0.4, params)
     refs = References(id_ref=id_ref, iq_ref=iq_ref)
     u_cmd = DqVector(0.0, n * params.psi_m)
@@ -208,7 +205,7 @@ def test_closed_loop_current_step_settles_within_50ms(params, omega_n):
         u_cmd, pi_d, pi_q = current_controller(
             refs, plant.i, n, params, pi_d, pi_q, DT, 1.2
         )
-        plant = integrate_electrical(plant, u_cmd, DT, "trapezoidal", omega_n)
+        plant = integrate_electrical(plant, u_cmd, DT, omega_n)
         err = math.hypot(plant.i.d - id_ref, plant.i.q - iq_ref)
         if t_settle is None and err <= 0.01 * i_mag_ref:
             t_settle = k * DT

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from rpemsim.analysis import discrete_stability
-from rpemsim.control import ControlError, CurrentLoops, PiState, mtpa_currents, speed_controller
+from rpemsim.control import ControlError, CurrentLoops, PiState, mtpa_currents
 from rpemsim.estimator import GainConfig, ParameterBox, ParameterVector, RpemEstimator
-from rpemsim.plant import PlantState, Trapezoid, integrate_electrical, steady_state_current
+from rpemsim.plant import Trapezoid, steady_state_current
 from rpemsim.pu import ConfigError, DqVector, default_machine
 from rpemsim.runner import convergence_metrics
 
@@ -29,11 +29,6 @@ PI = PiState(kp=1.0, ti=0.01)
                  "dt must be positive", id="discrete_stability_dt"),
     pytest.param(lambda: discrete_stability(-1.0 + 0j, DT, "euler"), ValueError,
                  "unknown method 'euler'", id="discrete_stability_method"),
-    pytest.param(lambda: speed_controller(0.1, 0.0, PI, 0.0), ValueError,
-                 "dt must be positive", id="speed_controller_dt"),
-    pytest.param(lambda: integrate_electrical(PlantState(DqVector(0.0, 0.0), 0.0, 0.0, PARAMS),
-                                              DqVector(0.0, 0.0), DT, "euler"),
-                 ValueError, "unknown integration method 'euler'", id="integrate_method"),
     pytest.param(lambda: steady_state_current(replace(PARAMS, r_s=0.0), DqVector(0.1, 0.0), 0.0),
                  ValueError, "r_s = 0 at standstill", id="steady_state_singular"),
     pytest.param(lambda: RpemEstimator(

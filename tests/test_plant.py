@@ -15,8 +15,8 @@ from rpemsim.plant import (
     speed_step,
     steady_state_current,
     steady_state_voltage,
+    step_matrices,
     torque,
-    trapezoid_matrices,
 )
 from rpemsim.pu import ConfigError, DqVector
 from rpemsim.runner import run
@@ -26,7 +26,7 @@ DT = 125e-6
 
 
 def _state(params, i=DqVector(0.0, 0.0), n=0.0):
-    return PlantState(i=i, n=n, theta=0.0, params=params)
+    return PlantState(i=i, n=n, params=params)
 
 
 def _exact_response(params, i0, u, n, omega_n, t):
@@ -76,7 +76,7 @@ def test_simulation_converges_to_analytic_steady_state(params, omega_n):
     state = _state(params, n=n)
     steps = int(20.0 * max(t_d, t_q) / DT)
     for _ in range(steps):
-        state = integrate_electrical(state, u, DT, "trapezoidal", omega_n)
+        state = integrate_electrical(state, u, DT, omega_n)
     assert abs(state.i.d - i_ss.d) < 1e-8
     assert abs(state.i.q - i_ss.q) < 1e-8
     # and the derivative there is zero: one step from it stays there
@@ -84,14 +84,17 @@ def test_simulation_converges_to_analytic_steady_state(params, omega_n):
     assert abs(i[0] - i_ss.d) < 1e-12 and abs(i[1] - i_ss.q) < 1e-12
 
 
+def _torque(params, i_d, i_q):
+    return torque(params.psi_m, params.x_d, params.x_q, i_d, i_q)
+
+
 def test_torque_zero_current(params):
-    assert torque(_state(params)) == 0.0
+    assert _torque(params, 0.0, 0.0) == 0.0
 
 
 def test_torque_hand_value(params):
-    st_ = _state(params, i=DqVector(0.0, 0.5))
     # psi_m * i_q with i_d = 0; 0.895 * 0.5
-    assert torque(st_) == pytest.approx(0.4475, rel=1e-12)
+    assert _torque(params, 0.0, 0.5) == pytest.approx(0.4475, rel=1e-12)
 
 
 @given(
@@ -100,8 +103,8 @@ def test_torque_hand_value(params):
 )
 @settings(max_examples=50, deadline=None)
 def test_torque_sign_symmetry(params, i_d, i_q):
-    plus = torque(_state(params, i=DqVector(i_d, i_q)))
-    minus = torque(_state(params, i=DqVector(i_d, -i_q)))
+    plus = _torque(params, i_d, i_q)
+    minus = _torque(params, i_d, -i_q)
     assert plus == pytest.approx(-minus, abs=1e-15)
 
 
@@ -127,8 +130,7 @@ def test_mechanical_hand_value():
     assert dn == pytest.approx(6.25e-5, rel=1e-12)
 
 
-@pytest.mark.parametrize("method,order", [("trapezoidal", 2)])
-def test_integration_convergence_order(params, omega_n, method, order):
+def test_integration_convergence_order(params, omega_n):
     # oracle: matrix exponential of the linear system
     n, u = 0.5, DqVector(0.1, 0.6)
     i0 = DqVector(0.2, -0.1)
@@ -137,18 +139,18 @@ def test_integration_convergence_order(params, omega_n, method, order):
     for dt in (2e-4, 1e-4):
         state = _state(params, i=i0, n=n)
         for _ in range(int(round(t_end / dt))):
-            state = integrate_electrical(state, u, dt, method, omega_n)
+            state = integrate_electrical(state, u, dt, omega_n)
         exact = _exact_response(params, i0, u, n, omega_n, t_end)
         errs.append(math.hypot(state.i.d - exact[0], state.i.q - exact[1]))
     ratio = errs[0] / errs[1]
-    assert ratio > 2 ** order * 0.7
+    assert ratio > 2 ** 2 * 0.7  # second order
 
 
 def test_trapezoidal_bounded_at_rated_speed(params, omega_n):
     state = _state(params, i=DqVector(1.0, 1.0), n=1.0)
     u = DqVector(0.0, 0.895)
     for _ in range(int(10.0 / DT / 10)):  # 1 s is plenty to reveal growth
-        state = integrate_electrical(state, u, DT, "trapezoidal", omega_n)
+        state = integrate_electrical(state, u, DT, omega_n)
         assert abs(state.i.d) < 10.0 and abs(state.i.q) < 10.0
 
 
@@ -186,7 +188,7 @@ def test_steady_state_voltage_inverts_current_solve(params):
 def test_step_matrices_rejects_nan_resistance(params):
     # the step must not hand back NaN matrices
     with pytest.raises(ValueError, match="singular"):
-        trapezoid_matrices(math.nan, params.x_d, params.x_q, 0.3, 2 * math.pi * 50.0, DT)
+        step_matrices(math.nan, params.x_d, params.x_q, 0.3, 2 * math.pi * 50.0, DT)
 
 
 def test_integrate_electrical_equals_a_fresh_kernel_bitwise(params, omega_n):
@@ -198,7 +200,7 @@ def test_integrate_electrical_equals_a_fresh_kernel_bitwise(params, omega_n):
         for n, dt in [(0.3, DT), (0.3, 2 * DT), (-0.0, DT), (0.0, DT), (-0.0, 2 * DT)]:
             fresh = Trapezoid(omega_n, dt)
             fresh.set(params.r_s, params.x_d, params.x_q, n)
-            got = integrate_electrical(_state(params, i=i0, n=n), u, dt, "trapezoidal", omega_n)
+            got = integrate_electrical(_state(params, i=i0, n=n), u, dt, omega_n)
             want = fresh.drive(*i0, *u, params.psi_m)
             assert [v.hex() for v in got.i] == [v.hex() for v in want]
 
@@ -209,12 +211,12 @@ def test_integrate_electrical_from_three_threads_equals_one_thread_bitwise(param
     # interval of 1 us makes such a switch likely within a few thousand calls
     u = DqVector(0.3, 0.1)
     states = [_state(replace(params, r_s=r_s), n=0.5) for r_s in (0.01, 0.05, 0.09)]
-    want = [integrate_electrical(s, u, DT, "trapezoidal", omega_n).i for s in states]
+    want = [integrate_electrical(s, u, DT, omega_n).i for s in states]
     wrong = [0] * len(states)
 
     def work(k):
         for _ in range(15_000):
-            wrong[k] += integrate_electrical(states[k], u, DT, "trapezoidal", omega_n).i != want[k]
+            wrong[k] += integrate_electrical(states[k], u, DT, omega_n).i != want[k]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -254,11 +256,11 @@ def test_trapezoid_caches_matrices_until_an_input_changes(params, omega_n):
     p = (params.r_s, params.x_d, params.x_q)
     k.set(*p, 0.3)
     assert (k.mi11, k.mi12, k.mi21, k.mi22, k.n11, k.n12, k.n21, k.n22) == (
-        trapezoid_matrices(*p, 0.3, omega_n, DT)
+        step_matrices(*p, 0.3, omega_n, DT)
     )
     k.set(*p, 0.0)
     assert math.copysign(1.0, k.n12) == 1.0
     # a signed-zero speed flips the zero off-diagonal entries, bit for bit
     k.set(*p, -0.0)
     assert math.copysign(1.0, k.n12) == -1.0
-    assert k.n12 == trapezoid_matrices(*p, -0.0, omega_n, DT)[5]
+    assert k.n12 == step_matrices(*p, -0.0, omega_n, DT)[5]

@@ -208,8 +208,7 @@ def test_estimator_run_path_calls_only_its_own_kernels():
 # calling while the tracer still wraps it, and shrinks as the tracer drops them
 TRACER_IMPORTS = {
     ("runner.py", name) for name in (
-        "current_controller", "mtpa_reference", "speed_controller",
-        "integrate_electrical", "torque", "schedule_value",
+        "current_controller", "mtpa_reference", "integrate_electrical", "schedule_value",
     )
 } | {("estimator.py", "step_matrices"), ("cli.py", "preset_library")}
 
