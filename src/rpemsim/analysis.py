@@ -36,8 +36,8 @@ def time_constants(
     theta_hat: ParameterVector, known_x: tuple[float, float], omega_n: float
 ) -> tuple[float, float]:
     """d and q axis time constants T = x / (r_s * omega_n), seconds."""
-    if theta_hat.r_s <= 0.0:
-        raise ValueError("time constants need r_s > 0")
+    if not 0.0 < theta_hat.r_s < math.inf:
+        raise ValueError(f"time constants need a finite r_s > 0, got {theta_hat.r_s}")
     return (
         known_x[0] / (theta_hat.r_s * omega_n),
         known_x[1] / (theta_hat.r_s * omega_n),
@@ -76,8 +76,8 @@ def discrete_stability(
     explicit_euler: z = 1 + lam*dt
     trapezoidal:    z = (1 + lam*dt/2) / (1 - lam*dt/2)
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if method == "explicit_euler":
         z = 1.0 + lam * dt
     elif method == "trapezoidal":

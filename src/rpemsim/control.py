@@ -119,10 +119,10 @@ class CurrentLoops:
         self, state_d: PiState, state_q: PiState, x_d: float, x_q: float,
         dt: float, u_max: float,
     ) -> None:
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if u_max <= 0.0:
-            raise ValueError("u_max must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        if not 0.0 < u_max < math.inf:
+            raise ValueError(f"u_max must be positive and finite, got {u_max}")
         self.kp_d, self.ti_d = state_d.kp, state_d.ti
         self.integ_d, self.lim_d = state_d.integrator, state_d.output_limit
         self.kp_q, self.ti_q = state_q.kp, state_q.ti

@@ -63,7 +63,7 @@ class ParameterBox:
             raise ConfigError("parameter box must be nonempty (min < max per axis)")
 
     @classmethod
-    def around(cls, nominal: ParameterVector, fraction: float = 0.3) -> "ParameterBox":
+    def around(cls, nominal: ParameterVector, fraction: float) -> "ParameterBox":
         return cls(*box_bounds_around(nominal, fraction))
 
 
@@ -91,16 +91,6 @@ def clamp_to_box(psi_m: float, r_s: float, box: ParameterBox) -> tuple[float, fl
     if hi < r_s:
         r_s = hi
     return psi_m, r_s
-
-
-def update_parameters(
-    psi_m: float, r_s: float, l11: float, l12: float, l21: float, l22: float,
-    eps_d: float, eps_q: float, box: ParameterBox,
-) -> tuple[float, float]:
-    """theta + L * eps, projected into the box."""
-    return clamp_to_box(
-        psi_m + l11 * eps_d + l12 * eps_q, r_s + l21 * eps_d + l22 * eps_q, box
-    )
 
 
 class GradientSet(NamedTuple):
@@ -173,7 +163,14 @@ class GainSettings:
 
     gamma values are per-step weights gamma0 = T_samp / T0; the flux and
     resistance rows carry separate gain-rate values so one configuration
-    covers both estimation tasks.
+    covers both estimation tasks. The reference gain-rate table:
+
+      flux, all algorithms:   gamma_L_psi 3.25e-4, gamma_r 6.25e-4
+      resistance, SGA/PhyInt: gamma_L_rs  6.25e-5, gamma_r 6.25e-4
+      resistance, GNA:        gamma_L_rs  7.5e-6,  gamma_r 6.25e-5
+
+    The defaults are its first two rows; a preset document names only the
+    rates where it leaves them.
     """
 
     algorithm: Algorithm = "sga"
@@ -369,16 +366,10 @@ def make_gradients(cfg: GainConfig, known_x: tuple[float, float], g0: tuple):
     return (DynamicGradients if psi_dynamic else SteadyStateGradients)(g0, *known_x)
 
 
-def scheduler_rows(n: float, cfg: GainConfig) -> tuple[bool, bool]:
-    """Whether the flux row (|n| above |n_lim1|) and the resistance row
-    (|n| below |n_lim2|) adapt at speed n."""
-    return abs(n) > abs(cfg.n_lim1), abs(n) < abs(cfg.n_lim2)
-
-
 def gain_schedule(L: GainMatrix, n: float, cfg: GainConfig) -> GainMatrix:
-    """Zero the flux row below |n_lim1| and the resistance row above
-    |n_lim2| so each parameter adapts only where it is observable."""
-    row1_on, row2_on = scheduler_rows(n, cfg)
+    """Zero the flux row unless |n| > |n_lim1| and the resistance row unless
+    |n| < |n_lim2|, so each parameter adapts only where it is observable."""
+    row1_on, row2_on = abs(n) > abs(cfg.n_lim1), abs(n) < abs(cfg.n_lim2)
     l11, l12 = (L.l11, L.l12) if row1_on else (0.0, 0.0)
     l21, l22 = (L.l21, L.l22) if row2_on else (0.0, 0.0)
     return GainMatrix(l11, l12, l21, l22)
@@ -390,10 +381,10 @@ def _scheduled_update(
 ) -> tuple[ParameterVector, GainMatrix]:
     if schedule_n is not None:
         L = gain_schedule(L, schedule_n, cfg)
-    theta = ParameterVector(
-        *update_parameters(theta.psi_m, theta.r_s, *L, eps.d, eps.q, box)
-    )
-    return theta, L
+    # theta + L * eps, projected into the box
+    psi_m = theta.psi_m + L.l11 * eps.d + L.l12 * eps.q
+    r_s = theta.r_s + L.l21 * eps.d + L.l22 * eps.q
+    return ParameterVector(*clamp_to_box(psi_m, r_s, box)), L
 
 
 # The gain objects below own their filter state. Each step() takes the
@@ -690,8 +681,8 @@ class RpemEstimator:
         n0: float = 0.0,
         gradient_init: Literal["steady_state", "zero"] = "steady_state",
     ) -> None:
-        if t_samp <= 0.0:
-            raise ConfigError("t_samp must be positive")
+        if not 0.0 < t_samp < math.inf:
+            raise ConfigError(f"t_samp must be positive and finite, got {t_samp}")
         self.cfg = cfg
         self.box = box
         self.known_x = known_x
@@ -700,7 +691,7 @@ class RpemEstimator:
         self._kernel = Trapezoid(omega_n, t_samp)
         self._x_d, self._x_q = known_x
         # the scheduler limits and box bounds the step compares against, as
-        # scheduler_rows and clamp_to_box read them
+        # gain_schedule and clamp_to_box read them
         self._n_lim1, self._n_lim2 = abs(cfg.n_lim1), abs(cfg.n_lim2)
         self._psi_min, self._psi_max = box.psi_m_min, box.psi_m_max
         self._rs_min, self._rs_max = box.r_s_min, box.r_s_max
@@ -749,8 +740,8 @@ class RpemEstimator:
         Returns the :class:`StepTelemetry` fields as a plain tuple, in field
         order; ``StepTelemetry(*est.step(u, n, i_meas))`` names them. The
         scheduler, update and projection are written out here in the
-        operation order of :func:`scheduler_rows` and
-        :func:`update_parameters`, which stay as their reference.
+        operation order of :func:`gain_schedule` and
+        :func:`_scheduled_update`, which stay as their reference.
         """
         u_d, u_q = u
         speed = abs(n)

@@ -93,8 +93,8 @@ class Trapezoid:
     )
 
     def __init__(self, omega_n: float, dt: float) -> None:
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         self.omega_n = omega_n
         self.dt = dt
         # NaN never compares equal, so the first set() computes
@@ -157,7 +157,7 @@ def shared_trapezoid(omega_n: float, dt: float) -> Trapezoid:
 
 
 def integrate_electrical(
-    state: PlantState, u: DqVector, dt: float, omega_n: float = 2.0 * math.pi * 50.0
+    state: PlantState, u: DqVector, dt: float, omega_n: float
 ) -> PlantState:
     """Advance the stator current one trapezoidal step; n and params
     untouched."""

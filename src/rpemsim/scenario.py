@@ -372,24 +372,10 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 # Preset library
 # ---------------------------------------------------------------------------
 
-# Reference gain-rate table (per-step weights gamma0):
-#   flux estimation:        gain 3.25e-4, Hessian 6.25e-4 (all algorithms)
-#   resistance, SGA/PhyInt: gain 6.25e-5, Hessian 6.25e-4
-#   resistance, GNA:        gain 7.5e-6,  Hessian 6.25e-5
-GAMMA_L_PSI = 3.25e-4
-GAMMA_R_PSI = 6.25e-4
-GAMMA_L_RS_SGA = 6.25e-5
-GAMMA_R_RS_SGA = 6.25e-4
-GAMMA_L_RS_GNA = 7.5e-6
+# The GNA resistance row's Hessian rate in the reference gain-rate table,
+# which the GainSettings docstring states; every other rate a preset runs
+# is a GainSettings default or follows from one.
 GAMMA_R_RS_GNA = 6.25e-5
-# Desk-calibrated effective rates for the convergence-time presets: on the
-# bench the near-singular matrix Hessian boosts the GNA resistance gains
-# around standstill to roughly the SGA rate, and the two-axis PhyInt update
-# runs ahead of SGA unless its gain is reduced. The table values above stay
-# in the figure presets; the bench presets encode the observed effective
-# rates so the reported convergence times are reproduced.
-GAMMA_L_RS_GNA_EFFECTIVE = 6.25e-5
-GAMMA_L_RS_PHYINT_EFFECTIVE = 1.5625e-5
 
 PSI_STEP = {"time_s": 1.0, "target": "psi_m", "factor": 0.92}
 RS_STEP = {"time_s": 1.0, "target": "r_s", "factor": 0.92}
@@ -408,14 +394,15 @@ GNA_NOLOAD_GAIN_CAP = 0.02
 # the presets' sensor noise, pu, but for the no-load bench presets' NOLOAD_NOISE
 PRESET_NOISE = 0.002
 
-# the estimator rates of the flux-step presets and of the resistance-step
-# figure presets: the table's; the bench_rs_* grid runs the effective rates
-_FLUX_GAINS = {"gamma_L_psi": GAMMA_L_PSI, "gamma_L_rs": GAMMA_L_RS_SGA, "gamma_r": GAMMA_R_PSI}
-_RS_GAINS = {"gamma_L_psi": GAMMA_L_PSI, "gamma_L_rs": GAMMA_L_RS_SGA, "gamma_r": GAMMA_R_RS_SGA}
+# The bench_rs_* grid's resistance rates, from the linear adaptation law:
+# a settled GNA row adapts at gamma_L per sample whatever the conditioning
+# of R, so the SGA gain gives GNA the SGA rate; PhyInt's resistance row
+# adapts at 2 * gamma over its two axes, so gamma / 4 runs it at half the
+# SGA rate, and it trails SGA as the convergence summary has it.
 _BENCH_RS_GAINS = {
-    "sga": _RS_GAINS,
-    "gna": {**_RS_GAINS, "gamma_L_rs": GAMMA_L_RS_GNA_EFFECTIVE, "gamma_r": GAMMA_R_RS_GNA},
-    "phyint": {**_RS_GAINS, "gamma_L_rs": GAMMA_L_RS_PHYINT_EFFECTIVE},
+    "sga": {},
+    "gna": {"gamma_r": GAMMA_R_RS_GNA},
+    "phyint": {"gamma_L_rs": GainSettings.gamma_L_rs / 4},
 }
 
 
@@ -439,15 +426,15 @@ def _preset_documents() -> dict[str, dict[str, Any]]:
     """Preset name -> its scenario document, less the name and the default
     seed: one per sub-panel of the four step-change figures (fig7/fig8
     real-time simulator runs, fig9/fig10 laboratory runs) plus the
-    convergence-summary grid (bench_*)."""
+    convergence-summary grid (bench_*). A document names only the keys
+    whose value differs from its section's default."""
     docs: dict[str, dict[str, Any]] = {}
 
     # flux step experiments, real-time simulator panel set
     fig7 = {"a": (-0.2, 0.0), "b": (-0.4, 0.2), "c": (0.4, 0.2), "d": (0.8, 0.4)}
     for panel, (n, tau) in fig7.items():
         docs[f"fig7{panel}"] = {
-            "duration_s": 8.0, **_torque_run(n, tau),
-            "estimator": {**_FLUX_GAINS}, "events": [PSI_STEP],
+            "duration_s": 8.0, **_torque_run(n, tau), "events": [PSI_STEP],
             "description": f"flux -8% step at n={n} pu, tau={tau} pu",
         }
 
@@ -456,51 +443,43 @@ def _preset_documents() -> dict[str, dict[str, Any]]:
     # the resistance window is widened for them
     fig8 = {"a": (-0.05, 0.2), "b": (0.0, 0.2), "c": (0.0, 0.6), "d": (0.05, 0.6)}
     for panel, (n, tau) in fig8.items():
-        wide = {"n_lim2_pu": 0.06} if abs(n) > 0.01 else {}
+        wide = {"estimator": {"n_lim2_pu": 0.06}} if abs(n) > 0.01 else {}
         docs[f"fig8{panel}"] = {
-            "duration_s": 24.0, **_torque_run(n, tau),
-            "estimator": {**_RS_GAINS, **wide}, "events": [RS_STEP],
+            "duration_s": 24.0, **_torque_run(n, tau), **wide, "events": [RS_STEP],
             "description": f"resistance -8% step at n={n} pu, tau={tau} pu",
         }
 
     # resistance step experiments, laboratory panel set
     for panel, n, where in (("a", 0.0, "at standstill"), ("b", 0.005, "at n=0.005 pu")):
         docs[f"fig9{panel}"] = {
-            "duration_s": 24.0, **_torque_run(n, 0.4),
-            "estimator": {**_RS_GAINS}, "events": [RS_STEP],
+            "duration_s": 24.0, **_torque_run(n, 0.4), "events": [RS_STEP],
             "description": f"resistance -8% step {where}, tau=0.4 pu",
         }
     docs["fig9c"] = {
-        "duration_s": 24.0, **_speed_run([[0.0, 0.001], [12.0, 0.005]], 0.4),
-        "estimator": {**_RS_GAINS}, "events": [RS_STEP],
+        "duration_s": 24.0, **_speed_run([[0.0, 0.001], [12.0, 0.005]], 0.4), "events": [RS_STEP],
         "description": "resistance step, speed reference step 0.001 -> 0.005 pu",
     }
     docs["fig9d"] = {
         "duration_s": 24.0, **_speed_run([[0.0, 0.0]], 0.4),
-        "estimator": {**_RS_GAINS},
         "events": [RS_STEP, {"time_s": 12.0, "target": "load_torque", "value": 0.6}],
         "description": "resistance step, load step 0.4 -> 0.6 pu at standstill",
     }
 
     # flux step experiments, laboratory panel set
     docs["fig10a"] = {
-        "duration_s": 8.0, **_torque_run(0.3, IDLE_TORQUE),
-        "estimator": {**_FLUX_GAINS}, "events": [PSI_STEP],
+        "duration_s": 8.0, **_torque_run(0.3, IDLE_TORQUE), "events": [PSI_STEP],
         "description": "flux -8% step, no load (friction-level torque), n=0.3 pu",
     }
     docs["fig10b"] = {
-        "duration_s": 8.0, **_torque_run(0.3, 0.4),
-        "estimator": {**_FLUX_GAINS}, "events": [PSI_STEP],
+        "duration_s": 8.0, **_torque_run(0.3, 0.4), "events": [PSI_STEP],
         "description": "flux -8% step at 0.4 pu load, n=0.3 pu",
     }
     docs["fig10c"] = {
-        "duration_s": 12.0, **_speed_run([[0.0, -0.3], [6.0, 0.3]], 0.4),
-        "estimator": {**_FLUX_GAINS}, "events": [PSI_STEP],
+        "duration_s": 12.0, **_speed_run([[0.0, -0.3], [6.0, 0.3]], 0.4), "events": [PSI_STEP],
         "description": "flux step, speed reference step -0.3 -> 0.3 pu",
     }
     docs["fig10d"] = {
         "duration_s": 12.0, **_speed_run([[0.0, 0.3]], -0.4),
-        "estimator": {**_FLUX_GAINS},
         "events": [PSI_STEP, {"time_s": 6.0, "target": "load_torque", "value": 0.4}],
         "description": "flux step, load step -0.4 -> +0.4 pu at n=0.3 pu",
     }
@@ -510,12 +489,12 @@ def _preset_documents() -> dict[str, dict[str, Any]]:
         cap = {"gain_cap": GNA_NOLOAD_GAIN_CAP} if alg == "gna" else {}
         docs[f"bench_psim_{alg}_noload"] = {
             "duration_s": 8.0, **_torque_run(0.3, NOLOAD_IDLE, NOLOAD_NOISE),
-            "estimator": {"algorithm": alg, **_FLUX_GAINS, **cap}, "events": [PSI_STEP],
+            "estimator": {"algorithm": alg, **cap}, "events": [PSI_STEP],
             "seed": NOLOAD_SEED, "description": f"{alg} flux step, no load, n=0.3 pu",
         }
         docs[f"bench_psim_{alg}_load"] = {
             "duration_s": 8.0, **_torque_run(0.3, 0.4),
-            "estimator": {"algorithm": alg, **_FLUX_GAINS}, "events": [PSI_STEP],
+            "estimator": {"algorithm": alg}, "events": [PSI_STEP],
             "description": f"{alg} flux step, tau=0.4 pu, n=0.3 pu",
         }
     for alg in ("sga", "gna", "phyint"):
