@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal, NamedTuple, Optional
 
-from .plant import Trapezoid, shared_trapezoid, steady_state_current
+from .plant import Trapezoid, model_kernel, steady_state_current
 # step_matrices is not called here; it stays a module attribute because
 # the benchmark's tracer (perfbench/tracing.py) wraps it by this name
 from .plant import step_matrices  # noqa: F401
@@ -202,23 +202,6 @@ def prediction_error(i_meas: DqVector, i_hat: DqVector) -> DqVector:
     return DqVector(i_meas.d - i_hat.d, i_meas.q - i_hat.q)
 
 
-_valid_model: tuple = ()  # (psi_m, r_s, x_d, x_q) of the last parameter set found valid
-
-
-def _kernel(
-    theta_hat: ParameterVector, known_x: tuple[float, float], n: float,
-    omega_n: float, dt: float,
-) -> Trapezoid:
-    global _valid_model
-    model = (theta_hat.psi_m, theta_hat.r_s, *known_x)
-    if model != _valid_model:
-        MachineParams(*known_x, theta_hat.r_s, theta_hat.psi_m)  # rejects an invalid parameter set
-        _valid_model = model
-    kernel = shared_trapezoid(omega_n, dt)
-    kernel.set(theta_hat.r_s, known_x[0], known_x[1], n)
-    return kernel
-
-
 def predictor_step(
     state: PredictorState,
     u: DqVector,
@@ -233,7 +216,7 @@ def predictor_step(
     Inputs are the measured voltage and speed; gradient states are copied
     untouched, see :func:`gradient_dynamic_step`.
     """
-    kernel = _kernel(theta_hat, known_x, n, omega_n, dt)
+    kernel = model_kernel(*known_x, theta_hat.r_s, theta_hat.psi_m, n, omega_n, dt)
     i_d, i_q = state.i_hat
     i_hat = kernel.drive(i_d, i_q, u.d, u.q, theta_hat.psi_m)
     return PredictorState(DqVector(*i_hat), state.grad_psi, state.grad_rs)
@@ -246,20 +229,17 @@ def gradient_dynamic_step(
     known_x: tuple[float, float],
     omega_n: float,
     dt: float,
-    i_hat_prev: Optional[DqVector] = None,
+    i_hat_prev: DqVector,
 ) -> PredictorState:
     """Advance the dynamic prediction-gradient states one trapezoidal step.
 
-    See :class:`DynamicGradients`. When ``i_hat_prev`` is given the
-    resistance forcing is averaged over both interval ends, which makes the
-    recursion the exact parameter-derivative of the discrete predictor
-    step; without it both ends are the current ``state.i_hat``.
+    See :class:`DynamicGradients`. The resistance forcing is averaged over
+    the interval's ends, ``i_hat_prev`` and ``state.i_hat``, which makes the
+    recursion the exact parameter-derivative of the discrete predictor step.
     """
-    kernel = _kernel(theta_hat, known_x, n, omega_n, dt)
-    i_new = state.i_hat
-    i_old = i_hat_prev if i_hat_prev is not None else i_new
+    kernel = model_kernel(*known_x, theta_hat.r_s, theta_hat.psi_m, n, omega_n, dt)
     gp_d, gp_q, gr_d, gr_q = DynamicGradients((*state.grad_psi, *state.grad_rs), *known_x).step(
-        kernel, theta_hat.r_s, n, *i_old, *i_new
+        kernel, theta_hat.r_s, n, *i_hat_prev, *state.i_hat
     )
     return PredictorState(state.i_hat, DqVector(gp_d, gp_q), DqVector(gr_d, gr_q))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 from .pu import DqVector, MachineParams
@@ -145,15 +144,25 @@ class Trapezoid:
         )
 
 
+def model_kernel(
+    x_d: float, x_q: float, r_s: float, psi_m: float, n: float, omega_n: float, dt: float
+) -> Trapezoid:
+    """The :class:`Trapezoid` set to the model (x_d, x_q, r_s, psi_m) at
+    speed n; raises a ConfigError for an invalid parameter set.
+
+    Kernels are memoized and never set again, so callers only step them
+    and any thread may share one. The speed's sign is in the key, as
+    0.0 and -0.0 are one key but select different matrices.
+    """
+    return _set_kernel(x_d, x_q, r_s, psi_m, n, math.copysign(1.0, n), omega_n, dt)
+
+
 @functools.lru_cache(maxsize=8)
-def _thread_trapezoid(omega_n: float, dt: float, thread: int) -> Trapezoid:
-    return Trapezoid(omega_n, dt)
-
-
-def shared_trapezoid(omega_n: float, dt: float) -> Trapezoid:
-    """The calling thread's :class:`Trapezoid` for (omega_n, dt); its
-    :meth:`~Trapezoid.set` recomputes only on changed inputs."""
-    return _thread_trapezoid(omega_n, dt, threading.get_ident())
+def _set_kernel(x_d, x_q, r_s, psi_m, n, sign, omega_n, dt) -> Trapezoid:
+    MachineParams(x_d, x_q, r_s, psi_m)  # rejects an invalid parameter set
+    kernel = Trapezoid(omega_n, dt)
+    kernel.set(r_s, x_d, x_q, n)
+    return kernel
 
 
 def integrate_electrical(
@@ -162,8 +171,7 @@ def integrate_electrical(
     """Advance the stator current one trapezoidal step; n and params
     untouched."""
     p = state.params
-    kernel = shared_trapezoid(omega_n, dt)
-    kernel.set(p.r_s, p.x_d, p.x_q, state.n)
+    kernel = model_kernel(p.x_d, p.x_q, p.r_s, p.psi_m, state.n, omega_n, dt)
     i_new = DqVector(*kernel.drive(state.i.d, state.i.q, u.d, u.q, p.psi_m))
     return PlantState(i=i_new, n=state.n, params=state.params)
 

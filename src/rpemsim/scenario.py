@@ -12,6 +12,7 @@ as a file does.
 from __future__ import annotations
 
 import bisect
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -210,10 +211,6 @@ class Scenario:
         # the CLI writes <name>.csv and <name>_report.json into its output directory
         if any(c in self.name for c in "/\\\0"):
             raise ScenarioError(f"name must not hold a path separator or NUL, got {self.name!r}")
-        samples = self.duration_s / self.t_samp_s  # round() raises on inf: skip it past the cap
-        steps = round(samples) * self.plant.substeps if samples < MAX_PLANT_STEPS + 1 else samples
-        if not 1 <= steps <= MAX_PLANT_STEPS:
-            raise ScenarioError(f"the run takes {steps} plant steps, not 1 to {MAX_PLANT_STEPS}")
         # the dynamic plant integrates with it, and the speed PI is tuned from it
         uses_inertia = self.plant.speed_mode == "dynamic" or self.control.mode == "speed"
         if uses_inertia and not in_range(self.plant.inertia_H_s, Positive):
@@ -231,7 +228,13 @@ class Scenario:
         if times != sorted(times):
             raise ScenarioError("events must be sorted by time")
         schedule = self._input_schedule(params)
-        n_steps = round(self.duration_s / self.t_samp_s)
+        samples = self.duration_s / self.t_samp_s  # round() raises on inf: skip it past the cap
+        n_steps = round(samples) if samples < MAX_PLANT_STEPS + 1 else samples
+        plant_steps = n_steps * self.plant.substeps
+        if not 1 <= plant_steps <= MAX_PLANT_STEPS:
+            raise ScenarioError(
+                f"the run takes {plant_steps} plant steps, not 1 to {MAX_PLANT_STEPS}"
+            )
         last = (n_steps - 1) * self.t_samp_s
         late = [t for t in times if t > last + EVENT_TOL_S]
         if late:
@@ -509,9 +512,10 @@ def _preset_documents() -> dict[str, dict[str, Any]]:
 
 
 #: The preset names, each mapped to its scenario document: the JSON object a
-#: scenario file of that preset holds. A preset draws its noise from seed 7
-#: unless its document names another.
-PRESETS = {name: {"name": name, "seed": 7, **doc} for name, doc in _preset_documents().items()}
+#: scenario file of that preset holds, sharing no dict or list with another.
+#: A preset draws its noise from seed 7 unless its document names another.
+PRESETS = {name: {"name": name, "seed": 7, **copy.deepcopy(doc)}
+           for name, doc in _preset_documents().items()}
 
 
 def preset(name: str, seed: int | None = None) -> Scenario:

@@ -129,9 +129,9 @@ def _hex(values):
 
 
 def test_oracle_steps_equal_a_fresh_kernel_bitwise(theta_nominal, known_x, omega_n):
-    # the oracle steps share one kernel per (omega_n, dt): interleaved
-    # parameter sets, speeds (signed zeros too) and steps must leave
-    # nothing behind from one call to the next
+    # the oracle steps take memoized kernels: interleaved parameter sets,
+    # speeds (signed zeros too) and steps must each get the kernel a fresh
+    # one would be, whatever the calls before them
     other = ParameterVector(0.9 * theta_nominal.psi_m, 1.1 * theta_nominal.r_s)
     u = DqVector(0.05, 0.4)
     states = (
@@ -172,7 +172,7 @@ def test_oracle_steps_reject_an_invalid_parameter_set_on_every_call(
             with pytest.raises(ConfigError):
                 predictor_step(state, u, 0.3, theta, xs, omega_n, DT)
             with pytest.raises(ConfigError):
-                gradient_dynamic_step(state, 0.3, theta, xs, omega_n, DT)
+                gradient_dynamic_step(state, 0.3, theta, xs, omega_n, DT, state.i_hat)
     # a container changed in place after a valid call is checked again
     xs = list(known_x)
     predictor_step(state, u, 0.3, theta_nominal, xs, omega_n, DT)
@@ -183,7 +183,7 @@ def test_oracle_steps_reject_an_invalid_parameter_set_on_every_call(
 
 def test_flux_gradient_needs_speed(theta_nominal, known_x, omega_n):
     state = PredictorState(i_hat=DqVector(0.2, 0.1))
-    out = gradient_dynamic_step(state, 0.0, theta_nominal, known_x, omega_n, DT)
+    out = gradient_dynamic_step(state, 0.0, theta_nominal, known_x, omega_n, DT, state.i_hat)
     assert out.grad_psi == DqVector(0.0, 0.0)
 
 

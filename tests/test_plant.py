@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpemsim.estimator import ParameterVector, PredictorState, predictor_step
 from rpemsim.plant import (
     PlantState,
     Trapezoid,
@@ -192,9 +193,9 @@ def test_step_matrices_rejects_nan_resistance(params):
 
 
 def test_integrate_electrical_equals_a_fresh_kernel_bitwise(params, omega_n):
-    # integrate_electrical shares one kernel per (omega_n, dt) within a
-    # thread; interleaved speeds (signed zeros too) and steps must leave
-    # nothing behind
+    # integrate_electrical takes memoized kernels; interleaved speeds
+    # (signed zeros too) and steps must each get the kernel a fresh one
+    # would be, whatever the calls before them
     u = DqVector(0.0, 0.0)
     for i0 in (DqVector(0.0, 0.0), DqVector(0.1, -0.2)):
         for n, dt in [(0.3, DT), (0.3, 2 * DT), (-0.0, DT), (0.0, DT), (-0.0, 2 * DT)]:
@@ -205,23 +206,37 @@ def test_integrate_electrical_equals_a_fresh_kernel_bitwise(params, omega_n):
             assert [v.hex() for v in got.i] == [v.hex() for v in want]
 
 
-def test_integrate_electrical_from_three_threads_equals_one_thread_bitwise(params, omega_n):
-    # each thread steps its own resistance; a kernel the threads shared could
-    # be set by one thread between another's set and drive. A switch
-    # interval of 1 us makes such a switch likely within a few thousand calls
+def _plant_step(params, omega_n):
+    state = _state(params, n=0.5)
+    return lambda u: integrate_electrical(state, u, DT, omega_n).i
+
+
+def _predictor_step(params, omega_n):
+    state, theta = PredictorState(DqVector(0.1, -0.2)), ParameterVector(params.psi_m, params.r_s)
+    return lambda u: predictor_step(state, u, 0.5, theta, (params.x_d, params.x_q), omega_n, DT)
+
+
+@pytest.mark.parametrize("make_step", [_plant_step, _predictor_step], ids=["plant", "predictor"])
+def test_integrate_electrical_from_three_threads_equals_one_thread_bitwise(
+    params, omega_n, make_step
+):
+    # each thread steps its own resistance through the memoized kernels the
+    # threads share; a kernel set again by one thread between another's
+    # look-up and step would give a wrong result. A switch interval of 1 us
+    # makes such a switch likely within a few thousand calls
     u = DqVector(0.3, 0.1)
-    states = [_state(replace(params, r_s=r_s), n=0.5) for r_s in (0.01, 0.05, 0.09)]
-    want = [integrate_electrical(s, u, DT, omega_n).i for s in states]
-    wrong = [0] * len(states)
+    steps = [make_step(replace(params, r_s=r_s), omega_n) for r_s in (0.01, 0.05, 0.09)]
+    want = [step(u) for step in steps]
+    wrong = [0] * len(steps)
 
     def work(k):
         for _ in range(15_000):
-            wrong[k] += integrate_electrical(states[k], u, DT, omega_n).i != want[k]
+            wrong[k] += steps[k](u) != want[k]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(states))]
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(steps))]
         for t in threads:
             t.start()
         for t in threads:
@@ -229,7 +244,7 @@ def test_integrate_electrical_from_three_threads_equals_one_thread_bitwise(param
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert wrong == [0] * len(states)
+    assert wrong == [0] * len(steps)
 
 
 _SETTINGS = st.tuples(  # (r_s, x_d, x_q, n): reactances repeat and change, speeds +-0.0

@@ -405,6 +405,21 @@ def test_a_built_preset_shares_no_list_with_the_table():
     assert preset("fig9c").control.speed_ref == [(0.0, 0.001), (12.0, 0.005)]
 
 
+def test_an_event_edited_in_one_preset_document_leaves_every_other_unchanged():
+    # each document owns its event dicts, so an in-place edit stays local
+    for name, doc in PRESETS.items():
+        before = copy.deepcopy(PRESETS)
+        event = doc["events"][0]
+        time_s = event["time_s"]
+        event["time_s"] = 0.5
+        try:
+            changed = [other for other in PRESETS if PRESETS[other] != before[other]]
+        finally:
+            event["time_s"] = time_s
+        assert changed == [name]
+    assert preset("fig7b").events[0].time_s == 1.0
+
+
 def test_a_preset_is_a_scenario_document_and_runs_as_its_file(tmp_path, monkeypatch):
     # each preset is the JSON object a scenario file holds
     for name, doc in PRESETS.items():

@@ -24,6 +24,18 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_global_statements_in_package():
+    # a function that rebinds module state is shared by every caller and
+    # every thread; memoize a pure function instead (plant.model_kernel)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+    ]
+    assert found == []
+
+
 def test_estimator_step_does_not_branch_on_the_configuration():
     # the gradient selection is bound in __init__ and the gain object at
     # the first sample; a per-step branch on these settings would redo that
