@@ -36,7 +36,6 @@ from .pu import (
     MachineParams,
     default_machine,
     machine_from_config,
-    make_base,
 )
 from .runner import ConvergenceReport, RunResult, SimulationDiverged, convergence_metrics, run
 from .scenario import (

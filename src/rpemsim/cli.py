@@ -100,12 +100,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"no presets match {args.pattern!r}")
     scenarios = [preset(name, args.seed) for name in names]
     os.makedirs(args.out, exist_ok=True)
-    if args.jobs > 1:
+    # the pool starts all its workers at its first task: no more than there are presets
+    jobs = min(args.jobs, len(scenarios))
+    if jobs > 1:
         # imported here: the process pool machinery costs every other command
         # its import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_sweep_one, scenarios, [args.out] * len(scenarios)))
     else:
         outcomes = [_sweep_one(scenario, args.out) for scenario in scenarios]

@@ -64,19 +64,13 @@ class ParameterBox:
 
     @classmethod
     def around(cls, nominal: ParameterVector, fraction: float) -> "ParameterBox":
-        return cls(*box_bounds_around(nominal, fraction))
-
-
-def box_bounds_around(
-    nominal: ParameterVector, fraction: float
-) -> tuple[float, float, float, float]:
-    """(psi_m_min, psi_m_max, r_s_min, r_s_max) of +-fraction around nominal."""
-    return (
-        nominal.psi_m * (1.0 - fraction),
-        nominal.psi_m * (1.0 + fraction),
-        nominal.r_s * (1.0 - fraction),
-        nominal.r_s * (1.0 + fraction),
-    )
+        """The box of +-fraction around nominal."""
+        return cls(
+            nominal.psi_m * (1.0 - fraction),
+            nominal.psi_m * (1.0 + fraction),
+            nominal.r_s * (1.0 - fraction),
+            nominal.r_s * (1.0 + fraction),
+        )
 
 
 def clamp_to_box(psi_m: float, r_s: float, box: ParameterBox) -> tuple[float, float]:

@@ -144,24 +144,12 @@ class DqVector(NamedTuple):
     q: float
 
 
-@dataclass(frozen=True)
-class BaseQuantities:
-    """Per-unit base set for one machine."""
+class BaseQuantities(NamedTuple):
+    """The per-unit base values the package reads, of the convention above."""
 
-    u_base: Positive
-    i_base: Positive
-    z_base: Positive
-    psi_base: Positive
-    omega_n: Positive
-    torque_base: Positive
-    pole_pairs: Count
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if not math.isclose(self.z_base, self.u_base / self.i_base, rel_tol=1e-9):
-            raise ConfigError("inconsistent base set: z_base != u_base / i_base")
-        if not math.isclose(self.psi_base, self.u_base / self.omega_n, rel_tol=1e-9):
-            raise ConfigError("inconsistent base set: psi_base != u_base / omega_n")
+    omega_n: float
+    z_base: float
+    psi_base: float
 
 
 @dataclass(frozen=True)
@@ -182,32 +170,6 @@ class MachineParams:
         check_fields(self)
         if self.x_q < self.x_d - 1e-12:
             raise ConfigError("saliency convention violated: requires x_q >= x_d")
-
-
-def make_base(
-    rated_voltage_ll: float,
-    rated_current: float,
-    rated_frequency: float,
-    pole_pairs: int,
-) -> BaseQuantities:
-    """Build a consistent per-unit base from nameplate ratings."""
-    if rated_voltage_ll <= 0.0 or rated_current <= 0.0 or rated_frequency <= 0.0:
-        raise ConfigError("ratings must be positive")
-    u_base = math.sqrt(2.0 / 3.0) * rated_voltage_ll
-    i_base = math.sqrt(2.0) * rated_current
-    omega_n = TWO_PI * rated_frequency
-    z_base = u_base / i_base
-    psi_base = u_base / omega_n
-    torque_base = 1.5 * u_base * i_base * pole_pairs / omega_n
-    return BaseQuantities(
-        u_base=u_base,
-        i_base=i_base,
-        z_base=z_base,
-        psi_base=psi_base,
-        omega_n=omega_n,
-        torque_base=torque_base,
-        pole_pairs=pole_pairs,
-    )
 
 
 @dataclass(frozen=True)
@@ -235,7 +197,13 @@ class MachineConfig:
         """The machine's per-unit base and parameters; the rated frequency
         is f = p * N_n / 60 from the pole pairs and the rated speed."""
         f_n = self.pole_pairs * self.rated_speed_rpm / 60.0
-        base = make_base(self.rated_voltage_ll_V, self.rated_current_A, f_n, self.pole_pairs)
+        u_base = math.sqrt(2.0 / 3.0) * self.rated_voltage_ll_V
+        i_base = math.sqrt(2.0) * self.rated_current_A
+        omega_n = TWO_PI * f_n
+        # ratings at the ends of the float range can round a base value to 0 or inf
+        base = BaseQuantities(omega_n, u_base / i_base, u_base / omega_n if omega_n else math.inf)
+        if not all(in_range(v, Positive) for v in base):
+            raise ConfigError(f"the ratings give the per-unit base {base}, not all > 0 and finite")
         si = (self.Rs_ohm, self.Ld_H, self.Lq_H, self.psi_m_Wb)
         pu = {"r_s": self.r_s_pu, "x_d": self.x_d_pu, "x_q": self.x_q_pu, "psi_m": self.psi_m_pu}
         # pu values replace individual SI-derived ones before the one

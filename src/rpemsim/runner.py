@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import write_csv_table
-from .control import limit_current, mtpa_currents
+from .control import ControlError, limit_current, mtpa_currents
 from .control import pi_update as speed_controller
 from .plant import Trapezoid, speed_step, torque
 from .scenario import EVENT_TOL_S, Scenario, schedule_segments
@@ -278,7 +278,7 @@ def run(scenario: Scenario) -> RunResult:
 
                 u_applied = u_cmd
                 n_applied = n_now
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (ControlError, OverflowError, ZeroDivisionError) as exc:
         detail = f"{type(exc).__name__}: {exc.args[-1] if exc.args else exc}"
         raise _diverged(
             k, dt, detail, (i_d, i_q), psi_hat_full, rs_hat_full

@@ -34,7 +34,6 @@ from .estimator import (
     ParameterBox,
     ParameterVector,
     RpemEstimator,
-    box_bounds_around,
     clamp_to_box,
 )
 from .plant import steady_state_voltage
@@ -64,6 +63,8 @@ class ScenarioError(ConfigError):
 
 Schedule = list[tuple[Finite, Finite]]  # (time_s, value) steps, piecewise const
 Seed = Annotated[int, "an integer >= 0", lambda x: x >= 0]  # noise seeds must be >= 0
+# 1 or more puts the box's flux floor at or below 0, 0 or less makes it empty
+BoxFraction = Annotated[float, "a number in (0, 1)", lambda x: 0.0 < x < 1.0]
 
 #: An event or schedule entry applies from the first sample t with time_s <= t + EVENT_TOL_S.
 EVENT_TOL_S = 1e-12
@@ -174,11 +175,7 @@ class ControlSection:
 class EstimatorSection(GainSettings):
     n_lim1_pu: Finite = GainConfig.n_lim1
     n_lim2_pu: Finite = GainConfig.n_lim2
-    box_fraction: float = 0.3
-    box_psi_m_min: Optional[float] = None  # explicit bounds win over fraction
-    box_psi_m_max: Optional[float] = None
-    box_r_s_min: Optional[float] = None
-    box_r_s_max: Optional[float] = None
+    box_fraction: BoxFraction = 0.3
     theta0_psi_m: Optional[float] = None  # default: true initial values
     theta0_r_s: Optional[float] = None
 
@@ -242,13 +239,8 @@ class Scenario:
         ctl, est = self.control, self.estimator
         cfg = est.gain_config()  # raises on bad gains
 
-        # the estimator's box: explicit bounds win over +-box_fraction
-        # around the true initial values
-        nominal = ParameterVector(params.psi_m, params.r_s)
-        default = box_bounds_around(nominal, est.box_fraction)
-        explicit = (est.box_psi_m_min, est.box_psi_m_max, est.box_r_s_min, est.box_r_s_max)
-        try:
-            box = ParameterBox(*(d if e is None else e for e, d in zip(explicit, default)))
+        try:  # the estimator's box: +-box_fraction around the true initial values
+            box = ParameterBox.around(ParameterVector(params.psi_m, params.r_s), est.box_fraction)
         except ConfigError as exc:
             raise ScenarioError(
                 f"estimator parameter box (box_fraction={est.box_fraction}): {exc}"

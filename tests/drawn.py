@@ -11,6 +11,7 @@ import math
 from functools import partial
 from operator import itemgetter
 
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from rpemsim.estimator import GainConfig
@@ -20,6 +21,14 @@ from rpemsim.scenario import ControlSection, EstimatorSection, PlantSection, Sce
 DT = 125e-6  # the drawn scenarios' sampling period, the default t_samp_s
 SAMPLES = 160  # samples of a drawn run
 SEED = 101
+
+#: Settings of the properties on :func:`scenarios`, which a test extends
+#: with its ``max_examples``. No shrink phase: shrinking a failing
+#: 160-sample scenario with up to eight events took minutes, and the
+#: first failing example is reported as drawn.
+DRAWN_SETTINGS = settings(
+    deadline=None, phases=[p for p in settings.default.phases if p is not Phase.shrink],
+)
 
 # time offsets from a sample instant, on either side of EVENT_TOL_S
 NEAR_SAMPLE = st.one_of(

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from rpemsim.control import (
-    References, current_controller, limit_current, mtpa_reference, pi_update,
+    ControlError, References, current_controller, limit_current, mtpa_reference, pi_update,
 )
 from rpemsim.plant import PlantState, integrate_electrical, speed_step, torque
 from rpemsim.pu import DqVector, MachineParams
@@ -77,7 +77,7 @@ def reference_run(scenario: Scenario) -> RunResult:
             if plant.speed_mode == "dynamic":
                 tau_e = torque(true.psi_m, true.x_d, true.x_q, *i_new)
                 n_plant = speed_step(n_plant, tau_e, load, plant.inertia_H_s, dt)
-        except (OverflowError, ZeroDivisionError) as exc:
+        except (ControlError, OverflowError, ZeroDivisionError) as exc:
             detail = f"{type(exc).__name__}: {exc.args[-1] if exc.args else exc}"
             raise _diverged(k, dt, detail, tuple(i), psi_hat, rs_hat) from exc
         for name, value in (

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 
 from rpemsim import estimator, runner
 from rpemsim.plant import Trapezoid, torque
-from drawn import scenarios
+from drawn import DRAWN_SETTINGS, scenarios
 
 TOLERANCE = 1e-11
 
@@ -55,7 +55,7 @@ def energy_residual(r_s, x_d, x_q, n, w_dt, i0, u, psi_m, i1):
     return abs(sum(terms)), sum(abs(t) for t in terms)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(DRAWN_SETTINGS, max_examples=30)
 @given(sc=scenarios())
 def test_every_trapezoidal_step_keeps_the_discrete_energy_balance(sc):
     plant_calls, predictor_calls = [], []

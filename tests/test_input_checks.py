@@ -50,10 +50,6 @@ POSITIVE_ARGUMENTS = [
                  ValueError, "r_s = 0 at standstill", id="steady_state_singular"),
     pytest.param(lambda: convergence_metrics(np.empty(0), np.empty(0), 1.0), ValueError,
                  "empty trajectory", id="convergence_empty"),
-    pytest.param(lambda: replace(BASE, z_base=2.0 * BASE.z_base), ConfigError,
-                 "z_base != u_base / i_base", id="base_z"),
-    pytest.param(lambda: replace(BASE, psi_base=2.0 * BASE.psi_base), ConfigError,
-                 "psi_base != u_base / omega_n", id="base_psi"),
     # the i_q denominator psi_m - (x_q - x_d) * i_d is 3.2e-10, below 1e-9
     pytest.param(lambda: mtpa_currents(1e-20, 1e-12, PARAMS.x_d, PARAMS.x_q), ControlError,
                  "i_q denominator", id="mtpa_denominator"),

@@ -8,35 +8,45 @@ from rpemsim.pu import (
     MachineConfig,
     MachineParams,
     machine_from_config,
-    make_base,
 )
 
 
-def test_make_base_reference_plant():
-    # oracle: hand calculation from the 400 V / 4.93 A / 50 Hz ratings
-    b = make_base(400.0, 4.93, 50.0, 3)
+def test_per_unit_base_reference_plant():
+    # oracle: hand calculation from the 400 V / 4.93 A / 1000 rpm, 3 pole-pair
+    # (50 Hz) ratings
+    b, _ = MachineConfig(**TABLE_MACHINE_CONFIG).per_unit()
+    assert b._fields == ("omega_n", "z_base", "psi_base")
+    assert b.omega_n == pytest.approx(2 * math.pi * 50.0, rel=1e-12)
     assert b.z_base == pytest.approx(400.0 / (math.sqrt(3) * 4.93), rel=1e-9)
     assert b.z_base == pytest.approx(46.85, rel=1e-3)
     assert b.psi_base == pytest.approx(
         math.sqrt(2.0 / 3.0) * 400.0 / (2 * math.pi * 50.0), rel=1e-12
     )
     assert b.psi_base == pytest.approx(1.0395, rel=1e-3)
-    # torque base lands on the nameplate rated torque
-    assert b.torque_base == pytest.approx(32.6, rel=2e-3)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(rated_voltage_ll=400.0, rated_current=4.93, rated_frequency=0.0, pole_pairs=3),
-        dict(rated_voltage_ll=-1.0, rated_current=4.93, rated_frequency=50.0, pole_pairs=3),
-        dict(rated_voltage_ll=400.0, rated_current=0.0, rated_frequency=50.0, pole_pairs=3),
-        dict(rated_voltage_ll=400.0, rated_current=4.93, rated_frequency=50.0, pole_pairs=0),
-    ],
-)
-def test_make_base_rejects_nonpositive(kwargs):
-    with pytest.raises(ConfigError):
-        make_base(**kwargs)
+@pytest.mark.parametrize("key,value", [
+    ("rated_speed_rpm", 0.0),
+    ("rated_voltage_ll_V", -1.0),
+    ("rated_current_A", 0.0),
+    ("pole_pairs", 0),
+])
+def test_machine_config_rejects_nonpositive_ratings(key, value):
+    with pytest.raises(ConfigError, match=f"MachineConfig.{key} must be"):
+        MachineConfig(**{**TABLE_MACHINE_CONFIG, key: value})
+
+
+@pytest.mark.parametrize("changes", [
+    {"rated_speed_rpm": 5e-324},  # p * N / 60 rounds to 0 Hz: omega_n = 0
+    {"rated_speed_rpm": 1e308},  # omega_n overflows
+    {"rated_voltage_ll_V": 1e-300, "rated_current_A": 1e300},  # z_base rounds to 0
+    {"rated_voltage_ll_V": 1e300, "rated_current_A": 1e-300},  # z_base overflows
+    {"rated_voltage_ll_V": 1e-300, "rated_speed_rpm": 1e300},  # psi_base rounds to 0
+])
+def test_per_unit_rejects_ratings_whose_base_rounds_to_zero_or_overflows(changes):
+    # with no check of the base, each divides by zero or gives a parameter of 0 or inf
+    with pytest.raises(ConfigError, match="per-unit base"):
+        MachineConfig(**{**TABLE_MACHINE_CONFIG, **changes}).per_unit()
 
 
 def _si_machine(**changes):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 from rpemsim.runner import run
 from rpemsim.scenario import preset
-from drawn import scenarios
+from drawn import DRAWN_SETTINGS, scenarios
 from reference_loop import reference_run
 from test_golden_runs import FULL_RATE, _short
 
@@ -35,7 +35,7 @@ def _assert_same_run(res, ref):
         k: repr(dataclasses.asdict(r)) for k, r in ref.reports.items()}
 
 
-@settings(max_examples=30, deadline=None)
+@settings(DRAWN_SETTINGS, max_examples=30)
 @given(sc=scenarios())
 def test_run_equals_the_reference_loop_bitwise_on_a_drawn_timeline(sc):
     _assert_same_run(run(sc), reference_run(sc))

@@ -37,10 +37,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from rpemsim.estimator import ParameterVector, box_bounds_around
+from rpemsim.estimator import ParameterBox, ParameterVector
 from rpemsim.runner import run
 from rpemsim.scenario import ControlSection, EstimatorSection, PlantSection, Scenario, preset
-from drawn import DT, SAMPLES, scenarios
+from drawn import DRAWN_SETTINGS, DT, SAMPLES, scenarios
 from test_golden_runs import FULL_RATE, _short
 
 T1_S, T2_S = 0.25, 0.5
@@ -56,18 +56,17 @@ def test_shorter_run_is_a_bitwise_prefix_of_a_longer_one(name):
     _assert_prefix(short, run(short), T2_S, short.log_decimation)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(DRAWN_SETTINGS, max_examples=80)
 @given(sc=scenarios())
 def test_estimate_stays_in_its_box_and_holds_while_its_row_is_off(sc):
     res = run(sc)
     # theta0 and the box from the machine: an event at t = 0 has already
     # moved psi_m_true[0] and r_s_true[0]
     _, params = sc.machine.per_unit()
-    psi_min, psi_max, rs_min, rs_max = box_bounds_around(
-        ParameterVector(params.psi_m, params.r_s), sc.estimator.box_fraction)
+    box = ParameterBox.around(ParameterVector(params.psi_m, params.r_s), sc.estimator.box_fraction)
     psi, rs = res.psi_m_hat, res.r_s_hat
-    assert np.all((psi_min <= psi) & (psi <= psi_max))
-    assert np.all((rs_min <= rs) & (rs <= rs_max))
+    assert np.all((box.psi_m_min <= psi) & (psi <= box.psi_m_max))
+    assert np.all((box.r_s_min <= rs) & (rs <= box.r_s_max))
     # step k's estimator sees the speed logged at step k - 1, the t = 0 speed at k = 0
     speed = np.abs(np.concatenate(([sc.validate().n0], res.log["n"][:-1])))
     psi_prev = np.concatenate(([params.psi_m], psi[:-1]))
@@ -86,7 +85,7 @@ def test_estimate_stays_in_its_box_and_holds_while_its_row_is_off(sc):
     _assert_matched(res if matched == sc else run(matched))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(DRAWN_SETTINGS, max_examples=80)
 @given(sc=scenarios())
 def test_shorter_run_is_a_bitwise_prefix_on_a_drawn_timeline(sc):
     # every input changes before the drawn run ends; the longer run logs

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import copy
 import dataclasses
 import json
@@ -342,6 +343,48 @@ def test_cli_sweep_parallel(tmp_path):
     assert all((out / name).read_bytes() == (serial / name).read_bytes() for name in names)
 
 
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records its max_workers and
+    maps in this process."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("pattern,workers,names", [
+    ("fig7[ab]", [2], ["fig7a", "fig7b"]),
+    ("fig7a", [], ["fig7a"]),  # one preset runs in this process, with no pool
+])
+def test_cli_sweep_starts_no_more_workers_than_presets(
+    tmp_path, monkeypatch, pattern, workers, names
+):
+    # the pool forks all its workers at the first task: --jobs 64 used to
+    # start 64 processes for 2 presets, or for 1
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    ran = []
+
+    def sweep_one(scenario, out_dir):
+        ran.append(scenario.name)
+        return f"{scenario.name}: ok", False
+
+    monkeypatch.setattr("rpemsim.cli._sweep_one", sweep_one)
+    assert cli_main(["--out", str(tmp_path), "sweep", pattern, "--jobs", "64"]) == 0
+    assert _InProcessPool.made == workers
+    assert ran == names
+
+
 def _child_env() -> dict:
     """The environment of a child interpreter that imports this rpemsim."""
     paths = [str(Path(rpemsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -370,17 +413,6 @@ def test_cli_sweep_finishes_the_batch_past_a_diverged_preset(tmp_path, capsys, m
     diverged, ok = capsys.readouterr().out.splitlines()
     assert diverged.startswith("fig7a: diverged: ") and ok.startswith("fig7b: ok ")
     assert sorted(p.name for p in out.iterdir()) == ["fig7b.csv", "fig7b_report.json"]
-
-
-def test_explicit_box_bounds_override_fraction(params):
-    sc = Scenario.from_dict({
-        "name": "boxed", "duration_s": 1.0,
-        "estimator": {"box_psi_m_min": 0.85, "box_r_s_max": 0.05},
-    })
-    box = sc.validate().estimator.box
-    assert box.psi_m_min == 0.85
-    assert box.r_s_max == 0.05
-    assert box.psi_m_max == pytest.approx(1.3 * params.psi_m, rel=1e-12)
 
 
 def test_preset_events_default_step():
@@ -635,6 +667,25 @@ def test_a_non_finite_state_ends_in_the_diagnostic(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == f"numerical divergence: {err.value}\n"
 
 
+def test_an_infeasible_torque_reference_mid_run_ends_in_the_diagnostic(tmp_path, capsys):
+    # the box reaches down to theta0 = 1e-12, so validate builds the start at
+    # tau = 0.3; the tau_ref step to 1e-20 leaves MTPA an i_q denominator of
+    # about 0 in the loop, whose ControlError used to end sim in a traceback
+    d = {"name": "ce2", "duration_s": 0.01,
+         "control": {"tau_ref": [[0.0, 0.3], [0.005, 1e-20]]},
+         "estimator": {"theta0_psi_m": 1e-12, "box_fraction": 0.999999999999}}
+    path = tmp_path / "ce2.json"
+    path.write_text(json.dumps(d))
+    assert cli_main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["--out", str(tmp_path / "o"), "sim", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical divergence: ") and err.count("\n") == 1
+    assert "ControlError: torque reference infeasible" in err and "Traceback" not in err
+    with pytest.raises(SimulationDiverged, match="ControlError"):
+        run(Scenario.from_dict(d))
+
+
 def _segment_count(sc):
     start = sc.validate()
     return len(list(schedule_segments(start.schedule, sc.t_samp_s, start.n_steps)))
@@ -797,12 +848,14 @@ def test_cli_validate_bad_file(tmp_path):
     assert cli_main(["validate", str(path)]) == 1
 
 
+_REMOVED_BOX_KEYS = ("box_psi_m_min", "box_psi_m_max", "box_r_s_min", "box_r_s_max")
+
 _BAD_ESTIMATORS = [
-    {"box_fraction": 1.5},          # default box reaches below zero
-    {"box_r_s_min": -0.01},
-    {"box_psi_m_min": -0.1},
-    {"box_psi_m_min": 0.0},         # MTPA needs a positive flux estimate
-    {"box_fraction": 1.0},          # default box reaches zero flux
+    {"box_fraction": 1.5},          # the box reaches below zero
+    {"box_fraction": 0.0},          # an empty box
+    {"box_fraction": -0.1},
+    {"box_fraction": 1e-17},        # 1 - f and 1 + f round to 1: an empty box
+    {"box_fraction": 1.0},          # the box reaches zero flux
     {"theta0_psi_m": -1.0},
     {"theta0_psi_m": 0.0},          # MTPA needs a positive flux estimate
     {"theta0_r_s": -0.02},
@@ -819,7 +872,7 @@ _BAD_ESTIMATORS = [
     # controller's model and operating point from the unclamped value
     {"theta0_psi_m": 2.0},
     {"theta0_r_s": 0.1},            # above the default box top, 1.3 * 0.048
-    {"box_psi_m_min": 1.0},         # the default theta0 (the true 0.895) lies below
+    {"theta0_psi_m": 0.6},          # below the default box floor, 0.7 * 0.895
 ]
 
 
@@ -828,16 +881,21 @@ _BAD_ESTIMATORS = [
       for i, est in enumerate(_BAD_ESTIMATORS)),
     # the operating point at t = 0 cannot be built; each of these used to
     # pass validate and end sim in a traceback or in a divergence at step 0
-    pytest.param({"estimator": {"theta0_psi_m": 1e300, "box_psi_m_max": 1e301},
-                  "control": {"tau_ref": [[0.0, 0.2]]}}, id="mtpa_overflows"),
     pytest.param({"control": {"tau_ref": [[0.0, 1e200]]}}, id="huge_torque_ref"),
     # a file saved before the gain floors and the machine convention became
     # constants holds their keys, at their one-time defaults
     pytest.param({"estimator": {"r_floor": 1e-6}}, id="removed_estimator_key"),
+    # a file saved before the box became +-box_fraction only holds the four
+    # bound keys, unset as null
+    *(pytest.param({"estimator": {key: value}}, id=f"removed_box_key-{key}-{value}")
+      for key in _REMOVED_BOX_KEYS for value in (None, 0.5)),
     pytest.param({"machine": {**TABLE_MACHINE_CONFIG, "convention": "amplitude_invariant"}},
                  id="removed_machine_key"),
     pytest.param({"control": {"mode": "speed"}, "plant": {"load_torque_pu": 1e300}},
                  id="huge_load_in_speed_mode"),
+    # p * N / 60 rounds to 0 Hz: psi_base = u_base / omega_n divides by zero
+    pytest.param({"machine": {**TABLE_MACHINE_CONFIG, "rated_speed_rpm": 5e-324}},
+                 id="rated_frequency_underflows"),
     # omega_n = 3e-323: the current-loop tuning divides by r_s * omega_n = 0
     pytest.param({"machine": {
         "rated_voltage_ll_V": 1e-300, "rated_current_A": 1.0, "rated_speed_rpm": 1e-322,
@@ -1054,18 +1112,15 @@ def _number_paths():
     return out
 
 
-# the inputs that run although they are not finite: an inertia nothing
-# uses, and a parameter box open upwards
-_ACCEPTED_NON_FINITE = {
-    *{(("plant", "inertia_H_s"), x) for x in (math.nan, math.inf, -math.inf)},
-    (("estimator", "box_psi_m_max"), math.inf),
-    (("estimator", "box_r_s_max"), math.inf),
-}
+# the inputs that run although they are not finite: an inertia nothing uses
+_ACCEPTED_NON_FINITE = {(("plant", "inertia_H_s"), x) for x in (math.nan, math.inf, -math.inf)}
 
 
-# the gain floors' keys, which a file saved before the floors became
-# constants holds: that file is rejected whatever number they hold
-_REMOVED_NUMBER_PATHS = [("estimator", key) for key in ("detR_floor", "i_floor", "r_floor")]
+# the gain floors' and the box bounds' keys, which a file saved before the
+# floors became constants and the box +-box_fraction only holds: that file
+# is rejected whatever number they hold
+_REMOVED_NUMBER_PATHS = [("estimator", key)
+                         for key in ("detR_floor", "i_floor", "r_floor", *_REMOVED_BOX_KEYS)]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
@@ -1177,16 +1232,6 @@ def test_cli_rejects_a_name_that_leaves_the_output_directory(tmp_path, capsys, n
     out = tmp_path / "o" / "a"
     assert cli_main(["--out", str(out), "sim", str(tmp_path / "bad.json")]) == 1
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [tmp_path / "bad.json"]
-
-
-def test_explicit_bounds_make_a_wide_box_fraction_valid(params):
-    sc = Scenario.from_dict({
-        "name": "boxed", "duration_s": 1.0,
-        "estimator": {"box_fraction": 1.5, "box_psi_m_min": 0.5, "box_r_s_min": 0.0},
-    })
-    box = sc.validate().estimator.box
-    assert (box.psi_m_min, box.r_s_min) == (0.5, 0.0)
-    assert box.r_s_max == pytest.approx(2.5 * params.r_s, rel=1e-12)
 
 
 def test_cli_sim_writes_outputs(tmp_path):
