@@ -39,6 +39,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_DIVERGED = 2
 
+#: Most cells of a map grid (--points squared) or points of an eig sweep one
+#: call may evaluate: map all peaks near 300 B a cell and eig near 355 B a
+#: point, so the largest call stays near 350 MB.
+MAX_GRID_CELLS = 10**6
+
 # argparse reads "-1e-3" as an option, not as a negative number
 RANGE_HELP = "lower and upper bound; write a negative bound in decimal form (-0.001, not -1e-3)"
 
@@ -116,11 +121,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_DIVERGED if any(diverged for _, diverged in outcomes) else EXIT_OK
 
 
+def _check_points(points: int, axes: int) -> None:
+    """Rejects a --points below 2, or one whose grid over ``axes`` axes
+    holds more than MAX_GRID_CELLS cells."""
+    if points < 2:
+        raise ConfigError(f"--points must be >= 2, got {points}")
+    if points**axes > MAX_GRID_CELLS:
+        raise ConfigError(
+            f"--points {points} makes a grid of {points**axes} cells, not at most {MAX_GRID_CELLS}"
+        )
+
+
 def _axis(bounds: tuple[float, float], points: int, option: str) -> np.ndarray:
     """``points`` evenly spaced values over a finite, increasing range."""
     lo, hi = bounds
-    if points < 2:
-        raise ConfigError(f"--points must be >= 2, got {points}")
     if not -math.inf < lo < hi < math.inf:
         raise ConfigError(f"{option} must be finite and increasing, got {lo} {hi}")
     return np.linspace(lo, hi, points)
@@ -130,6 +144,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     rel = (args.delta_psi, args.delta_rs, args.delta_xd, args.delta_xq)
     if not all(-math.inf < d < math.inf for d in rel):
         raise ConfigError(f"--delta-* mismatches must be finite, got {rel}")
+    _check_points(args.points, 2)
     base, params = default_machine()
     grid = OperatingGrid(
         speed_axis=_axis(args.speed_range, args.points, "--speed-range"),
@@ -150,6 +165,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_eig(args: argparse.Namespace) -> int:
+    _check_points(args.points, 1)
     base, params = default_machine()
     theta = ParameterVector(psi_m=params.psi_m, r_s=params.r_s)
     speeds = _axis(args.speed_range, args.points, "--speed-range")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 import typing
 from dataclasses import dataclass
 from typing import Annotated, Any, Callable, NamedTuple, Optional
@@ -36,6 +37,10 @@ NonNegative = Annotated[float, "a number >= 0 and finite", lambda x: 0.0 <= x < 
 Finite = Annotated[float, "a finite number", lambda x: -math.inf < x < math.inf]
 Rate = Annotated[float, "a number in (0, 1]", lambda x: 0.0 < x <= 1.0]
 Count = Annotated[int, "an integer >= 1", lambda x: x >= 1]
+# the rated frequency takes the pole pairs as a float: a larger int has none
+PolePairs = Annotated[
+    int, "an integer >= 1 within the float range", lambda x: 1 <= x <= sys.float_info.max
+]
 
 
 def in_range(value: Any, tp: Any) -> bool:
@@ -47,10 +52,10 @@ def check_fields(obj: Any, error: type[ValueError] = ConfigError) -> None:
     """Raise ``error`` unless every field of dataclass ``obj`` holds a value
     of its declared type: for a float a number but not a bool (an int is
     stored as its float), for an int an int but not a bool, for a range
-    type (``Positive``, ``NonNegative``, ``Finite``, ``Rate``, ``Count``
-    above) a value of its base type that passes its test, for a ``Literal``
-    a listed value, for an ``Optional`` also None, for a list or a
-    fixed-length tuple a list or tuple of such values (stored as the
+    type (``Positive``, ``NonNegative``, ``Finite``, ``Rate``, ``Count``,
+    ``PolePairs`` above) a value of its base type that passes its test, for
+    a ``Literal`` a listed value, for an ``Optional`` also None, for a list
+    or a fixed-length tuple a list or tuple of such values (stored as the
     declared container), for any other class an instance of it."""
     for name, conform, what in _field_rules(type(obj)):
         value = getattr(obj, name)
@@ -180,7 +185,7 @@ class MachineConfig:
     rated_voltage_ll_V: Positive
     rated_current_A: Positive
     rated_speed_rpm: Positive
-    pole_pairs: Count
+    pole_pairs: PolePairs
     Rs_ohm: Optional[NonNegative] = None
     Ld_H: Optional[NonNegative] = None
     Lq_H: Optional[NonNegative] = None

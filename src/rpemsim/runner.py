@@ -166,7 +166,6 @@ def run(scenario: Scenario) -> RunResult:
     inertia_H = scenario.plant.inertia_H_s
     prescribed = scenario.plant.speed_mode == "prescribed"
     torque_mode = ctl.mode == "torque"
-    substeps = scenario.plant.substeps
     x_d, x_q = start.estimator.known_x
     speed_pi = start.speed_pi
     kp_n, ti_n, lim_n = speed_pi.kp, speed_pi.ti, speed_pi.output_limit
@@ -196,12 +195,11 @@ def run(scenario: Scenario) -> RunResult:
     segments = schedule_segments(start.schedule, dt, n_steps)
     estimator_step = start.estimator.step
     loops_step = start.loops.step
-    plant = Trapezoid(start.omega_n, dt / substeps)
+    plant = Trapezoid(start.omega_n, dt)
     plant_set = plant.set
     plant_drive = plant.drive
     isfinite = math.isfinite
     i_max = ctl.i_max_pu
-    plant_substeps = range(substeps)
 
     u_applied = start.u0
     n_applied = start.n0
@@ -247,9 +245,7 @@ def run(scenario: Scenario) -> RunResult:
 
                 if not prescribed:
                     plant_set(p_rs, p_xd, p_xq, n_now)
-                nd, nq = i_d, i_q
-                for _ in plant_substeps:
-                    nd, nq = plant_drive(nd, nq, u_d, u_q, p_psi)
+                nd, nq = plant_drive(i_d, i_q, u_d, u_q, p_psi)
                 if not prescribed:
                     tau_e = torque(p_psi, p_xd, p_xq, nd, nq)
                     n_plant = speed_step(n_plant, tau_e, load, inertia_H, dt)

@@ -52,8 +52,8 @@ from .pu import (
     in_range,
 )
 
-#: Most plant steps, round(duration_s / t_samp_s) * substeps, one run may take;
-#: the longest preset takes 192 000.
+#: Most samples, round(duration_s / t_samp_s), one run may take, each one
+#: plant step; the longest preset takes 192 000.
 MAX_PLANT_STEPS = 10**7
 
 
@@ -146,7 +146,6 @@ class PlantSection:
     speed_mode: Literal["prescribed", "dynamic"] = "prescribed"
     inertia_H_s: float = 0.5  # Positive where used; Scenario checks that
     load_torque_pu: Finite = 0.0
-    substeps: Count = 1
 
     def __post_init__(self) -> None:
         check_fields(self, ScenarioError)
@@ -205,9 +204,19 @@ class Scenario:
 
     def __post_init__(self) -> None:
         check_fields(self, ScenarioError)
-        # the CLI writes <name>.csv and <name>_report.json into its output directory
+        # the CLI writes <name>.csv and <name>_report.json into its output
+        # directory, names of strict UTF-8 and, by the usual NAME_MAX, 255 bytes at most
         if any(c in self.name for c in "/\\\0"):
             raise ScenarioError(f"name must not hold a path separator or NUL, got {self.name!r}")
+        try:
+            size = len(self.name.encode())
+        except UnicodeEncodeError:  # a lone surrogate, which JSON can escape
+            raise ScenarioError(f"name must encode as UTF-8, got {self.name!r}") from None
+        if size > 255 - len("_report.json"):
+            raise ScenarioError(
+                f"name takes {size} bytes in UTF-8, not at most 243: "
+                "<name>_report.json must fit in 255"
+            )
         # the dynamic plant integrates with it, and the speed PI is tuned from it
         uses_inertia = self.plant.speed_mode == "dynamic" or self.control.mode == "speed"
         if uses_inertia and not in_range(self.plant.inertia_H_s, Positive):
@@ -227,11 +236,8 @@ class Scenario:
         schedule = self._input_schedule(params)
         samples = self.duration_s / self.t_samp_s  # round() raises on inf: skip it past the cap
         n_steps = round(samples) if samples < MAX_PLANT_STEPS + 1 else samples
-        plant_steps = n_steps * self.plant.substeps
-        if not 1 <= plant_steps <= MAX_PLANT_STEPS:
-            raise ScenarioError(
-                f"the run takes {plant_steps} plant steps, not 1 to {MAX_PLANT_STEPS}"
-            )
+        if not 1 <= n_steps <= MAX_PLANT_STEPS:
+            raise ScenarioError(f"the run takes {n_steps} samples, not 1 to {MAX_PLANT_STEPS}")
         last = (n_steps - 1) * self.t_samp_s
         late = [t for t in times if t > last + EVENT_TOL_S]
         if late:

@@ -117,8 +117,8 @@ def scenarios():
     and control mode; a t = 0 speed, load and torque of either sign; up to
     three more speed_ref and tau_ref entries and up to eight events, each a
     factor or a value, at times within 2e-12 s of a sample instant before
-    the last; plant noise 0 or 0.01 and 1 to 3 substeps; and the default box
-    or one so narrow that the projection clamps."""
+    the last; plant noise 0 or 0.01; and the default box or one so narrow
+    that the projection clamps."""
     return st.builds(
         partial(Scenario, name="drawn", duration_s=SAMPLES * DT, seed=SEED, log_decimation=1),
         plant=st.builds(
@@ -126,7 +126,6 @@ def scenarios():
             noise_sigma_pu=st.sampled_from([0.0, 0.01]),
             speed_mode=st.sampled_from(["prescribed", "dynamic"]),
             load_torque_pu=LOADS,
-            substeps=st.sampled_from([1, 2, 3]),
         ),
         control=st.builds(
             ControlSection, mode=st.sampled_from(["torque", "speed"]),

@@ -5,8 +5,8 @@ against it bit for bit.
 Each sample it reads the inputs at k * dt with ``schedule_value``, steps
 the estimator, runs the speed PI in speed mode, recomputes the MTPA
 reference and its current limit, steps ``current_controller`` on
-``PiState``s, advances the plant by ``integrate_electrical`` per substep on
-a fresh ``PlantState`` and, at dynamic speed, steps the speed by ``torque``
+``PiState``s, advances the plant by one ``integrate_electrical`` on a fresh
+``PlantState`` and, at dynamic speed, steps the speed by ``torque``
 and ``speed_step``. It keeps no segment, no cached reference and no bound
 kernel, so a run that agrees with it does not depend on any of them.
 
@@ -70,10 +70,8 @@ def reference_run(scenario: Scenario) -> RunResult:
             u, pi_d, pi_q = current_controller(
                 refs, i_meas, n_now, model, pi_d, pi_q, dt, ctl.u_max_pu
             )
-            i_new = i
-            for _ in range(plant.substeps):
-                state = PlantState(i=i_new, n=n_now, params=true)
-                i_new = integrate_electrical(state, u, dt / plant.substeps, start.omega_n).i
+            i_new = integrate_electrical(PlantState(i=i, n=n_now, params=true), u, dt,
+                                         start.omega_n).i
             if plant.speed_mode == "dynamic":
                 tau_e = torque(true.psi_m, true.x_d, true.x_q, *i_new)
                 n_plant = speed_step(n_plant, tau_e, load, plant.inertia_H_s, dt)

@@ -9,11 +9,11 @@ i_m the mean of a step's two currents and W = (x_d*i_d**2 + x_q*i_q**2) / 2,
 holds exactly in real arithmetic, tau being the ``plant.torque`` formula. A
 sign slip in ``step_matrices``, ``Trapezoid.drive`` or ``torque`` breaks it
 at order one, also where it keeps the runs' mirror symmetry. The property
-checks it on drawn timelines for every plant step, substeps included, and
-every predictor step at the estimate, to 1e-11 of the sum of the terms'
-magnitudes. Products of subnormal currents round to a subnormal step, not
-to a share of their size, so the bound adds the smallest normal float: a
-drawn torque reference of 2.2e-311 pu gives such currents.
+checks it on drawn timelines for every plant step and every predictor
+step at the estimate, to 1e-11 of the sum of the terms' magnitudes.
+Products of subnormal currents round to a subnormal step, not to a share
+of their size, so the bound adds the smallest normal float: a drawn torque
+reference of 2.2e-311 pu gives such currents.
 """
 
 import sys
@@ -63,7 +63,7 @@ def test_every_trapezoidal_step_keeps_the_discrete_energy_balance(sc):
             mock.patch.object(estimator, "Trapezoid", _recording(predictor_calls)):
         res = runner.run(sc)
     # the predictor steps from the second sample on
-    assert len(plant_calls) == sc.plant.substeps * res.total_steps
+    assert len(plant_calls) == res.total_steps
     assert len(predictor_calls) == res.total_steps - 1
     for call in plant_calls + predictor_calls:
         residual, scale = energy_residual(*call)

@@ -77,9 +77,9 @@ def test_estimate_stays_in_its_box_and_holds_while_its_row_is_off(sc):
     assert rs[rs_off].tobytes() == rs_prev[rs_off].tobytes()
     if sc.plant.noise_sigma_pu == 0.0:  # the noise draw is not mirrored
         _assert_mirrored(res, run(_mirror(sc)))
-    # the matched model: the draw with no noise, one substep and no machine events
+    # the matched model: the draw with no noise and no machine events
     matched = replace(
-        sc, plant=replace(sc.plant, noise_sigma_pu=0.0, substeps=1),
+        sc, plant=replace(sc.plant, noise_sigma_pu=0.0),
         events=[ev for ev in sc.events if ev.target in ("load_torque", "speed_ref")],
     )
     _assert_matched(res if matched == sc else run(matched))
@@ -162,7 +162,7 @@ def test_matched_model_predicts_with_no_error(algorithm, speed):
         estimator=EstimatorSection(algorithm=algorithm),
         log_decimation=1,
     )
-    assert (sc.plant.speed_mode, sc.control.mode, sc.plant.substeps) == ("prescribed", "torque", 1)
+    assert (sc.plant.speed_mode, sc.control.mode) == ("prescribed", "torque")
     _assert_matched(run(sc))
 
 

@@ -717,8 +717,7 @@ def test_prescribed_speed_selects_the_plant_matrices_once_per_segment(monkeypatc
     assert len(sets) == (4 if speed_mode == "prescribed" else res.total_steps)
 
 
-@pytest.mark.parametrize("substeps", [1, 2, 3])
-def test_each_sample_drives_the_plant_once_per_substep(monkeypatch, substeps):
+def test_each_sample_drives_the_plant_once(monkeypatch):
     steps, drives = [], []
 
     class CountingTrapezoid(runner.Trapezoid):
@@ -731,11 +730,11 @@ def test_each_sample_drives_the_plant_once_per_substep(monkeypatch, substeps):
             return super().drive(*args)
 
     monkeypatch.setattr(runner, "Trapezoid", CountingTrapezoid)
-    sc = _quick(duration=0.01, plant=PlantSection(substeps=substeps),
+    sc = _quick(duration=0.01,
                 control=ControlSection(tau_ref=[(0.0, 0.3)], speed_ref=[(0.0, 0.1)]))
     res = run(sc)
-    assert steps == [sc.t_samp_s / substeps]
-    assert len(drives) == substeps * res.total_steps
+    assert steps == [sc.t_samp_s]
+    assert len(drives) == res.total_steps
 
 
 def test_constant_torque_with_the_flux_row_off_computes_the_current_reference_once(monkeypatch):
@@ -911,6 +910,44 @@ def test_cli_validate_rejects_box_and_theta0_that_run_refuses(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    # a file saved while the plant could take several steps per sample
+    pytest.param({"plant": {"substeps": 1}}, "unknown scenario.plant keys: ['substeps']",
+                 id="removed_plant_substeps"),
+    # the rated frequency takes pole_pairs as a float: this one used to end
+    # in an OverflowError traceback
+    pytest.param({"machine": {**TABLE_MACHINE_CONFIG, "pole_pairs": 10**400}},
+                 "MachineConfig.pole_pairs must be an integer >= 1 within the float range",
+                 id="pole_pairs_beyond_float"),
+    # names of the output files that cannot be made: these used to pass
+    # validate and end sim in a traceback or after writing the CSV
+    pytest.param({"name": "bad\ud800name"}, "name must encode as UTF-8",
+                 id="name_lone_surrogate"),
+    pytest.param({"name": "n" * 244}, "name takes 244 bytes", id="name_244_ascii"),
+    pytest.param({"name": "\u00e9" * 122}, "name takes 244 bytes", id="name_244_bytes_utf8"),
+])
+def test_cli_rejects_a_file_it_cannot_run_or_name_in_one_line(tmp_path, capsys, fields, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "x", "duration_s": 0.01, **fields}))
+    out = tmp_path / "o"
+    for command in ("validate", "sim"):
+        assert cli_main(["--out", str(out), command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["n" * 243, "\u00e9" * 121 + "n"], ids=["ascii", "utf8"])
+def test_cli_sim_writes_both_files_of_a_243_byte_name(tmp_path, name):
+    # <name>_report.json then takes the whole 255 bytes of the usual NAME_MAX
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"name": name, "duration_s": 0.001}))
+    out = tmp_path / "o"
+    assert cli_main(["--out", str(out), "sim", str(path)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [f"{name}.csv", f"{name}_report.json"]
+
+
 @pytest.mark.parametrize("fields", [
     {"plant": {"speed_mode": "dynamic", "inertia_H_s": 0.0}},
     {"plant": {"speed_mode": "dynamic", "inertia_H_s": math.nan}},
@@ -1029,6 +1066,9 @@ def _with(**fields) -> str:
     pytest.param(_with(log_decimation=1.7), id="log_decimation_1.7"),
     pytest.param(_with(seed=1.5), id="seed_1.5"),
     pytest.param(_with(seed=-1), id="seed_negative"),
+    # plant.substeps is gone, one plant step per sample: a file holding it
+    # is rejected for its unknown key, whatever the value
+    pytest.param(_with(plant={"substeps": 1}), id="substeps_1"),
     pytest.param(_with(plant={"substeps": 2.5}), id="substeps_2.5"),
     pytest.param(_with(estimator={"sga_r_mode": "bogus"}), id="sga_r_mode_bogus"),
     pytest.param(_with(estimator={"gradient_mode_psi": "bogus"}), id="gradient_mode_bogus"),
@@ -1052,12 +1092,12 @@ def test_cli_validate_rejects_malformed_files_in_one_line(tmp_path, capsys, text
     assert "Traceback" not in err
 
 
-def test_step_cap_counts_plant_substeps():
-    d = preset_library()["fig9a"].to_dict()  # 24 s: 192 000 samples
-    d["plant"]["substeps"] = 52  # 9 984 000 plant steps
-    assert Scenario.from_dict(d).plant.substeps == 52
-    d["plant"]["substeps"] = 53  # 10 176 000
-    with pytest.raises(ScenarioError, match="plant steps"):
+def test_step_cap_counts_samples():
+    # validate builds the run's start without taking a step
+    d = {"name": "x", "duration_s": 10**7 * 125e-6, "t_samp_s": 125e-6}
+    assert Scenario.from_dict(d).validate().n_steps == 10**7
+    d["duration_s"] = (10**7 + 1) * 125e-6
+    with pytest.raises(ScenarioError, match="the run takes 10000001.* samples, not 1 to 10000000"):
         Scenario.from_dict(d)
 
 
@@ -1116,11 +1156,13 @@ def _number_paths():
 _ACCEPTED_NON_FINITE = {(("plant", "inertia_H_s"), x) for x in (math.nan, math.inf, -math.inf)}
 
 
-# the gain floors' and the box bounds' keys, which a file saved before the
-# floors became constants and the box +-box_fraction only holds: that file
-# is rejected whatever number they hold
-_REMOVED_NUMBER_PATHS = [("estimator", key)
-                         for key in ("detR_floor", "i_floor", "r_floor", *_REMOVED_BOX_KEYS)]
+# the keys of removed options (the gain floors, the box bounds, the plant
+# substeps), which a file saved before their removal holds: that file is
+# rejected whatever number they hold
+_REMOVED_NUMBER_PATHS = [
+    *(("estimator", key) for key in ("detR_floor", "i_floor", "r_floor", *_REMOVED_BOX_KEYS)),
+    ("plant", "substeps"),
+]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
@@ -1345,6 +1387,27 @@ def test_cli_map_and_eig_reject_bad_grid_input(tmp_path, capsys, argv):
     assert cli_main(["--out", str(out), *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["map", "all", "--points", "1001"], 1001**2),
+    (["eig", "--points", "1000001"], 1000001),
+], ids=["map_1001_points", "eig_1000001_points"])
+def test_cli_map_and_eig_reject_a_grid_too_large_before_building_it(
+    tmp_path, capsys, monkeypatch, argv, cells
+):
+    # map all --points 200000 used to end in a numpy MemoryError traceback
+    def no_grid(*_):
+        raise AssertionError("a grid axis was built")
+
+    monkeypatch.setattr("rpemsim.cli._axis", no_grid)
+    out = tmp_path / "o"
+    assert cli_main(["--out", str(out), *argv]) == 1
+    assert capsys.readouterr().err == (
+        f"validation error: --points {argv[-1]} makes a grid of {cells} cells, "
+        "not at most 1000000\n"
+    )
     assert not out.exists()
 
 

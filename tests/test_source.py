@@ -235,3 +235,19 @@ def test_unused_imports_are_only_those_the_tracer_wraps():
             ):
                 found |= {(path.name, alias.asname or alias.name) for alias in node.names}
     assert found <= TRACER_IMPORTS
+
+
+def test_run_steps_the_plant_once_per_sample():
+    # the machine, the controller and the predictor each step once a sample:
+    # the sample loop makes one plant_drive call, and no loop inside it does
+    tree = ast.parse(inspect.getsource(runner.run))
+    (sample_loop,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.For) and ast.unparse(node.iter).startswith("range(k0")
+    ]
+    body = ast.Module(body=sample_loop.body, type_ignores=[])
+    assert ast.unparse(body).count("plant_drive(") == 1
+    assert not [
+        node.lineno for node in ast.walk(body)
+        if isinstance(node, (ast.For, ast.While)) and "plant_drive(" in ast.unparse(node)
+    ]
