@@ -190,28 +190,24 @@ def evaluate_maps(
 
     deltas = (delta_psi_m, delta_r_s, delta_x_d, delta_x_q) feed the
     sensitivity surfaces. The currents are built once per torque value (NaN
-    where infeasible), the speed-only values by one scalar call per speed,
-    the voltage and the error once per grid. The arithmetic runs in a
-    per-cell call's order, so every cell equals its scalar evaluation bitwise.
+    where infeasible), the stability columns by :func:`eigen_sweep` over the
+    speed axis, the gradient by one scalar call per speed, the voltage and
+    the error once per grid. The arithmetic runs in a per-cell call's order,
+    so every cell equals its scalar evaluation bitwise.
     """
     theta = ParameterVector(psi_m=params.psi_m, r_s=params.r_s)
     known_x = (params.x_d, params.x_q)
     currents = [cell_currents(params, tau, i_max) for tau in grid.torque_axis.tolist()]
     i = DqVector(*np.array([c or (np.nan, np.nan) for c in currents]).T)
     # speeds first: time_constants refuses r_s <= 0 before a grid divides by 0
+    eig = eigen_sweep(theta, known_x, omega_n, grid.speed_axis, dt)
+    n, re_l1, im_l1, re_l2, im_l2, z_euler, z_trap = np.array(eig)[:, :7].T[:, :, None]
     per_speed, (rs_d, rs_q) = [], np.empty((2, len(grid.speed_axis), len(i.d)))
-    for si, n in enumerate(grid.speed_axis.tolist()):
-        lam = eigenvalues(theta, known_x, n, omega_n)
-        g = gradient_steady_state(theta, known_x, n, i)  # a float n: the floor decides per speed
-        per_speed.append((
-            n, g.psi_d, g.psi_q, g.psi_d**2 + g.psi_q**2,
-            lam.lambda1.real, lam.lambda1.imag, lam.lambda2.real, lam.lambda2.imag,
-            max(abs(discrete_stability(root, dt, "explicit_euler")[0]) for root in lam),
-            max(abs(discrete_stability(root, dt, "trapezoidal")[0]) for root in lam),
-        ))
+    for si, row in enumerate(eig):  # a float n: the gradient floor decides per speed
+        g = gradient_steady_state(theta, known_x, row.n_pu, i)
+        per_speed.append((g.psi_d, g.psi_q, g.psi_d**2 + g.psi_q**2))
         rs_d[si], rs_q[si] = g.rs_d, g.rs_q  # 0.0 below the floor
-    n, psi11, psi12, psi_sq, re_l1, im_l1, re_l2, im_l2, z_euler, z_trap = (
-        np.array(per_speed).T[:, :, None])
+    psi11, psi12, psi_sq = np.array(per_speed).T[:, :, None]
     u = steady_state_voltage(params, i, n)
     # math.hypot per cell, one row at a time: np.hypot differs in some last bits
     u_mag = np.fromiter(chain.from_iterable(
@@ -292,7 +288,9 @@ def write_csv_table(
 
 
 class EigenRow(NamedTuple):
-    """One speed of :func:`eigen_sweep`, in the ``rpemsim eig`` CSV columns."""
+    """One speed of :func:`eigen_sweep`, in the ``rpemsim eig`` CSV columns.
+    The magnitudes and ``trap_stable`` come from both roots, as the
+    ``map stability`` columns of the same names do."""
 
     n_pu: float
     re_l1: float
@@ -311,14 +309,18 @@ def eigen_sweep(
     speeds: np.ndarray,
     dt: float = 125e-6,
 ) -> list[EigenRow]:
-    """Eigenvalue trajectory against speed, with both discrete maps."""
+    """Eigenvalue trajectory against speed, with both discrete maps.
+
+    Each map's magnitude is the larger over both roots, and ``trap_stable``
+    is ``z_trap_mag < 1``: the ``map stability`` columns of the same names."""
     rows = []
     for n in map(float, speeds):
-        lam = eigenvalues(theta_hat, known_x, n, omega_n)
-        z_euler, _ = discrete_stability(lam.lambda1, dt, "explicit_euler")
-        z_trap, trap_stable = discrete_stability(lam.lambda1, dt, "trapezoidal")
+        l1, l2 = eigenvalues(theta_hat, known_x, n, omega_n)
+        z_euler = abs(discrete_stability(l1, dt, "explicit_euler")[0])
+        z_trap = abs(discrete_stability(l1, dt, "trapezoidal")[0])
+        if l1.imag == 0.0:  # a complex pair's maps have bitwise-equal magnitudes
+            z_euler = max(z_euler, abs(discrete_stability(l2, dt, "explicit_euler")[0]))
+            z_trap = max(z_trap, abs(discrete_stability(l2, dt, "trapezoidal")[0]))
         rows.append(EigenRow(
-            n, lam.lambda1.real, lam.lambda1.imag, lam.lambda2.real, lam.lambda2.imag,
-            abs(z_euler), abs(z_trap), trap_stable,
-        ))
+            n, l1.real, l1.imag, l2.real, l2.imag, z_euler, z_trap, z_trap < 1.0))
     return rows

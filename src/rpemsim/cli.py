@@ -141,20 +141,16 @@ def _axis(bounds: tuple[float, float], points: int, option: str) -> np.ndarray:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    rel = (args.delta_psi, args.delta_rs, args.delta_xd, args.delta_xq)
-    if not all(-math.inf < d < math.inf for d in rel):
-        raise ConfigError(f"--delta-* mismatches must be finite, got {rel}")
-    _check_points(args.points, 2)
     base, params = default_machine()
+    rel = (args.delta_psi, args.delta_rs, args.delta_xd, args.delta_xq)
+    # a finite relative mismatch near the float maximum overflows times its parameter
+    deltas = tuple(d * x for d, x in zip(rel, (params.psi_m, params.r_s, params.x_d, params.x_q)))
+    if not all(-math.inf < d < math.inf for d in deltas):
+        raise ConfigError(f"--delta-* mismatches {rel} give {deltas} in pu, which must be finite")
+    _check_points(args.points, 2)
     grid = OperatingGrid(
         speed_axis=_axis(args.speed_range, args.points, "--speed-range"),
         torque_axis=_axis(args.torque_range, args.points, "--torque-range"),
-    )
-    deltas = (
-        args.delta_psi * params.psi_m,
-        args.delta_rs * params.r_s,
-        args.delta_xd * params.x_d,
-        args.delta_xq * params.x_q,
     )
     tables = evaluate_maps(grid, params, base.omega_n, deltas=deltas)  # rejects a too-large speed
     os.makedirs(args.out, exist_ok=True)

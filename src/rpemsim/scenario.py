@@ -234,8 +234,8 @@ class Scenario:
         if times != sorted(times):
             raise ScenarioError("events must be sorted by time")
         schedule = self._input_schedule(params)
-        samples = self.duration_s / self.t_samp_s  # round() raises on inf: skip it past the cap
-        n_steps = round(samples) if samples < MAX_PLANT_STEPS + 1 else samples
+        samples = self.duration_s / self.t_samp_s  # whole from 2**53 up; round() raises on inf
+        n_steps = round(samples) if samples < 2**53 else samples
         if not 1 <= n_steps <= MAX_PLANT_STEPS:
             raise ScenarioError(f"the run takes {n_steps} samples, not 1 to {MAX_PLANT_STEPS}")
         last = (n_steps - 1) * self.t_samp_s

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rpemsim.analysis as analysis
 from rpemsim.analysis import (
@@ -27,7 +29,7 @@ from rpemsim.cli import main as cli_main
 from rpemsim.control import mtpa_reference
 from rpemsim.estimator import ParameterVector, PredictorState, gradient_steady_state, predictor_step, prediction_error
 from rpemsim.plant import steady_state_voltage
-from rpemsim.pu import ConfigError, DqVector
+from rpemsim.pu import ConfigError, DqVector, default_machine
 from rpemsim.runner import run
 from rpemsim.scenario import ControlSection, EstimatorSection, PlantSection, Scenario, StepEvent
 
@@ -311,6 +313,54 @@ def test_eigen_sweep_is_even_in_speed(theta_nominal, known_x, omega_n):
     plus = eigen_sweep(theta_nominal, known_x, omega_n, a)
     minus = eigen_sweep(theta_nominal, known_x, omega_n, -a)
     assert [(-r.n_pu, *r[1:]) for r in minus] == [tuple(r) for r in plus]
+
+
+# machines (x_d, x_q, r_s) whose r_s reaches the stiff case, where a real
+# pair's second root has the larger discrete magnitude
+MACHINES = st.builds(
+    lambda x_d, saliency, r_s: (x_d, x_d * saliency, r_s),
+    st.floats(0.05, 2.0), st.floats(1.0, 3.0), st.floats(1e-4, 1e3),
+)
+SPEED_AXES = st.lists(st.floats(-1.2, 1.2), min_size=2, max_size=6, unique=True).map(sorted)
+_, DEFAULT = default_machine()
+
+
+@settings(max_examples=60, deadline=None)
+@given(MACHINES, SPEED_AXES)
+# r_s = 500 pu at n = 0: explicit Euler maps λ1 to 13.21 and λ2 to 29.72
+@example((DEFAULT.x_d, DEFAULT.x_q, 500.0), [0.0, 0.5])
+def test_eigen_sweep_stability_equals_the_map_stability_columns(params, base, machine, speeds):
+    x_d, x_q, r_s = machine
+    params = replace(params, x_d=x_d, x_q=x_q, r_s=r_s)
+    speeds = np.array(speeds)
+    t = evaluate_maps(OperatingGrid(speeds, np.array([-0.5, 0.0, 0.5])), params, base.omega_n)
+    rows = eigen_sweep(ParameterVector(psi_m=params.psi_m, r_s=r_s), (x_d, x_q), base.omega_n,
+                       speeds)
+    assert [r.n_pu for r in rows] == speeds.tolist()
+    for si, row in enumerate(rows):
+        feasible = ~np.isnan(t.i_d[si])
+        assert feasible[1]  # zero torque draws no current: its cell is feasible
+        assert (t.z_euler_mag[si, feasible] == row.z_euler_mag).all()
+        assert (t.z_trap_mag[si, feasible] == row.z_trap_mag).all()
+        assert row.trap_stable == (row.z_trap_mag < 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MACHINES, st.floats(0.01, 10.0), st.floats(1e-3, 100.0), st.sampled_from([1.0, -1.0]),
+       st.floats(1e-7, 1e-2))
+def test_a_complex_pair_maps_to_two_equal_magnitudes(omega_n, machine, over, past, sign, dt):
+    # eigen_sweep maps only λ1 of a complex pair: that is the larger
+    # magnitude over both roots only if the conjugate maps to the same one.
+    # The pair is complex from |n| = r_s * (1/x_d - 1/x_q) / 2 up
+    x_d, x_q, r_s = machine
+    n = sign * (r_s * (1.0 / x_d - 1.0 / x_q) / 2.0 * (1.0 + over) + past)
+    theta = ParameterVector(psi_m=1.0, r_s=r_s)
+    lam = eigenvalues(theta, (x_d, x_q), n, omega_n)
+    assert lam.lambda1.imag != 0.0 and lam.lambda2 == lam.lambda1.conjugate()
+    (row,) = eigen_sweep(theta, (x_d, x_q), omega_n, np.array([n]), dt)
+    for method, got in (("explicit_euler", row.z_euler_mag), ("trapezoidal", row.z_trap_mag)):
+        first, second = (abs(discrete_stability(root, dt, method)[0]) for root in lam)
+        assert first == second == got
 
 
 # the oracle's grids: torques past i_max = 1.2 give current-infeasible

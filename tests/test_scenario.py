@@ -1101,6 +1101,19 @@ def test_step_cap_counts_samples():
         Scenario.from_dict(d)
 
 
+@pytest.mark.parametrize("duration_s, count", [
+    ((10**7 + 1) * 125e-6, "10000001"),  # used to read 10000001.0
+    (1e300, "8e+303"),
+    (1e-5, "0"),
+], ids=["one_past_the_cap", "far_past_the_cap", "none"])
+def test_cli_validate_states_the_sample_count_it_rejects(tmp_path, capsys, duration_s, count):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"name": "x", "duration_s": duration_s, "t_samp_s": 125e-6}))
+    assert cli_main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"validation error: the run takes {count} samples, not 1 to 10000000\n")
+
+
 def test_integer_numbers_are_stored_as_floats():
     sc = Scenario.from_dict({
         "name": "x", "duration_s": 1, "control": {"tau_ref": [[0, 1]]},
@@ -1381,6 +1394,10 @@ def test_cli_map_writes_fixed_header(tmp_path):
     ["map", "all", "--speed-range", "0", "1e155", "--points", "2"],
     ["eig", "--speed-range", "0", "1e155", "--points", "2"],
     ["sweep", "nomatch*"],
+    # x_q is the one default parameter above 1 pu: its pu mismatch used to
+    # overflow to inf, and inf * 0 wrote nan,nan in the feasible n = 0 row
+    ["map", "sensitivity", "--points", "3", "--delta-xq", "1.7e308"],
+    ["map", "sensitivity", "--points", "3", "--delta-xq=-1.7e308"],
 ])
 def test_cli_map_and_eig_reject_bad_grid_input(tmp_path, capsys, argv):
     out = tmp_path / "o"

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import rpemsim
-from rpemsim import cli, runner, scenario
+from rpemsim import analysis, cli, runner, scenario
 from rpemsim.estimator import RpemEstimator
 from rpemsim.scenario import Scenario
 
@@ -167,6 +167,18 @@ def test_run_reads_its_inputs_through_one_cursor():
     assert not re.search(r"\.at\b", source)
     # the sample count is validate()'s, so the late-event check and the run agree
     assert "round(" not in source
+
+
+def test_maps_read_their_stability_columns_from_the_eigen_sweep():
+    # eigen_sweep is the one per-speed kernel for the eigenvalues and their
+    # discrete maps, so rpemsim eig and map stability cannot disagree
+    tree = ast.parse(inspect.getsource(analysis.evaluate_maps))
+    called = {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "eigen_sweep" in called
+    assert called & {"eigenvalues", "discrete_stability"} == set()
 
 
 def test_cli_resolves_a_name_without_building_every_preset():
